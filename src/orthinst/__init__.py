@@ -52,10 +52,8 @@ from .kronecker import (
     splitting_type,
 )
 from .linalg import (
-    Rat,
     RatMatrix,
     det,
-    inverse,
     kernel_basis,
     pfaffian,
     principal_rank_subset,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
 from .errors import PreconditionN
 from .forms import FlatForm
@@ -39,15 +39,9 @@ def bott_h(i: int, k: int, n: int) -> int:
 
 
 def chi_line_bundle(k: int, n: int) -> int:
-    """Euler characteristic chi(O(k)) as the binomial polynomial, any k."""
-    num = 1
-    for t in range(1, n + 1):
-        num *= k + t
-    val = Fraction(num, 1)
-    for t in range(2, n + 1):
-        val /= t
-    assert val.denominator == 1
-    return int(val)
+    """Euler characteristic chi(O(k)) as the binomial polynomial, any k
+    (exact: n! divides a product of n consecutive integers)."""
+    return prod(range(k + 1, k + n + 1)) // factorial(n)
 
 
 @lru_cache(maxsize=None)
@@ -150,6 +144,21 @@ class _DirectEngine:
         rows, cols, rk = self._sigma(k)
         return rows - rk
 
+    def entry(self, i: int, k: int) -> CohomEntry:
+        """h^i(E(k)) and its provenance, by the display and duality above."""
+        n = self.n
+        if i == 0:
+            return CohomEntry(self.h0(k), "Direct")
+        if i == 1:
+            return CohomEntry(self.h1(k), "Direct")
+        if 2 <= i <= n - 2:
+            return CohomEntry(0, "ForcedZero")
+        if i == n - 1:
+            return CohomEntry(self.h1(-k - n - 1), "SerreDual")
+        if i == n:
+            return CohomEntry(self.h0(-k - n - 1), "SerreDual")
+        raise ValueError(i)
+
 
 def h_table(F: FlatForm, r: int, kmin: int, kmax: int) -> CohomTable:
     """Dimension table h^i(E(k)) for i in [0, n], k in [kmin, kmax].
@@ -168,12 +177,8 @@ def h_table(F: FlatForm, r: int, kmin: int, kmax: int) -> CohomTable:
     eng = _DirectEngine(F, r)
     entries: dict[tuple[int, int], CohomEntry] = {}
     for k in range(kmin, kmax + 1):
-        entries[(0, k)] = CohomEntry(eng.h0(k), "Direct")
-        entries[(1, k)] = CohomEntry(eng.h1(k), "Direct")
-        for i in range(2, n - 1):
-            entries[(i, k)] = CohomEntry(0, "ForcedZero")
-        entries[(n - 1, k)] = CohomEntry(eng.h1(-k - n - 1), "SerreDual")
-        entries[(n, k)] = CohomEntry(eng.h0(-k - n - 1), "SerreDual")
+        for i in range(n + 1):
+            entries[(i, k)] = eng.entry(i, k)
 
     warnings = []
     for (i, k), e in sorted(entries.items()):
@@ -220,17 +225,7 @@ def verify_instanton(F: FlatForm, r: int) -> InstantonReport:
     eng = _DirectEngine(F, r)
 
     def h(i: int, k: int) -> int:
-        if i == 0:
-            return eng.h0(k)
-        if i == 1:
-            return eng.h1(k)
-        if 2 <= i <= n - 2:
-            return 0
-        if i == n - 1:
-            return eng.h1(-k - n - 1)
-        if i == n:
-            return eng.h0(-k - n - 1)
-        raise ValueError(i)
+        return eng.entry(i, k).dim
 
     conditions = (
         ("h0(E(-1)) = 0", h(0, -1) == 0),

@@ -1,4 +1,5 @@
-"""Skew tensor forms: block data, flattening, and the base-change action.
+"""Skew tensor forms: block data, flattening, contractions, and the
+base-change action.
 
 A form is described by a charge ``c``, a projective dimension ``n`` and a
 list of term pairs (B_t, C_t) of integer skew-symmetric matrices of sizes
@@ -11,11 +12,18 @@ with the row-major index convention idx(i, j) = i*(n+1) + j (the second
 factor runs fastest).  A symmetric matrix arises this way from skew blocks
 exactly when it also changes sign under swapping its two first-factor
 indices; ``wedge_membership`` tests both conditions.
+
+Only this module maps flat indices to (charge, point) pairs; other modules
+use the blocks M(i,k) (``FlatForm.block``, the pencil's coefficients) and
+the slice contractions ``along_point(v)``: h -> M(h (x) v) and
+``along_charge(h)``: v -> M(h (x) v).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Sequence
 
 from .errors import NotSkew, ShapeMismatch, Singular
 from .linalg import RatMatrix, det
@@ -24,17 +32,16 @@ IntRows = tuple[tuple[int, ...], ...]
 
 
 def _check_int_skew(mat, size: int, pointer: str) -> IntRows:
-    try:
-        rows = tuple(tuple(row) for row in mat)
-    except TypeError:
-        raise ShapeMismatch("matrix must be a list of rows", pointer) from None
-    if len(rows) != size or any(len(r) != size for r in rows):
-        raise ShapeMismatch(f"expected a {size}x{size} matrix", pointer)
-    for i in range(size):
-        for j in range(size):
-            x = rows[i][j]
+    # the messages reach spec-file error reports verbatim
+    if not isinstance(mat, (list, tuple)) or len(mat) != size:
+        raise ShapeMismatch(f"expected {size} rows", pointer)
+    for i, row in enumerate(mat):
+        if not isinstance(row, (list, tuple)) or len(row) != size:
+            raise ShapeMismatch(f"row {i} must have {size} integer entries", pointer)
+        for j, x in enumerate(row):
             if isinstance(x, bool) or not isinstance(x, int):
-                raise ShapeMismatch(f"entry [{i}][{j}] is not an integer", pointer)
+                raise ShapeMismatch(f"entry [{i}][{j}] must be an integer", pointer)
+    rows = tuple(tuple(row) for row in mat)
     for i in range(size):
         if rows[i][i] != 0:
             raise NotSkew(f"diagonal entry [{i}][{i}] must be 0", pointer)
@@ -99,6 +106,29 @@ class FlatForm:
         w = self.n + 1
         return self.M.submatrix(range(i * w, (i + 1) * w), range(k * w, (k + 1) * w))
 
+    def along_point(self, v: Sequence) -> RatMatrix:
+        """Matrix of h -> M(h (x) v), of shape c(n+1) x c."""
+        w = self.n + 1
+        vs = _support(v, w)
+        rows = map(self.M.row, range(self.size))
+        return RatMatrix(
+            [[sum(r[k * w + l] * x for l, x in vs) for k in range(self.c)] for r in rows], cols=self.c
+        )
+
+    def along_charge(self, h: Sequence) -> RatMatrix:
+        """Matrix of v -> M(h (x) v), of shape c(n+1) x (n+1)."""
+        w = self.n + 1
+        hs = _support(h, self.c)
+        rows = map(self.M.row, range(self.size))
+        return RatMatrix([[sum(r[k * w + l] * x for k, x in hs) for l in range(w)] for r in rows], cols=w)
+
+
+def _support(vec: Sequence, length: int) -> list[tuple[int, Fraction]]:
+    """The nonzero coordinates of a contraction vector as (index, value)."""
+    if len(vec) != length:
+        raise ShapeMismatch(f"contraction vector must have {length} entries, got {len(vec)}")
+    return [(t, x) for t, x in enumerate(map(Fraction, vec)) if x]
+
 
 def flatten(spec: TensorSpec) -> FlatForm:
     """Flatten a sum of skew block pairs to its symmetric matrix."""
@@ -146,7 +176,9 @@ def wedge_membership(F: FlatForm) -> bool:
 
 
 def act(h: RatMatrix, F: FlatForm) -> FlatForm:
-    """Base change on the charge factor: M -> (h (x) Id) M (h^T (x) Id).
+    """Base change on the charge factor: M -> (h (x) Id) M (h^T (x) Id), i.e.
+    M'(i,k) = sum_{a,b} h[i,a] h[k,b] M(a,b) on the blocks, contracted
+    first over block rows, then over block columns.
 
     Requires invertible h.  Preserves symmetry, wedge membership and rank
     (congruence).  When the source block data is known it transforms along:
@@ -157,8 +189,20 @@ def act(h: RatMatrix, F: FlatForm) -> FlatForm:
         raise ShapeMismatch(f"action matrix must be {c}x{c}, got {h.rows}x{h.cols}")
     if det(h) == 0:
         raise Singular("action matrix must be invertible")
-    K = h.kron(RatMatrix.identity(n + 1))
-    M2 = K @ F.M @ K.transpose()
+    w = n + 1
+    support = [_support(h.row(i), c) for i in range(c)]
+    rows = [F.M.row(s) for s in range(F.size)]
+    # block rows: (h (x) Id) M
+    left = [
+        [sum(x * rows[a * w + j][col] for a, x in support[i]) for col in range(F.size)]
+        for i in range(c)
+        for j in range(w)
+    ]
+    # block columns: the above times (h^T (x) Id)
+    M2 = RatMatrix(
+        [[sum(row[b * w + l] * x for b, x in support[k]) for k in range(c) for l in range(w)] for row in left],
+        cols=F.size,
+    )
     source2 = None
     if F.source is not None:
         ht = h.transpose()

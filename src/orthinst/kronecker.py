@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegenerateLine
+from .errors import DegenerateLine, OrthinstError
 from .forms import FlatForm
 from .linalg import RatMatrix, det, kernel_basis, pfaffian, rank
 
@@ -58,9 +58,9 @@ class SplitVerdict:
 def gamma_eval(F: FlatForm, P: Sequence, Q: Sequence) -> GammaEval:
     """Evaluate the pencil: G[i][k] = sum_t B_t[i,k] * (Q^T C_t P).
 
-    Falls back to contracting each (n+1)x(n+1) block of the flat matrix when
-    no block terms are attached; both routes agree exactly.  Scaling P or Q
-    rescales G but never changes the Trivial/Jumping verdict.
+    Without block terms each entry is the bilinear form of the block M(i,k)
+    at (P, Q); both routes agree exactly, and the term route is faster.
+    Scaling P or Q rescales G but never changes the Trivial/Jumping verdict.
     """
     c, n = F.c, F.n
     w = n + 1
@@ -86,36 +86,23 @@ def gamma_eval(F: FlatForm, P: Sequence, Q: Sequence) -> GammaEval:
             for i in range(c)
         ]
     else:
-        rows = []
-        for i in range(c):
-            row = []
-            for k in range(c):
-                s = Fraction(0)
-                for j in range(w):
-                    if Qt[j] == 0:
-                        continue
-                    base = i * w + j
-                    for l in range(w):
-                        m = F.M[base, k * w + l]
-                        if m and Pt[l]:
-                            s += m * Qt[j] * Pt[l]
-                row.append(s)
-            rows.append(row)
+        rows = [[evaluate_bilinear(F.block(i, k), Pt, Qt) for k in range(c)] for i in range(c)]
     return GammaEval(Pt, Qt, RatMatrix(rows, cols=c))
 
 
 def splitting_type(F: FlatForm, P: Sequence, Q: Sequence) -> SplitVerdict:
     """Trivial iff the pencil value on the line is invertible.
 
-    For even charge the Pfaffian is reported as well and Pf^2 = det is
-    asserted.
+    For even charge the Pfaffian is reported as well, and Pf^2 = det is
+    checked.
     """
     g = gamma_eval(F, P, Q)
     d = det(g.M)
     pf = None
     if F.c % 2 == 0 and g.M.is_skew():
         pf = pfaffian(g.M)
-        assert pf * pf == d, "pfaffian square must equal the determinant"
+        if pf * pf != d:
+            raise OrthinstError(f"pfaffian {pf} does not square to the determinant {d}")
     return SplitVerdict("Trivial" if d != 0 else "Jumping", d, pf)
 
 
@@ -154,10 +141,11 @@ def scan_lines(F: FlatForm, samples: int, seed: int = 0, box: int = 10) -> ScanR
         rng = random.Random(f"{seed}:line:{s}")
         P = [rng.randint(-box, box) for _ in range(w)]
         Q = [rng.randint(-box, box) for _ in range(w)]
-        if not line_span_ok(P, Q):
+        try:
+            verdict = splitting_type(F, P, Q)
+        except DegenerateLine:
             degenerate += 1
             continue
-        verdict = splitting_type(F, P, Q)
         if verdict.trivial:
             trivial += 1
         else:
@@ -179,36 +167,11 @@ def scan_lines(F: FlatForm, samples: int, seed: int = 0, box: int = 10) -> ScanR
 def gamma_coefficients(F: FlatForm) -> tuple[tuple[RatMatrix, ...], ...]:
     """Symbolic pencil entries as bilinear coefficient matrices.
 
-    Entry (i,k) of the pencil is the bilinear form sum_{j,l} G[j][l] Q_j P_l;
-    the coefficients are recovered by exact interpolation: evaluation at the
-    basis pairs (P=e_l, Q=e_j) for j != l, and at (P=e_j, Q=e_j+e_m) minus a
-    known off-diagonal value for the diagonal slots (the pair (e_j, e_j)
-    spans no line, so it cannot be evaluated directly).
+    Entry (i,k) of the pencil is the bilinear form sum_{j,l} G[j][l] Q_j P_l
+    whose coefficient matrix is the (n+1)x(n+1) block M(i,k) of the flat
+    form: G[j][l] = M[(i,j),(k,l)].
     """
-    c, n = F.c, F.n
-    w = n + 1
-    coeff = [[[[Fraction(0)] * w for _ in range(w)] for _ in range(c)] for _ in range(c)]
-
-    def unit(j):
-        return [1 if t == j else 0 for t in range(w)]
-
-    for j in range(w):
-        for l in range(w):
-            if j == l:
-                continue
-            G = gamma_eval(F, unit(l), unit(j)).M
-            for i in range(c):
-                for k in range(c):
-                    coeff[i][k][j][l] = G[i, k]
-    for j in range(w):
-        m = (j + 1) % w
-        mixed = gamma_eval(F, unit(j), [1 if t in (j, m) else 0 for t in range(w)]).M
-        for i in range(c):
-            for k in range(c):
-                coeff[i][k][j][j] = mixed[i, k] - coeff[i][k][m][j]
-    return tuple(
-        tuple(RatMatrix(coeff[i][k], cols=w) for k in range(c)) for i in range(c)
-    )
+    return tuple(tuple(F.block(i, k) for k in range(F.c)) for i in range(F.c))
 
 
 def evaluate_bilinear(G: RatMatrix, P: Sequence, Q: Sequence) -> Fraction:
@@ -265,8 +228,6 @@ def kronecker_conditions(
     The rank is compared against both candidate values 2c+r and 2n+r; the
     first is operative.
     """
-    from .monad import _slice_fixed_v  # local import to avoid a cycle
-
     c, n = F.c, F.n
     w = n + 1
     rank_g = rank(F.M)
@@ -283,7 +244,7 @@ def kronecker_conditions(
             if any(v):
                 sweeps.append(v)
         for v in sweeps:
-            ker = kernel_basis(_slice_fixed_v(F, v))
+            ker = kernel_basis(F.along_point(v))
             if ker:
                 hit = (tuple(int(x) for x in v), tuple(int(x) for x in ker[0]))
                 break

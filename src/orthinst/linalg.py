@@ -2,9 +2,8 @@
 
 Dense matrices of ``fractions.Fraction`` entries with deterministic,
 tolerance-free algorithms: fraction-free Bareiss elimination for rank,
-determinant and echelon forms, exact Gauss-Jordan for inverses, skew
-pair-elimination for Pfaffians, and a greedy principal-submatrix rank
-realization for symmetric matrices.
+determinant and kernels, skew pair-elimination for Pfaffians, and a greedy
+principal-submatrix rank realization for symmetric matrices.
 
 All functions are pure: inputs are never mutated and every value is safe
 to share between threads.
@@ -16,9 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import NonSquare, NotSkew, NotSymmetric, OddOrder, ShapeMismatch, Singular
-
-Rat = Fraction
+from .errors import NonSquare, NotSkew, NotSymmetric, OddOrder, ShapeMismatch
 
 
 def _as_frac(x) -> Fraction:
@@ -150,16 +147,6 @@ class RatMatrix:
         if len(vv) != self.cols:
             raise ShapeMismatch("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, vv)) for row in self._data)
-
-    def kron(self, other: "RatMatrix") -> "RatMatrix":
-        """Kronecker product: entry ((i,p),(j,q)) = self[i,j]*other[p,q]."""
-        out = []
-        for i in range(self.rows):
-            for p in range(other.rows):
-                out.append(
-                    [self._data[i][j] * other._data[p][q] for j in range(self.cols) for q in range(other.cols)]
-                )
-        return RatMatrix(out, cols=self.cols * other.cols)
 
     # --- misc ---------------------------------------------------------
 
@@ -299,32 +286,6 @@ def _primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(Fraction(x) for x in ints)
-
-
-def inverse(M: RatMatrix) -> RatMatrix:
-    """Exact inverse by Gauss-Jordan elimination with first-nonzero pivoting."""
-    if not M.is_square():
-        raise NonSquare(f"inverse needs a square matrix, got {M.rows}x{M.cols}")
-    n = M.rows
-    aug = [list(M.row(i)) + [Fraction(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        p = None
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                p = i
-                break
-        if p is None:
-            raise Singular("matrix is singular")
-        if p != col:
-            aug[col], aug[p] = aug[p], aug[col]
-        piv = aug[col][col]
-        aug[col] = [x / piv for x in aug[col]]
-        for i in range(n):
-            if i == col or aug[i][col] == 0:
-                continue
-            f = aug[i][col]
-            aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return RatMatrix([row[n:] for row in aug], cols=n)
 
 
 def pfaffian(M: RatMatrix) -> Fraction:

@@ -243,24 +243,6 @@ class ConditionReport:
         return self.a1_ok and self.a3_ok and self.precheck == "Ok" and self.a2.is_pass()
 
 
-def _tensor_vec(h: Sequence, v: Sequence) -> list[Fraction]:
-    return [Fraction(hi) * Fraction(vj) for hi in h for vj in v]
-
-
-def _slice_fixed_h(F: FlatForm, h: Sequence) -> RatMatrix:
-    """Matrix of v -> M(h (x) v), of shape c(n+1) x (n+1)."""
-    w = F.n + 1
-    cols = [F.M.mul_vector(_tensor_vec(h, [1 if j == l else 0 for l in range(w)])) for j in range(w)]
-    return RatMatrix([[cols[j][row] for j in range(w)] for row in range(F.size)], cols=w)
-
-
-def _slice_fixed_v(F: FlatForm, v: Sequence) -> RatMatrix:
-    """Matrix of h -> M(h (x) v), of shape c(n+1) x c."""
-    c = F.c
-    cols = [F.M.mul_vector(_tensor_vec([1 if i == k else 0 for k in range(c)], v)) for i in range(c)]
-    return RatMatrix([[cols[i][row] for i in range(c)] for row in range(F.size)], cols=c)
-
-
 def _ints(v: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(int(x) for x in v)
 
@@ -281,7 +263,7 @@ def nondegeneracy_witness_search(
     def check_h(h) -> Optional[tuple]:
         if all(x == 0 for x in h):
             return None
-        ker = kernel_basis(_slice_fixed_h(F, h))
+        ker = kernel_basis(F.along_charge(h))
         if ker:
             return _ints(h), _ints(ker[0])
         return None
@@ -289,7 +271,7 @@ def nondegeneracy_witness_search(
     def check_v(v) -> Optional[tuple]:
         if all(x == 0 for x in v):
             return None
-        ker = kernel_basis(_slice_fixed_v(F, v))
+        ker = kernel_basis(F.along_point(v))
         if ker:
             return _ints(ker[0]), _ints(v)
         return None

@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import GenerationExhausted, NotSkew, SchemaError, ShapeMismatch
+from .errors import GenerationExhausted, SchemaError
 from .forms import FlatForm, TensorSpec, flatten
 from .linalg import rank
 from .monad import NondegStrategy, check_conditions
@@ -104,26 +104,6 @@ def _schema_violations(doc) -> list[tuple[str, str]]:
     return bad
 
 
-def _validate_matrix(mat, size: int, pointer: str) -> list[list[int]]:
-    if not isinstance(mat, list) or len(mat) != size:
-        raise ShapeMismatch(f"expected {size} rows", pointer)
-    out = []
-    for i, row in enumerate(mat):
-        if not isinstance(row, list) or len(row) != size:
-            raise ShapeMismatch(f"row {i} must have {size} integer entries", pointer)
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ShapeMismatch(f"entry [{i}][{j}] must be an integer", pointer)
-        out.append(list(row))
-    for i in range(size):
-        if out[i][i] != 0:
-            raise NotSkew(f"diagonal entry [{i}][{i}] must be 0", pointer)
-        for j in range(i + 1, size):
-            if out[i][j] != -out[j][i]:
-                raise NotSkew(f"entry [{i}][{j}] != -entry [{j}][{i}]", pointer)
-    return out
-
-
 def parse_spec(source) -> SpecFile:
     """Parse a spec file from a path or a raw JSON string.
 
@@ -144,13 +124,8 @@ def parse_spec(source) -> SpecFile:
     bad = _schema_violations(doc)
     if bad:
         raise SchemaError(bad)
-    c, n = doc["c"], doc["n"]
-    terms = []
-    for t, term in enumerate(doc["terms"]):
-        B = _validate_matrix(term["B"], c, f"/terms/{t}/B")
-        C = _validate_matrix(term["C"], n + 1, f"/terms/{t}/C")
-        terms.append((tuple(tuple(r) for r in B), tuple(tuple(r) for r in C)))
-    spec = TensorSpec(c, n, tuple(terms))
+    terms = tuple((term["B"], term["C"]) for term in doc["terms"])
+    spec = TensorSpec(doc["c"], doc["n"], terms)
     return SpecFile(spec=spec, r=doc["r"], name=doc.get("name"))
 
 

@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
+
 import pytest
 
 from orthinst import (
+    FlatForm,
     NotSkew,
     RatMatrix,
     ShapeMismatch,
@@ -16,6 +19,44 @@ from orthinst import (
 from orthinst.moduli import random_unimodular
 
 from conftest import random_skew, random_spec
+
+
+def tensor_vec(h, v):
+    return [Fraction(a) * Fraction(b) for a in h for b in v]
+
+
+def unit(j, length):
+    return [1 if t == j else 0 for t in range(length)]
+
+
+def reference_along_point(F, v):
+    """h -> M(h (x) v) built column by column from M times e_i (x) v."""
+    cols = [F.M.mul_vector(tensor_vec(unit(i, F.c), v)) for i in range(F.c)]
+    return RatMatrix([[col[s] for col in cols] for s in range(F.size)], cols=F.c)
+
+
+def reference_along_charge(F, h):
+    """v -> M(h (x) v) built column by column from M times h (x) e_j."""
+    w = F.n + 1
+    cols = [F.M.mul_vector(tensor_vec(h, unit(j, w))) for j in range(w)]
+    return RatMatrix([[col[s] for col in cols] for s in range(F.size)], cols=w)
+
+
+def reference_act(h, F):
+    """(h (x) Id) M (h^T (x) Id) with the Kronecker factor written out."""
+    w = F.n + 1
+    K = RatMatrix(
+        [[h[i, a] * (j == l) for a in range(F.c) for l in range(w)] for i in range(F.c) for j in range(w)]
+    )
+    return K @ F.M @ K.transpose()
+
+
+def contraction_forms(F_deficient):
+    rng = random.Random(110)
+    forms = [flatten(random_spec(rng)) for _ in range(12)]
+    forms.append(F_deficient)
+    forms.append(FlatForm(F_deficient.c, F_deficient.n, F_deficient.M))  # no source
+    return forms
 
 
 class TestTensorSpec:
@@ -70,6 +111,35 @@ class TestFlatten:
             C = random_skew(n + 1, rng)
             F = flatten(TensorSpec(c, n, ((B, C),)))
             assert rank(F.M) == rank(RatMatrix(B)) * rank(RatMatrix(C))
+
+
+class TestContractions:
+    def test_along_point_matches_tensor_products(self, F_deficient):
+        rng = random.Random(111)
+        for F in contraction_forms(F_deficient):
+            w = F.n + 1
+            vs = [unit(j, w) for j in range(w)] + [[rng.randint(-4, 4) for _ in range(w)] for _ in range(3)]
+            vs.append([Fraction(1, 2)] + [0] * (w - 1))
+            for v in vs:
+                assert F.along_point(v) == reference_along_point(F, v)
+
+    def test_along_charge_matches_tensor_products(self, F_deficient):
+        rng = random.Random(112)
+        for F in contraction_forms(F_deficient):
+            hs = [unit(i, F.c) for i in range(F.c)] + [[rng.randint(-4, 4) for _ in range(F.c)] for _ in range(3)]
+            hs.append([Fraction(1, 2), 1] + [0] * (F.c - 2))
+            for h in hs:
+                assert F.along_charge(h) == reference_along_charge(F, h)
+
+    def test_zero_vector_gives_zero_slice(self, F6):
+        assert F6.along_point([0] * 4) == RatMatrix.zeros(24, 6)
+        assert F6.along_charge([0] * 6) == RatMatrix.zeros(24, 4)
+
+    def test_wrong_length_rejected(self, F6):
+        with pytest.raises(ShapeMismatch):
+            F6.along_point([1, 2, 3])
+        with pytest.raises(ShapeMismatch):
+            F6.along_charge([1, 2, 3])
 
 
 class TestWedgeMembership:
@@ -128,6 +198,17 @@ class TestAct:
             h1 = random_unimodular(F.c, rng)
             h2 = random_unimodular(F.c, rng)
             assert act(h2, act(h1, F)).M == act(h2 @ h1, F).M
+
+    def test_matches_kronecker_congruence(self, F6, F5, F_deficient):
+        rng = random.Random(105)
+        bare = FlatForm(F5.c, F5.n, F5.M)  # no source
+        for F in (F6, F5, F_deficient, bare, flatten(random_spec(rng))):
+            for h in (
+                random_unimodular(F.c, rng),
+                RatMatrix.diagonal([Fraction(1, 2)] + [1] * (F.c - 1)),
+                RatMatrix.diagonal([Fraction(t + 1, 3) for t in range(F.c)]) @ random_unimodular(F.c, rng),
+            ):
+                assert act(h, F).M == reference_act(h, F)
 
     def test_source_transforms_with_pure_term(self, F6):
         h = RatMatrix.diagonal([2, 1, 1, 1, 1, 1])

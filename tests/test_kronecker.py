@@ -6,6 +6,7 @@ import pytest
 from orthinst import (
     DegenerateLine,
     FlatForm,
+    OrthinstError,
     RatMatrix,
     build_alpha,
     build_beta,
@@ -17,6 +18,7 @@ from orthinst import (
     scan_lines,
     splitting_type,
 )
+from orthinst import kronecker
 from orthinst.moduli import random_unimodular
 from orthinst.forms import act
 
@@ -149,6 +151,11 @@ class TestSplitting:
             assert v.verdict == "Jumping"
             assert v.pfaffian is None  # odd charge
 
+    def test_pfaffian_mismatch_raises(self, F6, monkeypatch):
+        monkeypatch.setattr(kronecker, "pfaffian", lambda M: Fraction(7))
+        with pytest.raises(OrthinstError, match="pfaffian"):
+            splitting_type(F6, [1, 2, 3, 4], [5, 6, 7, 8])
+
     def test_verdict_invariant_under_reparametrization(self, F6, F5):
         rng = random.Random(307)
         for F in (F6, F5):
@@ -195,6 +202,19 @@ class TestScanLines:
         for w in rep.witnesses:
             assert lam_values(w.P, w.Q) == (0, 0, 0)
             assert w.determinant == 0
+
+    def test_degenerate_pairs_match_the_rng_stream(self, F6):
+        # box 1 makes proportional pairs common; recount them, by their 2x2
+        # minors, from the same per-sample streams
+        rep = scan_lines(F6, 200, seed=3, box=1)
+        want = 0
+        for s in range(200):
+            rng = random.Random(f"3:line:{s}")
+            P = [rng.randint(-1, 1) for _ in range(4)]
+            Q = [rng.randint(-1, 1) for _ in range(4)]
+            want += all(P[j] * Q[l] == P[l] * Q[j] for j in range(4) for l in range(4))
+        assert rep.degenerate == want
+        assert rep.trivial + rep.jumping + rep.degenerate == 200
 
     def test_c5p3_no_trivial(self, F5):
         rep = scan_lines(F5, 300, seed=1, box=10)

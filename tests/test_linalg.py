@@ -10,9 +10,7 @@ from orthinst import (
     NotSymmetric,
     OddOrder,
     RatMatrix,
-    Singular,
     det,
-    inverse,
     kernel_basis,
     pfaffian,
     principal_rank_subset,
@@ -201,34 +199,6 @@ class TestKernel:
             if basis:
                 stacked = RatMatrix([list(v) for v in basis])
                 assert rank(stacked) == len(basis)
-
-
-class TestInverse:
-    def test_identity(self):
-        assert inverse(RatMatrix.identity(3)) == RatMatrix.identity(3)
-
-    def test_two_by_two_skew(self):
-        M = RatMatrix([[0, 2], [-2, 0]])
-        assert inverse(M) == RatMatrix([[0, Fraction(-1, 2)], [Fraction(1, 2), 0]])
-
-    def test_c6p3_B_block(self, c6p3):
-        B = RatMatrix(c6p3.spec.terms[0][0])
-        assert B @ inverse(B) == RatMatrix.identity(6)
-
-    def test_singular_rejected(self):
-        with pytest.raises(Singular):
-            inverse(RatMatrix([[1, 2], [2, 4]]))
-
-    def test_multiply_back(self):
-        rng = random.Random(16)
-        done = 0
-        while done < 25:
-            n = rng.randint(1, 6)
-            M = rand_int_matrix(rng, n, n)
-            if det(M) == 0:
-                continue
-            assert M @ inverse(M) == RatMatrix.identity(n)
-            done += 1
 
 
 class TestPfaffian:

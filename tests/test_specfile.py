@@ -60,6 +60,29 @@ class TestParse:
             parse_spec(text)
         assert e.value.pointer == "/terms/0/B"
 
+    @pytest.mark.parametrize(
+        "B, C2, error, pointer, message",
+        [
+            ([[0, 1, 0], 5, [0, 0, 0]], None, ShapeMismatch, "/terms/0/B", "row 1 must have 3 integer entries"),
+            ([[0, True, 0], [-1, 0, 0], [0, 0, 0]], None, ShapeMismatch, "/terms/0/B", "entry [0][1] must be an integer"),
+            ([[0, 1, 0], [-1, 0, 0]], None, ShapeMismatch, "/terms/0/B", "expected 3 rows"),
+            (None, [[0, 1], "ab"], ShapeMismatch, "/terms/1/C", "row 1 must have 2 integer entries"),
+            (None, [[0, 1.5], [-1, 0]], ShapeMismatch, "/terms/1/C", "entry [0][1] must be an integer"),
+            (None, [[0, 1], [1, 0]], NotSkew, "/terms/1/C", "entry [0][1] != -entry [1][0]"),
+        ],
+        ids=["row-not-list", "bool-entry", "row-count", "row-string", "float-entry", "not-skew"],
+    )
+    def test_malformed_matrix_reports(self, B, C2, error, pointer, message):
+        good_B = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
+        good_C = [[0, 1], [-1, 0]]
+        doc = {"c": 3, "n": 1, "r": 0,
+               "terms": [{"B": B or good_B, "C": good_C}, {"B": good_B, "C": C2 or good_C}]}
+        with pytest.raises(error) as e:
+            parse_spec(json.dumps(doc))
+        assert type(e.value) is error
+        assert e.value.pointer == pointer
+        assert e.value.violations == [(pointer, message)]
+
     def test_schema_violations_collected_with_pointers(self):
         text = json.dumps({"c": "six", "n": 3, "terms": [], "bogus": 1})
         with pytest.raises(SchemaError) as e:
