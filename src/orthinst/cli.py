@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import jsonio
-from .cohomology import h_table, verify_instanton
+from .cohomology import _DirectEngine, h_table, verify_instanton
 from .errors import (
     GenerationExhausted,
     OrthinstError,
@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
 )
 from .kronecker import gamma_eval, kronecker_conditions, scan_lines, splitting_type
-from .linalg import RatMatrix
+from .linalg import RatMatrix, principal_rank_subset
 from .moduli import moduli_dim
 from .monad import (
     LinFormMatrix,
@@ -232,8 +232,6 @@ def _dispatch(args, argv) -> Report:
         if 2 * sf.c + r == F.size:
             alpha = build_alpha(sf.c, sf.n)
         else:
-            from .linalg import principal_rank_subset
-
             alpha = build_alpha(sf.c, sf.n, S=principal_rank_subset(F.M))
         # the vanishing statement lives on the unrestricted pair; below full
         # rank the displayed restricted maps are only a basis presentation
@@ -290,8 +288,9 @@ def _dispatch(args, argv) -> Report:
 
     if cmd == "cohomology":
         r = _effective_r(args, sf)
-        table = h_table(F, r, args.kmin, args.kmax)
-        inst = verify_instanton(F, r)
+        eng = _DirectEngine(F, r)
+        table = h_table(F, r, args.kmin, args.kmax, engine=eng)
+        inst = verify_instanton(F, r, engine=eng)
         results = {"table": jsonio.cohom_table_json(table), "instanton": jsonio.instanton_report_json(inst)}
         cells = [["h^i \\ k"] + [str(k) for k in range(table.kmin, table.kmax + 1)]]
         for i in range(table.n, -1, -1):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, prod
 
 from .errors import PreconditionN
@@ -120,15 +120,23 @@ class CohomTable:
 
 
 class _DirectEngine:
-    """Caches section-map ranks/kernels per twist for one (F, r)."""
+    """Caches section-map ranks/kernels per twist for one (F, r).
+
+    The second monad map is built on first use, so creating an engine does
+    no work and raises nothing; ``h_table`` and ``verify_instanton`` can
+    share one.
+    """
 
     def __init__(self, F: FlatForm, r: int):
         self.F = F
         self.r = r
         self.c = F.c
         self.n = F.n
-        self.beta = build_beta(F, r)
         self._cache: dict[int, tuple[int, int, int]] = {}
+
+    @cached_property
+    def beta(self) -> LinFormMatrix:
+        return build_beta(self.F, self.r)
 
     def _sigma(self, k: int) -> tuple[int, int, int]:
         if k not in self._cache:
@@ -160,21 +168,30 @@ class _DirectEngine:
         raise ValueError(i)
 
 
-def h_table(F: FlatForm, r: int, kmin: int, kmax: int) -> CohomTable:
+def _engine_for(F: FlatForm, r: int, engine: _DirectEngine | None) -> _DirectEngine:
+    if engine is None:
+        return _DirectEngine(F, r)
+    if engine.F is not F or engine.r != r:
+        raise ValueError("the engine was built for another form or rank")
+    return engine
+
+
+def h_table(F: FlatForm, r: int, kmin: int, kmax: int, engine: _DirectEngine | None = None) -> CohomTable:
     """Dimension table h^i(E(k)) for i in [0, n], k in [kmin, kmax].
 
     Every entry carries its provenance: Direct (section-map computation),
     ForcedZero (middle row vanishing forced by the display), or SerreDual
     (duality partner computed directly).  Entries inside the standard window
     k in [-n-1, 0] are cross-checked against the expected instanton values
-    and discrepancies are reported as warnings.
+    and discrepancies are reported as warnings.  ``engine`` shares the
+    section-map ranks with another call on the same (F, r).
     """
     c, n = F.c, F.n
     if n < 3:
         raise PreconditionN(f"cohomology tables need n >= 3, got n={n}")
     if kmin > kmax:
         raise ValueError("kmin must be <= kmax")
-    eng = _DirectEngine(F, r)
+    eng = _engine_for(F, r, engine)
     entries: dict[tuple[int, int], CohomEntry] = {}
     for k in range(kmin, kmax + 1):
         for i in range(n + 1):
@@ -211,18 +228,19 @@ class InstantonReport:
         )
 
 
-def verify_instanton(F: FlatForm, r: int) -> InstantonReport:
+def verify_instanton(F: FlatForm, r: int, engine: _DirectEngine | None = None) -> InstantonReport:
     """Check the defining cohomological vanishings and recompute the charge.
 
     The charge is the negated alternating sum of the k = -1 table column;
     Euler characteristics of every computed column are also compared against
     the bundle-level bookkeeping (middle space dimension 2c+r minus the two
-    end terms), which pins rank = dim W - 2c.
+    end terms), which pins rank = dim W - 2c.  ``engine`` is as in
+    ``h_table``.
     """
     c, n = F.c, F.n
     if n < 3:
         raise PreconditionN(f"instanton verification needs n >= 3, got n={n}")
-    eng = _DirectEngine(F, r)
+    eng = _engine_for(F, r, engine)
 
     def h(i: int, k: int) -> int:
         return eng.entry(i, k).dim

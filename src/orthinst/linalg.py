@@ -5,8 +5,17 @@ tolerance-free algorithms: fraction-free Bareiss elimination for rank,
 determinant and kernels, skew pair-elimination for Pfaffians, and a greedy
 principal-submatrix rank realization for symmetric matrices.
 
-All functions are pure: inputs are never mutated and every value is safe
-to share between threads.
+Every elimination runs on Python ints: ``_integer_rows`` clears each row's
+denominators once by reading numerators (no Fraction arithmetic), and
+Fractions reappear only in results.  ``rank`` is memoised on the matrix, so
+the callers that all ask for the rank of one form share one elimination.
+``principal_rank_subset`` returns the whole index set at full rank and
+otherwise runs its greedy in one fraction-free pass over the Schur
+complement of the chosen block, instead of a rank call per candidate.
+
+All functions are pure: inputs are never mutated (the rank memo is a cache
+of a value fixed by the entries) and every value is safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import NonSquare, NotSkew, NotSymmetric, OddOrder, ShapeMismatch
+from .errors import NonSquare, NotSkew, NotSymmetric, OddOrder, RankMismatch, ShapeMismatch
 
 
 def _as_frac(x) -> Fraction:
@@ -33,10 +42,11 @@ class RatMatrix:
 
     Entries are stored row-major as nested tuples of ``Fraction``.  A matrix
     with zero rows needs an explicit ``cols`` so empty shapes stay
-    well-defined.
+    well-defined.  ``_rank`` memoises ``rank(self)``; it is not part of the
+    value, so equality and hashing ignore it.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_rank")
 
     def __init__(self, data: Iterable[Sequence], cols: int | None = None):
         d = tuple(tuple(_as_frac(x) for x in row) for row in data)
@@ -51,6 +61,7 @@ class RatMatrix:
         object.__setattr__(self, "_data", d)
         object.__setattr__(self, "rows", len(d))
         object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -169,17 +180,15 @@ class RatMatrix:
 # ----------------------------------------------------------------------
 
 
-def _integer_rows(M: RatMatrix) -> tuple[list[list[int]], Fraction]:
+def _integer_rows(M: RatMatrix) -> tuple[list[list[int]], int]:
     """Clear denominators per row.  Returns integer rows and the product of
     the row scale factors, so det(int rows) = scale * det(M)."""
     out = []
-    scale = Fraction(1)
+    scale = 1
     for row in M._data:
-        m = 1
-        for x in row:
-            m = lcm(m, x.denominator)
+        m = lcm(*[x.denominator for x in row])
         scale *= m
-        out.append([int(x * m) for x in row])
+        out.append([x.numerator * (m // x.denominator) for x in row])
     return out, scale
 
 
@@ -222,12 +231,14 @@ def _bareiss(rows: list[list[int]], ncols: int):
 
 
 def rank(M: RatMatrix) -> int:
-    """Exact rank via fraction-free Bareiss elimination."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    rows, _ = _integer_rows(M)
-    r, _, _, _ = _bareiss(rows, M.cols)
-    return r
+    """Exact rank via fraction-free Bareiss elimination, memoised on ``M``."""
+    if M._rank is None:
+        r = 0
+        if M.rows and M.cols:
+            rows, _ = _integer_rows(M)
+            r, _, _, _ = _bareiss(rows, M.cols)
+        object.__setattr__(M, "_rank", r)
+    return M._rank
 
 
 def det(M: RatMatrix) -> Fraction:
@@ -241,7 +252,7 @@ def det(M: RatMatrix) -> Fraction:
     r, _, sign, last = _bareiss(rows, n)
     if r < n:
         return Fraction(0)
-    return Fraction(sign * last) / scale
+    return Fraction(sign * last, scale)
 
 
 def kernel_basis(M: RatMatrix) -> list[tuple[Fraction, ...]]:
@@ -278,10 +289,8 @@ def kernel_basis(M: RatMatrix) -> list[tuple[Fraction, ...]]:
 def _primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale a rational vector to a primitive integer vector (gcd 1), keeping
     the orientation of its first nonzero entry."""
-    den = 1
-    for x in v:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in v]
+    den = lcm(*[x.denominator for x in v])
+    ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints) if ints else 0
     if g > 1:
         ints = [x // g for x in ints]
@@ -338,40 +347,64 @@ def principal_rank_subset(M: RatMatrix) -> tuple[int, ...]:
     lexicographically first pair doing so (needed when every diagonal entry
     of the remaining block vanishes).  Deterministic; the returned tuple is
     sorted.
+
+    At full rank the greedy takes every index, so S = range(size) at once.
+    Below full rank it runs in one pass over the Schur complement
+    C = M/M[S,S] of the indices outside S: since det M[S+T, S+T] =
+    det M[S,S] * det C[T,T], the single index i keeps the block nonsingular
+    exactly when C[i,i] != 0, and, once that diagonal is zero, the pair
+    (i, j) exactly when C[i,j] != 0.  The chosen 1x1 or 2x2 pivot then
+    updates C.  The pass keeps det(M[S,S]) * C, whose entries are minors of
+    the integer-scaled M, so every division in it is exact.  The result is
+    re-verified by one rank computation.
     """
     if not M.is_symmetric():
         raise NotSymmetric("principal_rank_subset needs a symmetric matrix")
     target = rank(M)
     n = M.rows
-    S: list[int] = []
-
-    def sub_rank(idx: list[int]) -> int:
-        return rank(M.submatrix(idx, idx))
-
-    while len(S) < target:
-        ext = None
-        for i in range(n):
-            if i in S:
-                continue
-            if sub_rank(S + [i]) == len(S) + 1:
-                ext = [i]
-                break
-        if ext is None:
-            found = False
-            for i in range(n):
-                if i in S or found:
-                    continue
-                for j in range(i + 1, n):
-                    if j in S:
-                        continue
-                    if sub_rank(S + [i, j]) == len(S) + 2:
-                        ext = [i, j]
-                        found = True
-                        break
-        if ext is None:
-            raise AssertionError("symmetric rank not realizable on a principal submatrix")
-        S.extend(ext)
-    S = sorted(S)
-    if rank(M.submatrix(S, S)) != target:
-        raise AssertionError("principal subset failed re-verification")
+    if target == n:
+        S, sub = list(range(n)), M
+    else:
+        S = _schur_greedy(M, target)
+        sub = M.submatrix(S, S)
+    if rank(sub) != target:
+        raise RankMismatch("principal subset failed re-verification")
     return tuple(S)
+
+
+def _schur_greedy(M: RatMatrix, target: int) -> list[int]:
+    """The greedy of ``principal_rank_subset`` on a symmetric M of rank
+    ``target``, sorted."""
+    den = lcm(*[x.denominator for row in M._data for x in row])
+    D = [[x.numerator * (den // x.denominator) for x in row] for row in M._data]
+    d = 1  # det of the chosen block; D holds d times its Schur complement
+    rest = list(range(M.rows))
+    S: list[int] = []
+    while len(S) < target:
+        i = next((a for a in rest if D[a][a]), None)
+        if i is not None:
+            p = D[i][i]
+            Di = D[i]
+            rest.remove(i)
+            for a in rest:
+                Da, f = D[a], Di[a]
+                for b in rest:
+                    Da[b] = (p * Da[b] - f * Di[b]) // d
+            d = p
+            S.append(i)
+            continue
+        pair = next(((a, b) for a in rest for b in rest if a < b and D[a][b]), None)
+        if pair is None:
+            raise RankMismatch("symmetric rank not realizable on a principal submatrix")
+        i, j = pair
+        q, Di, Dj = D[i][j], D[i], D[j]
+        rest.remove(i)
+        rest.remove(j)
+        dd = d * d
+        for a in rest:
+            Da, fi, fj = D[a], Di[a], Dj[a]
+            for b in rest:
+                Da[b] = q * (fi * Dj[b] + fj * Di[b] - q * Da[b]) // dd
+        d = -(q * q) // d
+        S += pair
+    return sorted(S)

@@ -305,6 +305,11 @@ def check_conditions(F: FlatForm, r: int, strategy: Optional[NondegStrategy] = N
     form with invertible blocks is certified structurally; otherwise the
     witness search runs and reports either a counterexample or the clean
     sample count; with a zero budget the status is Unknown.
+
+    ``a3_ok`` as coded always equals ``a1_ok``: a symmetric matrix always has
+    a nonsingular principal block of order equal to its rank, and
+    ``principal_rank_subset`` returns one.  The subset is the witness of A3,
+    not an independent check.
     """
     if strategy is None:
         strategy = NondegStrategy()

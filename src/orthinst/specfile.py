@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import GenerationExhausted, SchemaError
+from .errors import GenerationExhausted, OddOrder, SchemaError
 from .forms import FlatForm, TensorSpec, flatten
 from .linalg import rank
 from .monad import NondegStrategy, check_conditions
@@ -147,7 +147,8 @@ def load_bundled(name: str) -> SpecFile:
 def _paired_skew(size: int, rng: random.Random) -> tuple[tuple[int, ...], ...]:
     """Block-diagonal skew matrix of even size with random nonzero block
     parameters."""
-    assert size % 2 == 0
+    if size % 2:
+        raise OddOrder(f"paired skew blocks need an even size, got {size}")
     rows = [[0] * size for _ in range(size)]
     for b in range(size // 2):
         lam = rng.choice([1, 2, 3, 4, 5]) * rng.choice([1, -1])

@@ -1,5 +1,8 @@
 import pytest
 
+from orthinst import cohomology
+from orthinst.cli import run_command
+from orthinst.specfile import bundled_spec_path
 from orthinst import (
     FlatForm,
     PreconditionN,
@@ -129,6 +132,25 @@ class TestVerifyInstanton:
         F = FlatForm(3, 3, RatMatrix.zeros(12, 12))
         with pytest.raises(RankMismatch):
             verify_instanton(F, 6)
+
+    def test_cli_shares_one_engine(self, monkeypatch):
+        built = []
+        build_beta = cohomology.build_beta
+        monkeypatch.setattr(cohomology, "build_beta", lambda F, r: built.append(r) or build_beta(F, r))
+        rep = run_command(["cohomology", str(bundled_spec_path("c5p3"))])
+        assert rep.exit_code == 0
+        assert built == [10]
+
+    def test_shared_engine_gives_the_same_results(self, F5):
+        eng = cohomology._DirectEngine(F5, 10)
+        assert h_table(F5, 10, -4, 0, engine=eng) == h_table(F5, 10, -4, 0)
+        assert verify_instanton(F5, 10, engine=eng) == verify_instanton(F5, 10)
+
+    def test_engine_for_another_form_or_rank_refused(self, F5, F6):
+        with pytest.raises(ValueError):
+            h_table(F6, 12, -1, 0, engine=cohomology._DirectEngine(F5, 10))
+        with pytest.raises(ValueError):
+            verify_instanton(F5, 9, engine=cohomology._DirectEngine(F5, 10))
 
     def test_deficient_rank_form_has_table(self, F_deficient):
         # rank 8 = 2c + r with r = 2: the table machinery still runs; the

@@ -1,21 +1,27 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import random_spec
 from orthinst import (
     NonSquare,
     NotSkew,
     NotSymmetric,
     OddOrder,
+    OrthinstError,
+    RankMismatch,
     RatMatrix,
     det,
+    flatten,
     kernel_basis,
     pfaffian,
     principal_rank_subset,
     rank,
 )
+from orthinst import linalg
 
 
 def det_cofactor(rows):
@@ -75,6 +81,45 @@ def rank_gauss_oracle(rows, ncols):
     return r
 
 
+def greedy_by_ranks(M):
+    """Reference: the principal-subset greedy as one rank call per candidate
+    (each single index in order, then each pair in lexicographic order)."""
+    target = rank(M)
+    n = M.rows
+    S = []
+    while len(S) < target:
+        singles = ([i] for i in range(n) if i not in S)
+        pairs = ([i, j] for i in range(n) for j in range(i + 1, n) if i not in S and j not in S)
+        for ext in (*singles, *pairs):
+            T = S + ext
+            if rank(M.submatrix(T, T)) == len(T):
+                S = T
+                break
+        else:
+            raise AssertionError("no extension")
+    return tuple(sorted(S))
+
+
+def integer_rows_by_multiplying(M):
+    """Reference: the denominator clearing as Fraction products, int(x * m)."""
+    out = []
+    scale = Fraction(1)
+    for row in M.to_rows():
+        m = 1
+        for x in row:
+            m = lcm(m, x.denominator)
+        scale *= m
+        out.append([int(x * m) for x in row])
+    return out, scale
+
+
+def rand_rat_matrix(rng, rows, cols, box=5):
+    return RatMatrix(
+        [[Fraction(rng.randint(-box, box), rng.randint(1, 6)) for _ in range(cols)] for _ in range(rows)],
+        cols=cols,
+    )
+
+
 def rand_int_matrix(rng, rows, cols, box=5):
     return RatMatrix([[rng.randint(-box, box) for _ in range(cols)] for _ in range(rows)])
 
@@ -128,6 +173,53 @@ class TestRank:
     def test_rational_entries(self):
         M = RatMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]])
         assert rank(M) == rank_gauss_oracle(M.to_rows(), 2)
+
+    def test_memo_is_outside_equality_and_hash(self, monkeypatch):
+        rows = [[1, 2, 3], [2, 4, 6], [0, 1, Fraction(1, 2)]]
+        A, B = RatMatrix(rows), RatMatrix(rows)
+        h = hash(A)
+        eliminations = []
+        bareiss = linalg._bareiss
+        monkeypatch.setattr(linalg, "_bareiss", lambda *a: eliminations.append(1) or bareiss(*a))
+        assert rank(A) == rank(A) == 2
+        assert len(eliminations) == 1
+        assert A == B and B == A
+        assert hash(A) == h == hash(B)
+        assert {B: "x"}[A] == "x"
+        assert rank(B) == 2 and len(eliminations) == 2
+
+
+class TestIntegerRows:
+    """The numerator read-off against the Fraction-product conversion."""
+
+    def test_same_ints_and_scale(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            M = rand_rat_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+            assert linalg._integer_rows(M) == integer_rows_by_multiplying(M)
+
+    def test_rank_det_kernel_agree(self, monkeypatch):
+        rng = random.Random(32)
+        cases = []
+        for _ in range(60):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            M = rand_rat_matrix(rng, r, c, box=2)
+            if rng.random() < 0.5 and r > 1:
+                # a repeated row, scaled, makes rank deficiency common
+                rows = M.to_rows()
+                rows[-1] = [Fraction(2, 3) * x for x in rows[0]]
+                M = RatMatrix(rows, cols=c)
+            cases.append(M)
+        squares = [M for M in cases if M.is_square()]
+        assert len(squares) >= 5 and any(rank(M) < M.cols for M in squares)
+
+        def facts(M):
+            fresh = RatMatrix(M.to_rows(), cols=M.cols)  # no rank memo
+            return rank(fresh), det(fresh) if M.is_square() else None, kernel_basis(fresh)
+
+        new = [facts(M) for M in cases]
+        monkeypatch.setattr(linalg, "_integer_rows", integer_rows_by_multiplying)
+        assert [facts(M) for M in cases] == new
 
 
 class TestDet:
@@ -264,3 +356,71 @@ class TestPrincipalRankSubset:
             S = principal_rank_subset(M)
             assert len(S) == rank(M)
             assert rank(M.submatrix(S, S)) == rank(M)
+
+    def test_matches_rank_greedy_on_fixtures(self, F6, F5, F_deficient):
+        for F in (F6, F5, F_deficient):
+            assert principal_rank_subset(F.M) == greedy_by_ranks(F.M)
+
+    def test_matches_rank_greedy_on_random_specs(self):
+        rng = random.Random(33)
+        full = deficient = 0
+        for _ in range(120):
+            M = flatten(random_spec(rng, cs=(3, 4, 5), ns=(3, 4))).M
+            if rank(M) == M.rows:
+                full += 1
+            else:
+                deficient += 1
+            assert principal_rank_subset(M) == greedy_by_ranks(M)
+        assert full >= 20 and deficient >= 20
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=n, max_size=n),
+                    min_size=1,
+                    max_size=max(1, n - 1),
+                ),
+                st.lists(st.sampled_from([-2, -1, Fraction(1, 2), 1, 3]), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_matches_rank_greedy_on_low_rank_rationals(self, drawn):
+        # M = sum_t s_t u_t u_t^T: rank at most the number of terms, and a
+        # nonzero diagonal, so the pass takes 1x1 pivots that wedge forms
+        # (zero diagonal) never reach; mixed signs also zero out later
+        # complement diagonals and force pairs after singles
+        n, us, signs = drawn
+        M = RatMatrix(
+            [[sum(s * u[i] * u[j] for s, u in zip(signs, us)) for j in range(n)] for i in range(n)], cols=n
+        )
+        assume(any(M[i, i] != 0 for i in range(n)))
+        assert principal_rank_subset(M) == greedy_by_ranks(M)
+
+    def test_mixed_single_and_pair_pivots(self):
+        # index 0 is taken alone; the complement of 1, 2 then has a zero
+        # diagonal, so the pair (1, 2) follows
+        M = RatMatrix([[1, 1, 1, 0], [1, 1, 2, 0], [1, 2, 1, 0], [0, 0, 0, 0]])
+        assert principal_rank_subset(M) == greedy_by_ranks(M) == (0, 1, 2)
+
+    @pytest.mark.parametrize("lie_on_call, message", [(1, "not realizable"), (2, "re-verification")])
+    @pytest.mark.parametrize("name", ["full", "deficient"])
+    def test_a_lying_rank_raises(self, monkeypatch, F6, F_deficient, name, lie_on_call, message):
+        # too high a target leaves the pass without pivots; a wrong count on
+        # the subset fails the re-verification.  Both are explicit errors
+        # that survive python -O.
+        M = F6.M if name == "full" else F_deficient.M
+        real = linalg.rank
+        calls = []
+
+        def lying_rank(A):
+            calls.append(A)
+            return real(A) + (len(calls) == lie_on_call)
+
+        monkeypatch.setattr(linalg, "rank", lying_rank)
+        with pytest.raises(OrthinstError) as e:
+            principal_rank_subset(M)
+        assert isinstance(e.value, RankMismatch)
+        assert message in str(e.value)

@@ -1,0 +1,22 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import orthinst
+
+SOURCES = sorted(Path(orthinst.__file__).parent.glob("*.py"))
+
+
+def test_no_runtime_asserts():
+    # `assert` vanishes under python -O, so a guard on the mathematics must
+    # be an explicit check raising an OrthinstError
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}: assert statement")
+            elif isinstance(node, ast.Name) and node.id == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}: AssertionError")
+    assert len(SOURCES) >= 10
+    assert found == []

@@ -1,15 +1,18 @@
 import json
+import random
 
 import pytest
 
 from orthinst import (
     GenerationExhausted,
     NotSkew,
+    OddOrder,
     SchemaError,
     ShapeMismatch,
     rank,
 )
 from orthinst.specfile import (
+    _paired_skew,
     bundled_spec_path,
     generate,
     load_bundled,
@@ -145,3 +148,7 @@ class TestGenerate:
         a, _ = generate(6, 3, mode="pure", seed=9)
         b, _ = generate(6, 3, mode="pure", seed=9)
         assert a == b
+
+    def test_paired_skew_rejects_odd_size(self):
+        with pytest.raises(OddOrder):
+            _paired_skew(5, random.Random(0))
