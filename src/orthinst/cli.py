@@ -141,7 +141,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--c", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--mode", choices=["pure", "sum"], default="pure")
-    q.add_argument("--terms", type=int, default=3, help="term count for sum mode")
+    q.add_argument("--terms", type=int, default=3, dest="num_terms", metavar="TERMS", help="term count for sum mode")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("-o", "--output", default=None, help="write the spec here instead of stdout")
     q.add_argument("--json", action="store_true", dest="as_json")
@@ -199,7 +199,7 @@ def _dispatch(args, argv) -> Report:
         return Report(tuple(argv), None, results, tuple(warnings), 0.0, 0, human)
 
     if cmd == "generate":
-        sf, attempts = generate(args.c, args.n, mode=args.mode, seed=args.seed, num_terms=args.terms)
+        sf, attempts = generate(args.c, args.n, mode=args.mode, seed=args.seed, num_terms=args.num_terms)
         text = serialize_spec(sf)
         digest = hashlib.sha256(text.encode()).hexdigest()
         if args.output:

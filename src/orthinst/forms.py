@@ -13,20 +13,24 @@ factor runs fastest).  A symmetric matrix arises this way from skew blocks
 exactly when it also changes sign under swapping its two first-factor
 indices; ``wedge_membership`` tests both conditions.
 
-Only this module maps flat indices to (charge, point) pairs; other modules
-use the blocks M(i,k) (``FlatForm.block``, the pencil's coefficients) and
-the slice contractions ``along_point(v)``: h -> M(h (x) v) and
-``along_charge(h)``: v -> M(h (x) v).
+A flat form is its matrix M and nothing else.  Only this module maps flat
+indices to (charge, point) pairs; other modules use the blocks M(i,k)
+(``FlatForm.block``, the pencil's coefficients) and the contractions
+``along_point(v)``: h -> M(h (x) v), ``along_charge(h)``: v -> M(h (x) v)
+and ``pencil(P, Q)``.  Every contraction, and the base change ``act``,
+reads one integer view of M (its common denominator and integer rows,
+computed once per form) and forms a Fraction only for each output entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import NotSkew, ShapeMismatch, Singular
-from .linalg import RatMatrix, det
+from .linalg import RatMatrix, det, numerators
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -79,16 +83,12 @@ class TensorSpec:
 
 @dataclass(frozen=True)
 class FlatForm:
-    """The flattened symmetric bilinear form of a tensor spec.
-
-    ``source`` keeps the originating block data when known (it is ignored by
-    equality); pure-tensor certificates and fast line evaluation use it.
-    """
+    """The flattened symmetric bilinear form of a tensor spec.  Its integer
+    view and slices are computed on first use and are not part of the value."""
 
     c: int
     n: int
     M: RatMatrix
-    source: TensorSpec | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         size = self.c * (self.n + 1)
@@ -106,28 +106,71 @@ class FlatForm:
         w = self.n + 1
         return self.M.submatrix(range(i * w, (i + 1) * w), range(k * w, (k + 1) * w))
 
+    @cached_property
+    def _view(self) -> tuple[int, list[list[int]]]:
+        """(d, d*M as integer rows), d the common denominator of M."""
+        return numerators([self.M.row(s) for s in range(self.size)])
+
+    @cached_property
+    def _slices(self) -> list[tuple[int, int, list[int]]]:
+        """The nonzero c x c slices S_jl[i][k] = M[(i,j),(k,l)] of the view,
+        each as (j, l, its entries row-major)."""
+        c, w = self.c, self.n + 1
+        _, R = self._view
+        out = []
+        for j in range(w):
+            for l in range(w):
+                s = [R[i * w + j][k * w + l] for i in range(c) for k in range(c)]
+                if any(s):
+                    out.append((j, l, s))
+        return out
+
     def along_point(self, v: Sequence) -> RatMatrix:
         """Matrix of h -> M(h (x) v), of shape c(n+1) x c."""
         w = self.n + 1
-        vs = _support(v, w)
-        rows = map(self.M.row, range(self.size))
-        return RatMatrix(
-            [[sum(r[k * w + l] * x for l, x in vs) for k in range(self.c)] for r in rows], cols=self.c
-        )
+        d, R = self._view
+        e, v = _scaled(v, w)
+        terms = [[(k * w + l, x) for l, x in enumerate(v) if x] for k in range(self.c)]
+        return _over(_combine(R, terms), d * e)
 
     def along_charge(self, h: Sequence) -> RatMatrix:
         """Matrix of v -> M(h (x) v), of shape c(n+1) x (n+1)."""
         w = self.n + 1
-        hs = _support(h, self.c)
-        rows = map(self.M.row, range(self.size))
-        return RatMatrix([[sum(r[k * w + l] * x for k, x in hs) for l in range(w)] for r in rows], cols=w)
+        d, R = self._view
+        e, h = _scaled(h, self.c)
+        terms = [[(k * w + l, x) for k, x in enumerate(h) if x] for l in range(w)]
+        return _over(_combine(R, terms), d * e)
+
+    def pencil(self, P: Sequence, Q: Sequence) -> RatMatrix:
+        """The c x c pencil value G[i][k] = sum_{j,l} M[(i,j),(k,l)] Q_j P_l,
+        summed over the nonzero slices."""
+        c, w = self.c, self.n + 1
+        d, _ = self._view
+        dp, p = _scaled(P, w)
+        dq, q = _scaled(Q, w)
+        acc = [0] * (c * c)
+        for j, l, s in self._slices:
+            x = q[j] * p[l]
+            if x:
+                acc = [a + x * y for a, y in zip(acc, s)]
+        return _over([acc[i * c : (i + 1) * c] for i in range(c)], d * dp * dq)
 
 
-def _support(vec: Sequence, length: int) -> list[tuple[int, Fraction]]:
-    """The nonzero coordinates of a contraction vector as (index, value)."""
+def _scaled(vec: Sequence, length: int) -> tuple[int, list[int]]:
+    """A contraction vector v as (d, d*v), d its common denominator."""
     if len(vec) != length:
         raise ShapeMismatch(f"contraction vector must have {length} entries, got {len(vec)}")
-    return [(t, x) for t, x in enumerate(map(Fraction, vec)) if x]
+    d, (ints,) = numerators([[Fraction(x) for x in vec]])
+    return d, ints
+
+
+def _combine(rows, terms: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Row r becomes [sum of r[a] * y over (a, y) in t, for t in terms]."""
+    return [[sum(r[a] * y for a, y in t) for t in terms] for r in rows]
+
+
+def _over(rows: list[list[int]], den: int) -> RatMatrix:
+    return RatMatrix([[Fraction(x, den) for x in row] for row in rows])
 
 
 def flatten(spec: TensorSpec) -> FlatForm:
@@ -149,7 +192,7 @@ def flatten(spec: TensorSpec) -> FlatForm:
                     for l in range(w):
                         if crow[l]:
                             rows[base_r + j][base_c + l] += b * crow[l]
-    return FlatForm(c, n, RatMatrix(rows, cols=size), source=spec)
+    return FlatForm(c, n, RatMatrix(rows, cols=size))
 
 
 def is_wedge_matrix(M: RatMatrix, c: int, n: int) -> bool:
@@ -180,9 +223,9 @@ def act(h: RatMatrix, F: FlatForm) -> FlatForm:
     M'(i,k) = sum_{a,b} h[i,a] h[k,b] M(a,b) on the blocks, contracted
     first over block rows, then over block columns.
 
-    Requires invertible h.  Preserves symmetry, wedge membership and rank
-    (congruence).  When the source block data is known it transforms along:
-    each B_t becomes h B_t h^T.
+    Runs on integers: with h = H/e and M = R/d the result is
+    (H (x) Id) R (H^T (x) Id) / (d e^2).  Requires invertible h.  Preserves
+    symmetry, wedge membership and rank (congruence).
     """
     c, n = F.c, F.n
     if h.rows != c or h.cols != c:
@@ -190,30 +233,9 @@ def act(h: RatMatrix, F: FlatForm) -> FlatForm:
     if det(h) == 0:
         raise Singular("action matrix must be invertible")
     w = n + 1
-    support = [_support(h.row(i), c) for i in range(c)]
-    rows = [F.M.row(s) for s in range(F.size)]
-    # block rows: (h (x) Id) M
-    left = [
-        [sum(x * rows[a * w + j][col] for a, x in support[i]) for col in range(F.size)]
-        for i in range(c)
-        for j in range(w)
-    ]
-    # block columns: the above times (h^T (x) Id)
-    M2 = RatMatrix(
-        [[sum(row[b * w + l] * x for b, x in support[k]) for k in range(c) for l in range(w)] for row in left],
-        cols=F.size,
-    )
-    source2 = None
-    if F.source is not None:
-        ht = h.transpose()
-        new_terms = []
-        all_integral = True
-        for B, C in F.source.terms:
-            Bm = h @ RatMatrix(B) @ ht
-            if any(x.denominator != 1 for row in Bm._data for x in row):
-                all_integral = False
-                break
-            new_terms.append((tuple(tuple(int(x) for x in row) for row in Bm._data), C))
-        if all_integral:
-            source2 = TensorSpec(c, n, tuple(new_terms))
-    return FlatForm(c, n, M2, source=source2)
+    d, R = F._view
+    e, H = numerators([h.row(i) for i in range(c)])
+    # column (k,l) of X (H^T (x) Id) is sum_b H[k,b] X[:, (b,l)]
+    terms = [[(b * w + l, x) for b, x in enumerate(H[k]) if x] for k in range(c) for l in range(w)]
+    left = _combine(zip(*R), terms)  # ((H (x) Id) R)^T
+    return FlatForm(c, n, _over(_combine(zip(*left), terms), d * e * e))

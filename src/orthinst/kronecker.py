@@ -4,11 +4,11 @@ Evaluating a flat form on an ordered point pair (P, Q) spanning a line
 gives the c x c matrix
 
     G[i][k] = sum_{j,l} M[(i,j),(k,l)] * Q_j * P_l
-            = sum_t B_t[i,k] * (Q^T C_t P)      (when block terms are known)
 
-which is skew-symmetric for every wedge member.  The restriction of the
-associated bundle to the line is trivial exactly when G is invertible, so
-odd charge forces every line to jump (odd skew matrices are singular).
+(``FlatForm.pencil``), which is skew-symmetric for every wedge member.  The
+restriction of the associated bundle to the line is trivial exactly when G
+is invertible, so odd charge forces every line to jump (odd skew matrices
+are singular).
 """
 
 from __future__ import annotations
@@ -56,38 +56,16 @@ class SplitVerdict:
 
 
 def gamma_eval(F: FlatForm, P: Sequence, Q: Sequence) -> GammaEval:
-    """Evaluate the pencil: G[i][k] = sum_t B_t[i,k] * (Q^T C_t P).
-
-    Without block terms each entry is the bilinear form of the block M(i,k)
-    at (P, Q); both routes agree exactly, and the term route is faster.
-    Scaling P or Q rescales G but never changes the Trivial/Jumping verdict.
+    """Evaluate the pencil at a point pair spanning a line: entry (i,k) is
+    the bilinear form of the block M(i,k) at (P, Q).  Scaling P or Q
+    rescales G but never changes the Trivial/Jumping verdict.
     """
-    c, n = F.c, F.n
-    w = n + 1
+    w = F.n + 1
     Pt = _frac_point(P, w)
     Qt = _frac_point(Q, w)
     if not line_span_ok(Pt, Qt):
         raise DegenerateLine("points are proportional and span no line")
-    if F.source is not None:
-        vals = []
-        for B, C in F.source.terms:
-            s = Fraction(0)
-            for j in range(w):
-                if Qt[j] == 0:
-                    continue
-                row = C[j]
-                s += Qt[j] * sum((row[l] * Pt[l] for l in range(w) if row[l]), Fraction(0))
-            vals.append(s)
-        rows = [
-            [
-                sum((vals[t] * B[i][k] for t, (B, _) in enumerate(F.source.terms) if B[i][k]), Fraction(0))
-                for k in range(c)
-            ]
-            for i in range(c)
-        ]
-    else:
-        rows = [[evaluate_bilinear(F.block(i, k), Pt, Qt) for k in range(c)] for i in range(c)]
-    return GammaEval(Pt, Qt, RatMatrix(rows, cols=c))
+    return GammaEval(Pt, Qt, F.pencil(Pt, Qt))
 
 
 def splitting_type(F: FlatForm, P: Sequence, Q: Sequence) -> SplitVerdict:

@@ -192,6 +192,13 @@ def _integer_rows(M: RatMatrix) -> tuple[list[list[int]], int]:
     return out, scale
 
 
+def numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """Rational rows as (d, N) with rows = N / d, d the lcm of every
+    denominator; the numerators are read off, with no Fraction arithmetic."""
+    d = lcm(*[x.denominator for row in rows for x in row])
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
 def _bareiss(rows: list[list[int]], ncols: int):
     """Fraction-free Bareiss elimination with first-nonzero row pivoting.
 
@@ -289,8 +296,7 @@ def kernel_basis(M: RatMatrix) -> list[tuple[Fraction, ...]]:
 def _primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale a rational vector to a primitive integer vector (gcd 1), keeping
     the orientation of its first nonzero entry."""
-    den = lcm(*[x.denominator for x in v])
-    ints = [x.numerator * (den // x.denominator) for x in v]
+    _, (ints,) = numerators([v])
     g = gcd(*ints) if ints else 0
     if g > 1:
         ints = [x // g for x in ints]
@@ -375,8 +381,7 @@ def principal_rank_subset(M: RatMatrix) -> tuple[int, ...]:
 def _schur_greedy(M: RatMatrix, target: int) -> list[int]:
     """The greedy of ``principal_rank_subset`` on a symmetric M of rank
     ``target``, sorted."""
-    den = lcm(*[x.denominator for row in M._data for x in row])
-    D = [[x.numerator * (den // x.denominator) for x in row] for row in M._data]
+    _, D = numerators(M._data)
     d = 1  # det of the chosen block; D holds d times its Schur complement
     rest = list(range(M.rows))
     S: list[int] = []

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import BadSubset, RankMismatch, ShapeMismatch
 from .forms import FlatForm
-from .linalg import RatMatrix, det, kernel_basis, principal_rank_subset, rank
+from .linalg import RatMatrix, kernel_basis, principal_rank_subset, rank
 
 
 @dataclass(frozen=True)
@@ -218,13 +218,13 @@ class NondegStrategy:
 
 @dataclass(frozen=True)
 class A2Status:
-    kind: str  # CertifiedFullRank | CertifiedPureTensor | SampledNoCounterexample | CounterexampleFound | Unknown
+    kind: str  # CertifiedFullRank | SampledNoCounterexample | CounterexampleFound | Unknown
     samples: Optional[int] = None
     witness_h: Optional[tuple[int, ...]] = None
     witness_v: Optional[tuple[int, ...]] = None
 
     def is_pass(self) -> bool:
-        return self.kind in ("CertifiedFullRank", "CertifiedPureTensor", "SampledNoCounterexample")
+        return self.kind in ("CertifiedFullRank", "SampledNoCounterexample")
 
 
 @dataclass(frozen=True)
@@ -301,14 +301,15 @@ def check_conditions(F: FlatForm, r: int, strategy: Optional[NondegStrategy] = N
     """Evaluate the three form conditions plus the charge/rank prechecks.
 
     The nondegeneracy status is tiered: a full-rank form is certified
-    outright (an injective map kills no decomposable tensor); a single-term
-    form with invertible blocks is certified structurally; otherwise the
+    outright (an injective map kills no decomposable tensor); otherwise the
     witness search runs and reports either a counterexample or the clean
     sample count; with a zero budget the status is Unknown.
 
     ``a3_ok`` as coded always equals ``a1_ok``: a symmetric matrix always has
     a nonsingular principal block of order equal to its rank, and
-    ``principal_rank_subset`` returns one.  The subset is the witness of A3,
+    ``principal_rank_subset`` returns one; its re-verification
+    rank(M[S,S]) = rank(M) = |S| already proves M[S,S] nonsingular (it
+    raises ``RankMismatch`` otherwise).  The subset is the witness of A3,
     not an independent check.
     """
     if strategy is None:
@@ -330,13 +331,6 @@ def check_conditions(F: FlatForm, r: int, strategy: Optional[NondegStrategy] = N
 
     if rank_a == size:
         a2 = A2Status("CertifiedFullRank")
-    elif (
-        F.source is not None
-        and len(F.source.terms) == 1
-        and rank(RatMatrix(F.source.terms[0][0])) == c
-        and rank(RatMatrix(F.source.terms[0][1])) == n + 1
-    ):
-        a2 = A2Status("CertifiedPureTensor")
     elif strategy.budget > 0:
         hit = nondegeneracy_witness_search(F, strategy.budget, strategy.seed, strategy.box)
         if hit is not None:
@@ -347,7 +341,7 @@ def check_conditions(F: FlatForm, r: int, strategy: Optional[NondegStrategy] = N
         a2 = A2Status("Unknown")
 
     q_subset = principal_rank_subset(F.M)
-    a3_ok = len(q_subset) == a1_expected and det(F.M.submatrix(q_subset, q_subset)) != 0
+    a3_ok = len(q_subset) == a1_expected
 
     notes = []
     if precheck == "ChargeTwoForbidden" and a1_ok and a3_ok and a2.is_pass():

@@ -55,8 +55,14 @@ def contraction_forms(F_deficient):
     rng = random.Random(110)
     forms = [flatten(random_spec(rng)) for _ in range(12)]
     forms.append(F_deficient)
-    forms.append(FlatForm(F_deficient.c, F_deficient.n, F_deficient.M))  # no source
+    # common denominators 6 and 3: the integer view must carry them
+    forms.append(FlatForm(F_deficient.c, F_deficient.n, F_deficient.M.scale(Fraction(5, 6))))
+    forms.append(act(RatMatrix.diagonal([Fraction(1, 3)] + [1] * (F_deficient.c - 1)), F_deficient))
     return forms
+
+
+def fraction_vector(length):
+    return [Fraction((-1) ** t * (t + 2), t + 3) for t in range(length)]
 
 
 class TestTensorSpec:
@@ -120,6 +126,7 @@ class TestContractions:
             w = F.n + 1
             vs = [unit(j, w) for j in range(w)] + [[rng.randint(-4, 4) for _ in range(w)] for _ in range(3)]
             vs.append([Fraction(1, 2)] + [0] * (w - 1))
+            vs.append(fraction_vector(w))
             for v in vs:
                 assert F.along_point(v) == reference_along_point(F, v)
 
@@ -128,6 +135,7 @@ class TestContractions:
         for F in contraction_forms(F_deficient):
             hs = [unit(i, F.c) for i in range(F.c)] + [[rng.randint(-4, 4) for _ in range(F.c)] for _ in range(3)]
             hs.append([Fraction(1, 2), 1] + [0] * (F.c - 2))
+            hs.append(fraction_vector(F.c))
             for h in hs:
                 assert F.along_charge(h) == reference_along_charge(F, h)
 
@@ -201,17 +209,11 @@ class TestAct:
 
     def test_matches_kronecker_congruence(self, F6, F5, F_deficient):
         rng = random.Random(105)
-        bare = FlatForm(F5.c, F5.n, F5.M)  # no source
-        for F in (F6, F5, F_deficient, bare, flatten(random_spec(rng))):
+        scaled = FlatForm(F5.c, F5.n, F5.M.scale(Fraction(-2, 15)))  # denominator 15
+        for F in (F6, F5, F_deficient, scaled, flatten(random_spec(rng))):
             for h in (
                 random_unimodular(F.c, rng),
                 RatMatrix.diagonal([Fraction(1, 2)] + [1] * (F.c - 1)),
                 RatMatrix.diagonal([Fraction(t + 1, 3) for t in range(F.c)]) @ random_unimodular(F.c, rng),
             ):
                 assert act(h, F).M == reference_act(h, F)
-
-    def test_source_transforms_with_pure_term(self, F6):
-        h = RatMatrix.diagonal([2, 1, 1, 1, 1, 1])
-        G = act(h, F6)
-        assert G.source is not None
-        assert flatten(G.source).M == G.M

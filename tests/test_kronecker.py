@@ -14,6 +14,7 @@ from orthinst import (
     flatten,
     gamma_coefficients,
     gamma_eval,
+    is_wedge_matrix,
     kronecker_conditions,
     scan_lines,
     splitting_type,
@@ -33,6 +34,84 @@ def lam_values(P, Q):
     lam2 = -b * e + a * f + 3 * d * g - 3 * c * h
     lam3 = b * e - a * f - 3 * d * g + 3 * c * h
     return lam1, lam2, lam3
+
+
+def term_pencil(c, terms, P, Q):
+    """G[i][k] = sum_t B_t[i,k] * (Q^T C_t P) for M = sum_t B_t (x) C_t."""
+    w = len(P)
+    vals = [sum(Fraction(Q[j]) * C[j][l] * Fraction(P[l]) for j in range(w) for l in range(w)) for _, C in terms]
+    return RatMatrix(
+        [[sum((x * B[i][k] for x, (B, _) in zip(vals, terms)), Fraction(0)) for k in range(c)] for i in range(c)]
+    )
+
+
+def block_pencil(F, P, Q):
+    """Each pencil entry as the bilinear form of its block M(i,k)."""
+    G = gamma_coefficients(F)
+    return RatMatrix([[evaluate_bilinear(G[i][k], P, Q) for k in range(F.c)] for i in range(F.c)])
+
+
+def random_symmetric(size, rng, box=3):
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = rng.randint(-box, box)
+    return rows
+
+
+def pencil_cases():
+    """(F, terms) with F.M = sum_t B_t (x) C_t: random wedge forms, their
+    images under a rational base change (common denominators 3 and 6), and
+    symmetric forms outside the wedge built directly from symmetric blocks."""
+    rng = random.Random(310)
+    cases = []
+    for _ in range(6):
+        spec = random_spec(rng, max_terms=3)
+        cases.append((flatten(spec), spec.terms))
+    for _ in range(4):
+        spec = random_spec(rng, cs=(3, 4), ns=(3,))
+        h = RatMatrix.diagonal([Fraction(1, 2), Fraction(-2, 3)] + [1] * (spec.c - 2)) @ random_unimodular(
+            spec.c, rng
+        )
+        terms = [((h @ RatMatrix(B) @ h.transpose()).to_rows(), C) for B, C in spec.terms]
+        cases.append((act(h, flatten(spec)), terms))
+    for c, n in ((3, 3), (4, 2)):
+        w = n + 1
+        terms = [(random_symmetric(c, rng), random_symmetric(w, rng)) for _ in range(2)]
+        rows = [
+            [sum(B[i][k] * C[j][l] for B, C in terms) for k in range(c) for l in range(w)]
+            for i in range(c)
+            for j in range(w)
+        ]
+        F = FlatForm(c, n, RatMatrix(rows))
+        assert F.M.is_symmetric() and not is_wedge_matrix(F.M, c, n)
+        cases.append((F, terms))
+    return cases
+
+
+def pencil_points(w, rng):
+    pts = [([rng.randint(-6, 6) for _ in range(w)], [rng.randint(-6, 6) for _ in range(w)]) for _ in range(4)]
+    pts.append(([Fraction(1, 2)] + [1] * (w - 1), [Fraction(t - 1, t + 2) for t in range(w)]))
+    pts.append(([1] + [0] * (w - 1), [0] * (w - 1) + [1]))
+    return pts
+
+
+class TestPencilReferences:
+    def test_pencil_matches_term_formula(self):
+        rng = random.Random(311)
+        for F, terms in pencil_cases():
+            for P, Q in pencil_points(F.n + 1, rng):
+                want = term_pencil(F.c, terms, P, Q)
+                assert F.pencil(P, Q) == want
+                assert gamma_eval(F, P, Q).M == want
+
+    def test_pencil_matches_block_contraction(self):
+        rng = random.Random(312)
+        for F, _ in pencil_cases():
+            for P, Q in pencil_points(F.n + 1, rng):
+                want = block_pencil(F, P, Q)
+                assert F.pencil(P, Q) == want
+                assert gamma_eval(F, P, Q).M == want
 
 
 class TestGammaEval:
@@ -91,13 +170,12 @@ class TestGammaEval:
                 assert beta.evaluate(Q) @ alpha.evaluate(P) == g.M
 
     def test_sourceless_block_contraction_agrees(self, F6):
-        bare = FlatForm(F6.c, F6.n, F6.M)  # drop the block terms
         rng = random.Random(304)
         for _ in range(10):
             P = [rng.randint(-5, 5) for _ in range(4)]
             Q = [rng.randint(-5, 5) for _ in range(4)]
             try:
-                assert gamma_eval(bare, P, Q).M == gamma_eval(F6, P, Q).M
+                assert gamma_eval(F6, P, Q).M == block_pencil(F6, P, Q)
             except DegenerateLine:
                 continue
 

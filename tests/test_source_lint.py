@@ -20,3 +20,17 @@ def test_no_runtime_asserts():
                 found.append(f"{path.name}:{node.lineno}: AssertionError")
     assert len(SOURCES) >= 10
     assert found == []
+
+
+def test_no_block_data_shadow():
+    # a flat form is its matrix M: nothing reads a `.source` copy of its
+    # block data, and block terms are read only where specs are validated,
+    # flattened and written
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            if node.attr == "source" or (node.attr == "terms" and path.name not in ("forms.py", "specfile.py")):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert found == []
