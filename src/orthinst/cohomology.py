@@ -17,11 +17,10 @@ layout is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
-from .errors import PreconditionN
+from .errors import PreconditionN, UsageError
 from .forms import FlatForm
 from .linalg import RatMatrix, rank
 from .monad import LinFormMatrix, build_beta
@@ -71,29 +70,43 @@ def section_map(F: FlatForm, r: int, k: int) -> RatMatrix:
     return _assemble_section_matrix(beta, F.c, F.n, k)
 
 
+# Section maps grow like k^(2n) cells; larger ones are refused before any
+# allocation (the benchmark's largest is 168 x 280, the fixture at k = 4).
+MAX_SECTION_CELLS = 10**6
+
+
+def _section_shape(c: int, n: int, wdim: int, k: int) -> tuple[int, int]:
+    """Shape of the degree-k section map of a second monad map with ``wdim``
+    columns; ``UsageError`` if it has more than ``MAX_SECTION_CELLS`` cells."""
+    rows, cols = c * bott_h(0, k + 1, n), wdim * bott_h(0, k, n)
+    if rows * cols > MAX_SECTION_CELLS:
+        raise UsageError(
+            f"the degree-{k} section map would have {rows} x {cols} = {rows * cols} cells, "
+            f"over the limit of {MAX_SECTION_CELLS}"
+        )
+    return rows, cols
+
+
 def _assemble_section_matrix(beta: LinFormMatrix, c: int, n: int, k: int) -> RatMatrix:
+    wdim = beta.cols
+    rows_n, cols_n = _section_shape(c, n, wdim, k)
     src = monomials(n, k)
     dst = monomials(n, k + 1)
     dst_index = {m: t for t, m in enumerate(dst)}
-    wdim = beta.cols
-    rows_n = c * len(dst)
-    cols_n = wdim * len(src)
-    grid = [[Fraction(0)] * cols_n for _ in range(rows_n)]
+    den = lcm(*[x.denominator for row in beta.entries for form in row for x in form.coeffs])
+    grid = [[0] * cols_n for _ in range(rows_n)]
     for m in range(c):
         for w in range(wdim):
-            form = beta.entries[m][w]
-            if form.is_zero():
-                continue
+            form = beta.entries[m][w].coeffs
+            coeffs = [(l, x.numerator * (den // x.denominator)) for l, x in enumerate(form) if x]
             for s, mono in enumerate(src):
                 col = w * len(src) + s
-                for l, coef in enumerate(form.coeffs):
-                    if coef == 0:
-                        continue
+                for l, coef in coeffs:
                     bumped = list(mono)
                     bumped[l] += 1
                     row = m * len(dst) + dst_index[tuple(bumped)]
                     grid[row][col] += coef
-    return RatMatrix(grid, cols=cols_n)
+    return RatMatrix.from_ints(grid, den, cols=cols_n)
 
 
 @dataclass(frozen=True)
@@ -191,6 +204,8 @@ def h_table(F: FlatForm, r: int, kmin: int, kmax: int, engine: _DirectEngine | N
         raise PreconditionN(f"cohomology tables need n >= 3, got n={n}")
     if kmin > kmax:
         raise ValueError("kmin must be <= kmax")
+    # the largest twist the window reaches, directly or by duality
+    _section_shape(c, n, 2 * c + r, max(kmax, -kmin - n - 1))
     eng = _engine_for(F, r, engine)
     entries: dict[tuple[int, int], CohomEntry] = {}
     for k in range(kmin, kmax + 1):

@@ -17,9 +17,10 @@ A flat form is its matrix M and nothing else.  Only this module maps flat
 indices to (charge, point) pairs; other modules use the blocks M(i,k)
 (``FlatForm.block``, the pencil's coefficients) and the contractions
 ``along_point(v)``: h -> M(h (x) v), ``along_charge(h)``: v -> M(h (x) v)
-and ``pencil(P, Q)``.  Every contraction, and the base change ``act``,
-reads one integer view of M (its common denominator and integer rows,
-computed once per form) and forms a Fraction only for each output entry.
+and ``pencil(P, Q)``; ``beta_coefficients`` and ``charge_point`` serve the
+monad maps.  M is the integer view: every contraction and ``act`` read the
+integer rows ``M.num`` over ``M.den`` and return integer rows over a
+denominator, with no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import NotSkew, ShapeMismatch, Singular
-from .linalg import RatMatrix, det, numerators
+from .linalg import RatMatrix, det
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -83,8 +84,9 @@ class TensorSpec:
 
 @dataclass(frozen=True)
 class FlatForm:
-    """The flattened symmetric bilinear form of a tensor spec.  Its integer
-    view and slices are computed on first use and are not part of the value."""
+    """The flattened symmetric bilinear form of a tensor spec.  M is the
+    integer view (``M.num`` over ``M.den``); its slices are computed on first
+    use and are not part of the value."""
 
     c: int
     n: int
@@ -107,16 +109,11 @@ class FlatForm:
         return self.M.submatrix(range(i * w, (i + 1) * w), range(k * w, (k + 1) * w))
 
     @cached_property
-    def _view(self) -> tuple[int, list[list[int]]]:
-        """(d, d*M as integer rows), d the common denominator of M."""
-        return numerators([self.M.row(s) for s in range(self.size)])
-
-    @cached_property
     def _slices(self) -> list[tuple[int, int, list[int]]]:
-        """The nonzero c x c slices S_jl[i][k] = M[(i,j),(k,l)] of the view,
+        """The nonzero c x c slices S_jl[i][k] = M[(i,j),(k,l)] of ``M.num``,
         each as (j, l, its entries row-major)."""
         c, w = self.c, self.n + 1
-        _, R = self._view
+        R = self.M.num
         out = []
         for j in range(w):
             for l in range(w):
@@ -128,24 +125,21 @@ class FlatForm:
     def along_point(self, v: Sequence) -> RatMatrix:
         """Matrix of h -> M(h (x) v), of shape c(n+1) x c."""
         w = self.n + 1
-        d, R = self._view
         e, v = _scaled(v, w)
         terms = [[(k * w + l, x) for l, x in enumerate(v) if x] for k in range(self.c)]
-        return _over(_combine(R, terms), d * e)
+        return RatMatrix.from_ints(_combine(self.M.num, terms), self.M.den * e)
 
     def along_charge(self, h: Sequence) -> RatMatrix:
         """Matrix of v -> M(h (x) v), of shape c(n+1) x (n+1)."""
         w = self.n + 1
-        d, R = self._view
         e, h = _scaled(h, self.c)
         terms = [[(k * w + l, x) for k, x in enumerate(h) if x] for l in range(w)]
-        return _over(_combine(R, terms), d * e)
+        return RatMatrix.from_ints(_combine(self.M.num, terms), self.M.den * e)
 
     def pencil(self, P: Sequence, Q: Sequence) -> RatMatrix:
         """The c x c pencil value G[i][k] = sum_{j,l} M[(i,j),(k,l)] Q_j P_l,
         summed over the nonzero slices."""
         c, w = self.c, self.n + 1
-        d, _ = self._view
         dp, p = _scaled(P, w)
         dq, q = _scaled(Q, w)
         acc = [0] * (c * c)
@@ -153,15 +147,15 @@ class FlatForm:
             x = q[j] * p[l]
             if x:
                 acc = [a + x * y for a, y in zip(acc, s)]
-        return _over([acc[i * c : (i + 1) * c] for i in range(c)], d * dp * dq)
+        return RatMatrix.from_ints([acc[i * c : (i + 1) * c] for i in range(c)], self.M.den * dp * dq)
 
 
 def _scaled(vec: Sequence, length: int) -> tuple[int, list[int]]:
     """A contraction vector v as (d, d*v), d its common denominator."""
     if len(vec) != length:
         raise ShapeMismatch(f"contraction vector must have {length} entries, got {len(vec)}")
-    d, (ints,) = numerators([[Fraction(x) for x in vec]])
-    return d, ints
+    V = RatMatrix([[Fraction(x) for x in vec]])
+    return V.den, V.num[0]
 
 
 def _combine(rows, terms: list[list[tuple[int, int]]]) -> list[list[int]]:
@@ -169,8 +163,18 @@ def _combine(rows, terms: list[list[tuple[int, int]]]) -> list[list[int]]:
     return [[sum(r[a] * y for a, y in t) for t in terms] for r in rows]
 
 
-def _over(rows: list[list[int]], den: int) -> RatMatrix:
-    return RatMatrix([[Fraction(x, den) for x in row] for row in rows])
+def charge_point(s: int, n: int) -> tuple[int, int]:
+    """The (charge, point) pair (i, j) of the flat index s = i*(n+1) + j."""
+    return divmod(s, n + 1)
+
+
+def beta_coefficients(F: FlatForm, col_idx: Sequence[int]) -> list[list[tuple[Fraction, ...]]]:
+    """Coefficients of the second monad map: entry [k][t] is the row
+    (M[s, (k, l)] for l = 0..n) with s = col_idx[t].  Each distinct entry
+    value becomes one Fraction, shared by every place it occurs."""
+    w, R = F.n + 1, F.M.num
+    frac = {x: Fraction(x, F.M.den) for x in set().union(*(R[s] for s in col_idx))}
+    return [[tuple(frac[x] for x in R[s][k * w : (k + 1) * w]) for s in col_idx] for k in range(F.c)]
 
 
 def flatten(spec: TensorSpec) -> FlatForm:
@@ -192,7 +196,7 @@ def flatten(spec: TensorSpec) -> FlatForm:
                     for l in range(w):
                         if crow[l]:
                             rows[base_r + j][base_c + l] += b * crow[l]
-    return FlatForm(c, n, RatMatrix(rows, cols=size))
+    return FlatForm(c, n, RatMatrix.from_ints(rows, cols=size))
 
 
 def is_wedge_matrix(M: RatMatrix, c: int, n: int) -> bool:
@@ -203,11 +207,12 @@ def is_wedge_matrix(M: RatMatrix, c: int, n: int) -> bool:
         return False
     if not M.is_symmetric():
         return False
+    A = M.num
     for i in range(c):
         for k in range(i, c):
             for j in range(w):
                 for l in range(w):
-                    if M[i * w + j, k * w + l] != -M[k * w + j, i * w + l]:
+                    if A[i * w + j][k * w + l] != -A[k * w + j][i * w + l]:
                         return False
     return True
 
@@ -233,9 +238,8 @@ def act(h: RatMatrix, F: FlatForm) -> FlatForm:
     if det(h) == 0:
         raise Singular("action matrix must be invertible")
     w = n + 1
-    d, R = F._view
-    e, H = numerators([h.row(i) for i in range(c)])
+    R, H = F.M.num, h.num
     # column (k,l) of X (H^T (x) Id) is sum_b H[k,b] X[:, (b,l)]
     terms = [[(b * w + l, x) for b, x in enumerate(H[k]) if x] for k in range(c) for l in range(w)]
     left = _combine(zip(*R), terms)  # ((H (x) Id) R)^T
-    return FlatForm(c, n, _over(_combine(zip(*left), terms), d * e * e))
+    return FlatForm(c, n, RatMatrix.from_ints(_combine(zip(*left), terms), F.M.den * h.den**2))

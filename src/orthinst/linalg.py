@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of ``fractions.Fraction`` entries with deterministic,
-tolerance-free algorithms: fraction-free Bareiss elimination for rank,
-determinant and kernels, skew pair-elimination for Pfaffians, and a greedy
-principal-submatrix rank realization for symmetric matrices.
+A matrix over Q is stored as integer rows over one positive denominator.
+Every algorithm is deterministic and tolerance-free: fraction-free Bareiss
+elimination for rank, determinant and kernels, a fraction-free skew pair
+elimination for Pfaffians, and a greedy principal-submatrix rank realization
+for symmetric matrices.
 
-Every elimination runs on Python ints: ``_integer_rows`` clears each row's
-denominators once by reading numerators (no Fraction arithmetic), and
-Fractions reappear only in results.  ``rank`` is memoised on the matrix, so
-the callers that all ask for the rank of one form share one elimination.
+Every elimination runs on the stored integer rows, with no conversion and no
+Fraction arithmetic; a Fraction appears only in a result, as an integer over
+a power of the denominator.  ``rank`` is memoised on the matrix, so the
+callers that all ask for the rank of one form share one elimination.
 ``principal_rank_subset`` returns the whole index set at full rank and
 otherwise runs its greedy in one fraction-free pass over the Schur
 complement of the chosen block, instead of a rank call per candidate.
@@ -27,11 +28,9 @@ from typing import Iterable, Sequence
 from .errors import NonSquare, NotSkew, NotSymmetric, OddOrder, RankMismatch, ShapeMismatch
 
 
-def _as_frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_exact(x) -> int | Fraction:
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"matrix entries must be exact (int/Fraction/str), got {type(x).__name__}")
@@ -40,26 +39,36 @@ def _as_frac(x) -> Fraction:
 class RatMatrix:
     """Immutable dense matrix over Q.
 
-    Entries are stored row-major as nested tuples of ``Fraction``.  A matrix
-    with zero rows needs an explicit ``cols`` so empty shapes stay
-    well-defined.  ``_rank`` memoises ``rank(self)``; it is not part of the
-    value, so equality and hashing ignore it.
+    ``num`` holds the rows of den * M as tuples of ints, and ``den`` is the
+    least positive common denominator of the entries, so the pair is
+    canonical: equality and hashing compare (cols, den, num).  Entries,
+    ``row`` and ``to_rows`` read back as ``Fraction``.  A matrix with zero
+    rows needs an explicit ``cols`` so empty shapes stay well-defined.
+    ``_rank`` memoises ``rank(self)``; it is not part of the value, so
+    equality and hashing ignore it.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_rank")
+    __slots__ = ("num", "den", "cols", "_rank")
 
     def __init__(self, data: Iterable[Sequence], cols: int | None = None):
-        d = tuple(tuple(_as_frac(x) for x in row) for row in data)
-        if d:
-            width = len(d[0])
-            if any(len(r) != width for r in d):
+        rows = [[_as_exact(x) for x in row] for row in data]
+        den = 1
+        for row in rows:
+            den = lcm(den, *[x.denominator for x in row])
+        # over the least common denominator the numerators share no factor
+        self._fill([tuple(x.numerator * (den // x.denominator) for x in row) for row in rows], den, cols)
+
+    def _fill(self, num: list[tuple[int, ...]], den: int, cols: int | None) -> None:
+        if num:
+            width = len(num[0])
+            if any(len(r) != width for r in num):
                 raise ShapeMismatch("ragged rows in matrix data")
             if cols is not None and cols != width:
                 raise ShapeMismatch(f"declared cols {cols} != row width {width}")
         else:
             width = 0 if cols is None else cols
-        object.__setattr__(self, "_data", d)
-        object.__setattr__(self, "rows", len(d))
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_rank", None)
 
@@ -69,95 +78,106 @@ class RatMatrix:
     # --- constructors -------------------------------------------------
 
     @classmethod
+    def from_ints(cls, num: Iterable[Sequence[int]], den: int = 1, cols: int | None = None) -> "RatMatrix":
+        """The matrix num / den, for integer rows and a nonzero integer den,
+        brought to lowest terms over a positive denominator."""
+        if den == 0:
+            raise ZeroDivisionError("matrix denominator must be nonzero")
+        rows = [tuple(r) for r in num]
+        g = den
+        for r in rows:
+            if g in (1, -1):
+                break
+            g = gcd(g, *r)
+        g = abs(g) if den > 0 else -abs(g)
+        if g != 1:
+            rows = [tuple(x // g for x in r) for r in rows]
+        M = cls.__new__(cls)
+        M._fill(rows, den // g, cols)
+        return M
+
+    @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return cls.from_ints([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+        return cls.from_ints([[0] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
     def diagonal(cls, diag: Sequence) -> "RatMatrix":
-        d = [_as_frac(x) for x in diag]
-        n = len(d)
-        return cls([[d[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+        n = len(diag)
+        return cls([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     # --- basic access -------------------------------------------------
 
+    @property
+    def rows(self) -> int:
+        return len(self.num)
+
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._data[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def row(self, i: int) -> tuple:
-        return self._data[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self._data)
+        return tuple(Fraction(x, self.den) for x in self.num[i])
 
     def to_rows(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._data]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self._data[i][j] == self._data[j][i] for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
+        A = self.num
+        return self.is_square() and all(A[i][j] == A[j][i] for i in range(self.rows) for j in range(i + 1, self.cols))
 
     def is_skew(self) -> bool:
-        if not self.is_square():
-            return False
-        n = self.rows
-        return all(self._data[i][i] == 0 for i in range(n)) and all(
-            self._data[i][j] == -self._data[j][i] for i in range(n) for j in range(i + 1, n)
-        )
+        A = self.num  # j = i asks for a zero diagonal
+        return self.is_square() and all(A[i][j] == -A[j][i] for i in range(self.rows) for j in range(i, self.cols))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
-        return RatMatrix(
-            [[self._data[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx)
-        )
+        A = self.num
+        return RatMatrix.from_ints([[A[i][j] for j in col_idx] for i in row_idx], self.den, cols=len(col_idx))
 
     # --- arithmetic ---------------------------------------------------
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        A = self.num
+        return RatMatrix.from_ints([[r[j] for r in A] for j in range(self.cols)], self.den, cols=self.rows)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("matrix addition shape mismatch")
-        return RatMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            cols=self.cols,
+        d = lcm(self.den, other.den)
+        s, t = d // self.den, d // other.den
+        return RatMatrix.from_ints(
+            [[s * a + t * b for a, b in zip(r1, r2)] for r1, r2 in zip(self.num, other.num)], d, cols=self.cols
         )
 
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
     def __neg__(self) -> "RatMatrix":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, s) -> "RatMatrix":
-        s = _as_frac(s)
-        return RatMatrix([[s * x for x in r] for r in self._data], cols=self.cols)
+        s = _as_exact(s)
+        p = s.numerator
+        return RatMatrix.from_ints([[p * x for x in r] for r in self.num], self.den * s.denominator, cols=self.cols)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose()._data
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self._data],
+        ot = [[r[j] for r in other.num] for j in range(other.cols)]
+        return RatMatrix.from_ints(
+            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.num],
+            self.den * other.den,
             cols=other.cols,
         )
 
     def mul_vector(self, v: Sequence) -> tuple:
-        vv = [_as_frac(x) for x in v]
-        if len(vv) != self.cols:
+        if len(v) != self.cols:
             raise ShapeMismatch("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vv)) for row in self._data)
+        V = RatMatrix([v], cols=self.cols)
+        return tuple(Fraction(sum(a * b for a, b in zip(row, V.num[0])), self.den * V.den) for row in self.num)
 
     # --- misc ---------------------------------------------------------
 
@@ -165,11 +185,12 @@ class RatMatrix:
         return (
             isinstance(other, RatMatrix)
             and self.cols == other.cols
-            and self._data == other._data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
-        return hash((self.cols, self._data))
+        return hash((self.cols, self.den, self.num))
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -178,25 +199,6 @@ class RatMatrix:
 # ----------------------------------------------------------------------
 # elimination core
 # ----------------------------------------------------------------------
-
-
-def _integer_rows(M: RatMatrix) -> tuple[list[list[int]], int]:
-    """Clear denominators per row.  Returns integer rows and the product of
-    the row scale factors, so det(int rows) = scale * det(M)."""
-    out = []
-    scale = 1
-    for row in M._data:
-        m = lcm(*[x.denominator for x in row])
-        scale *= m
-        out.append([x.numerator * (m // x.denominator) for x in row])
-    return out, scale
-
-
-def numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """Rational rows as (d, N) with rows = N / d, d the lcm of every
-    denominator; the numerators are read off, with no Fraction arithmetic."""
-    d = lcm(*[x.denominator for row in rows for x in row])
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
 def _bareiss(rows: list[list[int]], ncols: int):
@@ -242,73 +244,65 @@ def rank(M: RatMatrix) -> int:
     if M._rank is None:
         r = 0
         if M.rows and M.cols:
-            rows, _ = _integer_rows(M)
-            r, _, _, _ = _bareiss(rows, M.cols)
+            r, _, _, _ = _bareiss([list(row) for row in M.num], M.cols)
         object.__setattr__(M, "_rank", r)
     return M._rank
 
 
 def det(M: RatMatrix) -> Fraction:
-    """Exact determinant (Bareiss; the last pivot is the determinant)."""
+    """Exact determinant (Bareiss; the last pivot is det(den * M))."""
     if not M.is_square():
         raise NonSquare(f"det needs a square matrix, got {M.rows}x{M.cols}")
     n = M.rows
-    if n == 0:
-        return Fraction(1)
-    rows, scale = _integer_rows(M)
-    r, _, sign, last = _bareiss(rows, n)
+    r, _, sign, last = _bareiss([list(row) for row in M.num], n)
     if r < n:
         return Fraction(0)
-    return Fraction(sign * last, scale)
+    return Fraction(sign * last, M.den**n)
 
 
 def kernel_basis(M: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel {v : Mv = 0}.
 
-    Vectors are primitive integer vectors (denominators cleared, content
-    divided out), one per free column in ascending column order, so the
-    result is deterministic and its length is cols - rank(M).
+    Vectors are primitive integer vectors, one per free column in ascending
+    column order, each positive at its free column, so the result is
+    deterministic and its length is cols - rank(M).
     """
     ncols = M.cols
     if ncols == 0:
         return []
-    rows, _ = _integer_rows(M)
+    rows = [list(row) for row in M.num]
     _, pivots, _, _ = _bareiss(rows, ncols)
     pivot_set = set(pivots)
-    # keep only pivot rows of the echelon form, in order
-    ech = [rows[i] for i in range(len(pivots))]
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
+        v = [0] * ncols
+        v[free] = 1
         for rrow in range(len(pivots) - 1, -1, -1):
             pc = pivots[rrow]
             if pc > free:
                 continue
-            s = sum(ech[rrow][j] * v[j] for j in range(pc + 1, ncols) if v[j])
-            v[pc] = -Fraction(s, ech[rrow][pc])
-        basis.append(_primitive(v))
+            p = rows[rrow][pc]
+            s = sum(rows[rrow][j] * v[j] for j in range(pc + 1, ncols) if v[j])
+            # with g = gcd(s, p), v[pc] = -s/p is integral once v is scaled by
+            # |p|/g > 0, and v stays primitive since gcd(|p|/g, s/g) = 1
+            f = abs(p) // gcd(s, p)
+            v = [x * f for x in v]
+            v[pc] = -s * f // p
+        basis.append(tuple(Fraction(x) for x in v))
     return basis
-
-
-def _primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a rational vector to a primitive integer vector (gcd 1), keeping
-    the orientation of its first nonzero entry."""
-    _, (ints,) = numerators([v])
-    g = gcd(*ints) if ints else 0
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints)
 
 
 def pfaffian(M: RatMatrix) -> Fraction:
     """Pfaffian of an even-order skew-symmetric matrix.
 
-    Uses skew Gaussian pair-elimination (simultaneous row and column
-    operations that preserve the Pfaffian up to the tracked pivot factors),
-    not the 2^n recursive expansion.  Pf(M)^2 = det(M).
+    Fraction-free skew pair elimination on den * M, the Pfaffian analogue of
+    Bareiss: after the step on pair (k, k+1) each remaining entry (i, j) is
+    the Pfaffian of the principal submatrix on 0..k+1, i, j, so by the
+    overlapping-Pfaffian identity each division by the previous pivot is
+    exact.  The last pivot is Pf(den * M) = den^(n/2) Pf(M), up to the sign
+    of the pair swaps.
     """
     if not M.is_square():
         raise NonSquare(f"pfaffian needs a square matrix, got {M.rows}x{M.cols}")
@@ -317,32 +311,26 @@ def pfaffian(M: RatMatrix) -> Fraction:
     n = M.rows
     if n % 2 != 0:
         raise OddOrder(f"pfaffian needs even order, got {n}")
-    if n == 0:
-        return Fraction(1)
-    A = M.to_rows()
-    pf = Fraction(1)
+    A = [list(row) for row in M.num]
+    prev, sign = 1, 1
     for k in range(0, n, 2):
-        p = None
-        for j in range(k + 1, n):
-            if A[k][j] != 0:
-                p = j
-                break
+        p = next((j for j in range(k + 1, n) if A[k][j]), None)
         if p is None:
             return Fraction(0)
         if p != k + 1:
             A[k + 1], A[p] = A[p], A[k + 1]
             for row in A:
                 row[k + 1], row[p] = row[p], row[k + 1]
-            pf = -pf
-        a = A[k][k + 1]
-        pf *= a
+            sign = -sign
+        Ak, Ak1 = A[k], A[k + 1]
+        a = Ak[k + 1]
         for i in range(k + 2, n):
+            Ai = A[i]
             for j in range(i + 1, n):
-                delta = (A[k][j] * A[k + 1][i] - A[k][i] * A[k + 1][j]) / a
-                if delta:
-                    A[i][j] += delta
-                    A[j][i] = -A[i][j]
-    return pf
+                Ai[j] = (a * Ai[j] + Ak[j] * Ak1[i] - Ak[i] * Ak1[j]) // prev
+                A[j][i] = -Ai[j]
+        prev = a
+    return Fraction(sign * prev, M.den ** (n // 2))
 
 
 def principal_rank_subset(M: RatMatrix) -> tuple[int, ...]:
@@ -381,7 +369,7 @@ def principal_rank_subset(M: RatMatrix) -> tuple[int, ...]:
 def _schur_greedy(M: RatMatrix, target: int) -> list[int]:
     """The greedy of ``principal_rank_subset`` on a symmetric M of rank
     ``target``, sorted."""
-    _, D = numerators(M._data)
+    D = [list(row) for row in M.num]
     d = 1  # det of the chosen block; D holds d times its Schur complement
     rest = list(range(M.rows))
     S: list[int] = []

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import BadSubset, RankMismatch, ShapeMismatch
-from .forms import FlatForm
+from .forms import FlatForm, beta_coefficients, charge_point
 from .linalg import RatMatrix, kernel_basis, principal_rank_subset, rank
 
 
@@ -125,21 +125,14 @@ def build_alpha(c: int, n: int, S: Optional[Sequence[int]] = None) -> LinFormMat
     zero = LinForm.zero(w)
     rows = []
     for s in row_idx:
-        i, j = divmod(s, w)
+        i, j = charge_point(s, n)
         rows.append(tuple(LinForm.variable(j, w) if ip == i else zero for ip in range(c)))
     return LinFormMatrix(w, tuple(rows))
 
 
 def _beta_rows(F: FlatForm, col_idx: Sequence[int]) -> LinFormMatrix:
-    c, n = F.c, F.n
-    w = n + 1
-    rows = []
-    for k in range(c):
-        row = []
-        for s in col_idx:
-            row.append(LinForm(tuple(F.M[s, k * w + l] for l in range(w))))
-        rows.append(tuple(row))
-    return LinFormMatrix(w, tuple(rows))
+    rows = beta_coefficients(F, col_idx)
+    return LinFormMatrix(F.n + 1, tuple(tuple(LinForm(co) for co in row) for row in rows))
 
 
 def build_beta(F: FlatForm, r: int) -> LinFormMatrix:

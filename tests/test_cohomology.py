@@ -1,5 +1,7 @@
 import pytest
 
+from fractions import Fraction
+
 from orthinst import cohomology
 from orthinst.cli import run_command
 from orthinst.specfile import bundled_spec_path
@@ -9,6 +11,7 @@ from orthinst import (
     RankMismatch,
     RatMatrix,
     TensorSpec,
+    UsageError,
     bott_h,
     chi_line_bundle,
     flatten,
@@ -79,6 +82,43 @@ class TestSectionMap:
         sigma = section_map(F6, 12, 1)
         assert sigma.rows == 6 * 10  # degree-2 monomials
         assert sigma.cols == 24 * 4  # degree-1 monomials
+
+    def test_rational_form_scales_the_map(self, F5):
+        # the integer grid is taken over the common denominator of beta
+        q = Fraction(-2, 15)
+        scaled = FlatForm(F5.c, F5.n, F5.M.scale(q))
+        for k in (0, 1):
+            assert section_map(scaled, 10, k) == section_map(F5, 10, k).scale(q)
+
+
+class TestSectionSizeGuard:
+    # on c6p3 (c = 6, 2c + r = 24) the degree-5 map has 504 x 1344 =
+    # 677 376 cells and the degree-6 map 720 x 2016 = 1 451 520
+    def test_cap_lies_between_twists_5_and_6(self):
+        assert cohomology._section_shape(6, 3, 24, 5) == (504, 1344)
+        with pytest.raises(UsageError, match="720 x 2016 = 1451520 cells"):
+            cohomology._section_shape(6, 3, 24, 6)
+
+    @pytest.mark.parametrize("kmin, kmax", [(0, 6), (-10, 0)])
+    def test_twist_or_its_dual_over_the_cap_allocates_nothing(self, monkeypatch, F6, kmin, kmax):
+        # kmin = -10 reaches twist 6 through the Serre dual -k - n - 1
+        called = []
+        monkeypatch.setattr(cohomology, "build_beta", lambda *a: called.append("beta"))
+        monkeypatch.setattr(cohomology, "monomials", lambda *a: called.append("monomials"))
+        with pytest.raises(UsageError, match="degree-6 section map"):
+            h_table(F6, 12, kmin, kmax)
+        assert called == []
+
+    def test_section_map_over_the_cap(self, monkeypatch, F6):
+        monkeypatch.setattr(cohomology, "monomials", lambda *a: pytest.fail("allocated"))
+        with pytest.raises(UsageError):
+            section_map(F6, 12, 6)
+
+    @pytest.mark.parametrize("flag", [["--kmax", "20"], ["--kmin", "-25"]])
+    def test_cli_exits_1(self, flag):
+        rep = run_command(["cohomology", str(bundled_spec_path("c6p3")), *flag])
+        assert rep.exit_code == 1
+        assert rep.results["error"] == "UsageError"
 
 
 class TestHTable:

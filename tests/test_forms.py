@@ -16,6 +16,7 @@ from orthinst import (
     rank,
     wedge_membership,
 )
+from orthinst.forms import beta_coefficients, charge_point
 from orthinst.moduli import random_unimodular
 
 from conftest import random_skew, random_spec
@@ -142,6 +143,23 @@ class TestContractions:
     def test_zero_vector_gives_zero_slice(self, F6):
         assert F6.along_point([0] * 4) == RatMatrix.zeros(24, 6)
         assert F6.along_charge([0] * 6) == RatMatrix.zeros(24, 4)
+
+    def test_beta_coefficients_read_the_blocks(self, F_deficient):
+        # entry [k][t] is M[s, (k, l)] over l for s = col_idx[t], on integer
+        # and rational forms; equal values share one Fraction
+        for F in contraction_forms(F_deficient):
+            w = F.n + 1
+            col_idx = list(range(0, F.size, 2))
+            coeffs = beta_coefficients(F, col_idx)
+            assert coeffs == [[tuple(F.M[s, k * w + l] for l in range(w)) for s in col_idx] for k in range(F.c)]
+            values = [x for row in coeffs for co in row for x in co]
+            assert len({id(x) for x in values}) == len(set(values))
+
+    def test_charge_point_splits_the_flat_index(self):
+        for n in (1, 3, 5):
+            assert [charge_point(i * (n + 1) + j, n) for i in range(4) for j in range(n + 1)] == [
+                (i, j) for i in range(4) for j in range(n + 1)
+            ]
 
     def test_wrong_length_rejected(self, F6):
         with pytest.raises(ShapeMismatch):

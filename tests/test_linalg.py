@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -100,17 +100,62 @@ def greedy_by_ranks(M):
     return tuple(sorted(S))
 
 
-def integer_rows_by_multiplying(M):
-    """Reference: the denominator clearing as Fraction products, int(x * m)."""
-    out = []
-    scale = Fraction(1)
-    for row in M.to_rows():
-        m = 1
-        for x in row:
-            m = lcm(m, x.denominator)
-        scale *= m
-        out.append([int(x * m) for x in row])
-    return out, scale
+def pfaffian_by_fractions(rows):
+    """Reference: the skew pair elimination in Fraction arithmetic."""
+    A = [[Fraction(x) for x in r] for r in rows]
+    n = len(A)
+    pf = Fraction(1)
+    for k in range(0, n, 2):
+        p = next((j for j in range(k + 1, n) if A[k][j] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k + 1:
+            A[k + 1], A[p] = A[p], A[k + 1]
+            for row in A:
+                row[k + 1], row[p] = row[p], row[k + 1]
+            pf = -pf
+        a = A[k][k + 1]
+        pf *= a
+        for i in range(k + 2, n):
+            for j in range(i + 1, n):
+                delta = (A[k][j] * A[k + 1][i] - A[k][i] * A[k + 1][j]) / a
+                if delta:
+                    A[i][j] += delta
+                    A[j][i] = -A[i][j]
+    return pf
+
+
+def kernel_by_fractions(rows, ncols):
+    """Reference: Fraction Gauss elimination to an echelon form, Fraction
+    back-substitution for each free column, then the primitive integer
+    multiple (a positive scale, so the free entry stays positive)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][col] / m[r][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for rrow in range(len(pivots) - 1, -1, -1):
+            pc = pivots[rrow]
+            if pc > free:
+                continue
+            s = sum(m[rrow][j] * v[j] for j in range(pc + 1, ncols) if v[j])
+            v[pc] = -s / m[rrow][pc]
+        d = lcm(*[x.denominator for x in v])
+        ints = [int(x * d) for x in v]
+        g = gcd(*ints)
+        basis.append(tuple(Fraction(x, g) for x in ints))
+    return basis
 
 
 def rand_rat_matrix(rng, rows, cols, box=5):
@@ -189,37 +234,115 @@ class TestRank:
         assert rank(B) == 2 and len(eliminations) == 2
 
 
-class TestIntegerRows:
-    """The numerator read-off against the Fraction-product conversion."""
+def rand_deficient_matrix(rng, rows, cols, box=3):
+    """A rational matrix whose rows are rational combinations of fewer
+    random rows, with some columns zeroed, so its rank is deficient."""
+    k = rng.randint(0, min(rows, cols) - 1)
+    base = [[Fraction(rng.randint(-box, box), rng.randint(1, 4)) for _ in range(cols)] for _ in range(k)]
+    zero = {j for j in range(cols) if rng.random() < 0.2}
+    out = []
+    for _ in range(rows):
+        coef = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(k)]
+        out.append([0 if j in zero else sum((c * b[j] for c, b in zip(coef, base)), Fraction(0)) for j in range(cols)])
+    return RatMatrix(out, cols=cols)
 
-    def test_same_ints_and_scale(self):
-        rng = random.Random(31)
-        for _ in range(60):
-            M = rand_rat_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            assert linalg._integer_rows(M) == integer_rows_by_multiplying(M)
 
-    def test_rank_det_kernel_agree(self, monkeypatch):
+def rand_sparse_skew(rng, n, rational):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    density = rng.choice([0.2, 0.4, 0.7, 1.0])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                x = Fraction(rng.randint(-4, 4), rng.randint(1, 5) if rational else 1)
+                rows[i][j], rows[j][i] = x, -x
+    return RatMatrix(rows, cols=n)
+
+
+class TestStorage:
+    """Integer rows over one least positive denominator."""
+
+    def test_every_spelling_gives_one_value(self):
+        ints = [RatMatrix([[1, 0], [-3, 2]]), RatMatrix([[Fraction(1), "0"], [Fraction(-6, 2), "2"]])]
+        assert [(M.den, M.num) for M in ints] == [(1, ((1, 0), (-3, 2)))] * 2
+        assert ints[0] == ints[1] and hash(ints[0]) == hash(ints[1])
+        mats = [
+            RatMatrix([[Fraction(1, 2), Fraction(0)], [Fraction(-3, 4), Fraction(5, 6)]]),
+            RatMatrix([["1/2", "0"], ["-3/4", "10/12"]]),
+            RatMatrix([[Fraction(2, 4), 0], ["-3/4", Fraction(5, 6)]]),
+            RatMatrix.from_ints([[6, 0], [-9, 10]], 12),
+        ]
+        for M in mats:
+            assert (M.den, M.num) == (12, ((6, 0), (-9, 10)))
+            assert M == mats[0] and hash(M) == hash(mats[0])
+            assert M[1, 1] == Fraction(5, 6) and M.row(1) == (Fraction(-3, 4), Fraction(5, 6))
+        assert RatMatrix.from_ints([[1, 2]], 3) != RatMatrix([[1, 2]])
+
+    def test_from_ints_is_in_lowest_terms(self):
+        rng = random.Random(34)
+        for _ in range(200):
+            r, c = rng.randint(0, 4), rng.randint(0, 4)
+            f = rng.choice([1, 2, 6, 35])
+            num = [[f * rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
+            den = rng.choice([-1, 1]) * f * rng.randint(1, 6)
+            M = RatMatrix.from_ints(num, den, cols=c)
+            assert M.den > 0
+            assert gcd(M.den, *[x for row in M.num for x in row]) == 1
+            assert M.to_rows() == [[Fraction(x, den) for x in row] for row in num]
+            assert M == RatMatrix([[Fraction(x, den) for x in row] for row in num], cols=c)
+
+    def test_float_entry_raises(self):
+        with pytest.raises(TypeError):
+            RatMatrix([[1, 0.5]])
+        with pytest.raises(TypeError):
+            RatMatrix([[1, 2]]).scale(0.5)
+
+    def test_rank_det_kernel_against_oracles(self):
         rng = random.Random(32)
-        cases = []
+        squares = deficient = 0
         for _ in range(60):
             r, c = rng.randint(1, 6), rng.randint(1, 6)
-            M = rand_rat_matrix(rng, r, c, box=2)
-            if rng.random() < 0.5 and r > 1:
-                # a repeated row, scaled, makes rank deficiency common
-                rows = M.to_rows()
-                rows[-1] = [Fraction(2, 3) * x for x in rows[0]]
-                M = RatMatrix(rows, cols=c)
-            cases.append(M)
-        squares = [M for M in cases if M.is_square()]
-        assert len(squares) >= 5 and any(rank(M) < M.cols for M in squares)
+            M = rand_rat_matrix(rng, r, c, box=2) if rng.random() < 0.5 else rand_deficient_matrix(rng, r, c)
+            rows = M.to_rows()
+            rk = rank_gauss_oracle(rows, c)
+            assert rank(M) == rk
+            deficient += rk < min(r, c)
+            if r == c:
+                squares += 1
+                assert det(M) == det_cofactor(rows)
+            k = min(r, c)
+            assert det(M.submatrix(range(k), range(k))) == det_cofactor([row[:k] for row in rows[:k]])
+            basis = kernel_basis(M)
+            assert len(basis) == c - rk
+            assert all(x == 0 for v in basis for x in M.mul_vector(v))
+            assert basis == kernel_by_fractions(rows, c)
+        assert squares >= 5 and deficient >= 20
 
-        def facts(M):
-            fresh = RatMatrix(M.to_rows(), cols=M.cols)  # no rank memo
-            return rank(fresh), det(fresh) if M.is_square() else None, kernel_basis(fresh)
 
-        new = [facts(M) for M in cases]
-        monkeypatch.setattr(linalg, "_integer_rows", integer_rows_by_multiplying)
-        assert [facts(M) for M in cases] == new
+class TestIntegerRoutines:
+    """The integer pair elimination and back-substitution against the
+    Fraction versions they replace."""
+
+    def test_pfaffian_matches_fraction_elimination(self):
+        rng = random.Random(35)
+        zero = swaps = 0
+        for t in range(1200):
+            n = 2 * rng.randint(0, 5)
+            M = rand_sparse_skew(rng, n, rational=t % 2 == 1)
+            pf = pfaffian(M)
+            assert pf == pfaffian_by_fractions(M.to_rows())
+            assert pf * pf == det(M)
+            zero += pf == 0
+            swaps += n > 2 and M[0, 1] == 0 and pf != 0
+        assert zero >= 100 and swaps >= 50
+
+    def test_kernel_matches_fraction_back_substitution(self):
+        rng = random.Random(36)
+        for _ in range(1200):
+            r, c = rng.randint(1, 7), rng.randint(1, 7)
+            M = rand_deficient_matrix(rng, r, c)
+            basis = kernel_basis(M)
+            assert basis == kernel_by_fractions(M.to_rows(), c)
+            assert len(basis) > c - min(r, c)
 
 
 class TestDet:

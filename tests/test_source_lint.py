@@ -34,3 +34,16 @@ def test_no_block_data_shadow():
             if node.attr == "source" or (node.attr == "terms" and path.name not in ("forms.py", "specfile.py")):
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert found == []
+
+
+def test_integer_storage_read_only_in_linalg_and_forms():
+    # a RatMatrix is integer rows `num` over one denominator `den`; only the
+    # elimination core and the flat-form contractions read that storage
+    found = []
+    for path in SOURCES:
+        if path.name in ("linalg.py", "forms.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in ("num", "den"):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert found == []
