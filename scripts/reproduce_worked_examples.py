@@ -23,7 +23,8 @@ from orthinst import (
     verify_instanton,
     verify_monad_identity,
 )
-from orthinst.cli import format_linform_matrix, format_rat_matrix
+from orthinst.cli import _grid
+from orthinst.jsonio import linform_matrix_json, matrix_json
 from orthinst.specfile import load_bundled
 
 
@@ -41,11 +42,11 @@ def walkthrough(name: str, samples: int, seed: int, box: int) -> None:
     beta = build_beta(F, r)
     print(f"monad identity beta.alpha = 0: {verify_monad_identity(alpha, beta)}")
     print("beta^t =")
-    print(format_linform_matrix(beta.transpose()))
+    print(_grid(linform_matrix_json(beta.transpose())))
 
     P, Q = [1, 2, 3, 4], [5, 6, 7, 8]
     print(f"\npencil at P={P}, Q={Q}:")
-    print(format_rat_matrix(gamma_eval(F, P, Q).M))
+    print(_grid(matrix_json(gamma_eval(F, P, Q).M)))
     print("verdict:", splitting_type(F, P, Q).verdict)
     P0, Q0 = [1, 0, 0, 0], [0, 0, 0, 1]
     print(f"verdict on the line through {P0} and {Q0}:", splitting_type(F, P0, Q0).verdict)

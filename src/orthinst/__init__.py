@@ -38,7 +38,6 @@ from .errors import (
 from .forms import FlatForm, TensorSpec, act, flatten, is_wedge_matrix, wedge_membership
 from .kronecker import (
     GammaEval,
-    K12Status,
     KroneckerReport,
     LineWitness,
     ScanReport,

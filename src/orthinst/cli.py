@@ -10,6 +10,7 @@ bytes are deterministic for a fixed input and seed, except the timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -27,10 +28,9 @@ from .errors import (
     UsageError,
 )
 from .kronecker import gamma_eval, kronecker_conditions, scan_lines, splitting_type
-from .linalg import RatMatrix, principal_rank_subset
+from .linalg import principal_rank_subset
 from .moduli import moduli_dim
 from .monad import (
-    LinFormMatrix,
     NondegStrategy,
     build_alpha,
     build_beta,
@@ -87,15 +87,9 @@ def _grid(cells: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def format_rat_matrix(M: RatMatrix) -> str:
-    return _grid(jsonio.matrix_json(M))
-
-
-def format_linform_matrix(L: LinFormMatrix) -> str:
-    return _grid(jsonio.linform_matrix_json(L))
-
-
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on first use, then shared: parse_args leaves the parser unchanged
     p = _Parser(prog="orthinst", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -242,8 +236,8 @@ def _dispatch(args, argv) -> Report:
             "identity_zero": identity_ok,
         }
         human = (
-            "alpha =\n" + format_linform_matrix(alpha) + "\n\n"
-            "beta^t =\n" + format_linform_matrix(beta.transpose()) + "\n\n"
+            "alpha =\n" + _grid(results["alpha"]) + "\n\n"
+            "beta^t =\n" + _grid(results["beta_t"]) + "\n\n"
             + ("composition beta.alpha = 0: ok" if identity_ok else "composition beta.alpha != 0: FAIL")
         )
         return Report(tuple(argv), digest, results, (), 0.0, 0 if identity_ok else MATH_EXIT, human)
@@ -253,7 +247,7 @@ def _dispatch(args, argv) -> Report:
         v = splitting_type(F, args.P, args.Q)
         results = {"gamma": jsonio.gamma_json(g), "split": jsonio.verdict_json(v)}
         human = (
-            f"gamma(P={args.P}, Q={args.Q}) =\n" + format_rat_matrix(g.M)
+            f"gamma(P={args.P}, Q={args.Q}) =\n" + _grid(results["gamma"]["matrix"])
             + f"\ndet = {jsonio.rat_str(v.determinant)}"
             + (f", pfaffian = {jsonio.rat_str(v.pfaffian)}" if v.pfaffian is not None else "")
             + f"\nverdict: {v.verdict}"

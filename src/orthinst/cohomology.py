@@ -88,24 +88,20 @@ def _section_shape(c: int, n: int, wdim: int, k: int) -> tuple[int, int]:
 
 
 def _assemble_section_matrix(beta: LinFormMatrix, c: int, n: int, k: int) -> RatMatrix:
-    wdim = beta.cols
-    rows_n, cols_n = _section_shape(c, n, wdim, k)
+    """Scatter each nonzero coefficient of x_l in entry (m, w) of the second
+    map to block (m, w), mapping the source monomial u to u * x_l."""
+    rows_n, cols_n = _section_shape(c, n, beta.cols, k)
     src = monomials(n, k)
     dst = monomials(n, k + 1)
     dst_index = {m: t for t, m in enumerate(dst)}
-    den = lcm(*[x.denominator for row in beta.entries for form in row for x in form.coeffs])
+    bumped = [[dst_index[u[:l] + (u[l] + 1,) + u[l + 1 :]] for u in src] for l in range(n + 1)]
+    nonzeros = [(l, m, w, x) for l, P in enumerate(beta.parts) for m, w, x in P.nonzeros()]
+    den = lcm(*(x.denominator for *_, x in nonzeros))
     grid = [[0] * cols_n for _ in range(rows_n)]
-    for m in range(c):
-        for w in range(wdim):
-            form = beta.entries[m][w].coeffs
-            coeffs = [(l, x.numerator * (den // x.denominator)) for l, x in enumerate(form) if x]
-            for s, mono in enumerate(src):
-                col = w * len(src) + s
-                for l, coef in coeffs:
-                    bumped = list(mono)
-                    bumped[l] += 1
-                    row = m * len(dst) + dst_index[tuple(bumped)]
-                    grid[row][col] += coef
+    for l, m, w, x in nonzeros:
+        coef = x.numerator * (den // x.denominator)
+        for s, t in enumerate(bumped[l]):
+            grid[m * len(dst) + t][w * len(src) + s] += coef
     return RatMatrix.from_ints(grid, den, cols=cols_n)
 
 

@@ -15,18 +15,18 @@ indices; ``wedge_membership`` tests both conditions.
 
 A flat form is its matrix M and nothing else.  Only this module maps flat
 indices to (charge, point) pairs; other modules use the blocks M(i,k)
-(``FlatForm.block``, the pencil's coefficients) and the contractions
+(``FlatForm.block``, the pencil's coefficients), the contractions
 ``along_point(v)``: h -> M(h (x) v), ``along_charge(h)``: v -> M(h (x) v)
-and ``pencil(P, Q)``; ``beta_coefficients`` and ``charge_point`` serve the
-monad maps.  M is the integer view: every contraction and ``act`` read the
-integer rows ``M.num`` over ``M.den`` and return integer rows over a
-denominator, with no Fraction arithmetic.
+and ``pencil(P, Q)``, and ``point_indices``, the flat indices of one point
+coordinate, from which the monad maps take their coefficient matrices.  M is
+the integer view: every contraction and ``act`` read the integer rows
+``M.num`` over ``M.den`` and return integer rows over a denominator, with no
+Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -151,10 +151,11 @@ class FlatForm:
 
 
 def _scaled(vec: Sequence, length: int) -> tuple[int, list[int]]:
-    """A contraction vector v as (d, d*v), d its common denominator."""
+    """A contraction vector v of ints, Fractions or strings as (d, d*v), d
+    its common denominator."""
     if len(vec) != length:
         raise ShapeMismatch(f"contraction vector must have {length} entries, got {len(vec)}")
-    V = RatMatrix([[Fraction(x) for x in vec]])
+    V = RatMatrix([vec], cols=length)
     return V.den, V.num[0]
 
 
@@ -163,18 +164,9 @@ def _combine(rows, terms: list[list[tuple[int, int]]]) -> list[list[int]]:
     return [[sum(r[a] * y for a, y in t) for t in terms] for r in rows]
 
 
-def charge_point(s: int, n: int) -> tuple[int, int]:
-    """The (charge, point) pair (i, j) of the flat index s = i*(n+1) + j."""
-    return divmod(s, n + 1)
-
-
-def beta_coefficients(F: FlatForm, col_idx: Sequence[int]) -> list[list[tuple[Fraction, ...]]]:
-    """Coefficients of the second monad map: entry [k][t] is the row
-    (M[s, (k, l)] for l = 0..n) with s = col_idx[t].  Each distinct entry
-    value becomes one Fraction, shared by every place it occurs."""
-    w, R = F.n + 1, F.M.num
-    frac = {x: Fraction(x, F.M.den) for x in set().union(*(R[s] for s in col_idx))}
-    return [[tuple(frac[x] for x in R[s][k * w : (k + 1) * w]) for s in col_idx] for k in range(F.c)]
+def point_indices(c: int, n: int, l: int) -> range:
+    """The flat indices (i, l) = i*(n+1) + l, i = 0..c-1, of point coordinate l."""
+    return range(l, c * (n + 1), n + 1)
 
 
 def flatten(spec: TensorSpec) -> FlatForm:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cohomology import CohomTable, InstantonReport
-from .kronecker import GammaEval, K12Status, KroneckerReport, ScanReport, SplitVerdict
+from .kronecker import GammaEval, KroneckerReport, ScanReport, SplitVerdict
 from .linalg import RatMatrix
 from .moduli import ModuliInfo, OrbitProbeReport
 from .monad import A2Status, ConditionReport, LinFormMatrix
@@ -86,21 +86,10 @@ def scan_report_json(rep: ScanReport) -> dict:
     }
 
 
-def k12_json(s: K12Status) -> dict:
-    out: dict = {"kind": s.kind}
-    if s.samples is not None:
-        out["samples"] = s.samples
-    if s.witness_v is not None:
-        out["v"] = int_vec(s.witness_v)
-    if s.witness_h is not None:
-        out["h"] = int_vec(s.witness_h)
-    return out
-
-
 def kronecker_report_json(rep: KroneckerReport) -> dict:
     return {
-        "k1": k12_json(rep.k1),
-        "k2": k12_json(rep.k2),
+        "k1": a2_json(rep.k1),
+        "k2": a2_json(rep.k2),
         "rank_gamma_hat": rep.rank_gamma_hat,
         "expected_rank_2c_plus_r": rep.expected_rank,
         "printed_alt_rank_2n_plus_r": rep.printed_alt_rank,

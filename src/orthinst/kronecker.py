@@ -20,11 +20,14 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateLine, OrthinstError
 from .forms import FlatForm
-from .linalg import RatMatrix, det, kernel_basis, pfaffian, rank
+from .linalg import RatMatrix, _as_exact, det, kernel_basis, pfaffian, rank
+from .monad import A2Status
 
 
-def _frac_point(p: Sequence, w: int) -> tuple[Fraction, ...]:
-    pt = tuple(Fraction(x) for x in p)
+def _exact_point(p: Sequence, w: int) -> tuple[int | Fraction, ...]:
+    """The coordinates as ints and Fractions (strings are parsed, anything
+    else raises ``TypeError``)."""
+    pt = tuple(_as_exact(x) for x in p)
     if len(pt) != w:
         raise DegenerateLine(f"point must have {w} coordinates, got {len(pt)}")
     return pt
@@ -39,8 +42,8 @@ def line_span_ok(P: Sequence, Q: Sequence) -> bool:
 class GammaEval:
     """Value of the line pencil at an ordered point pair."""
 
-    P: tuple[Fraction, ...]
-    Q: tuple[Fraction, ...]
+    P: tuple[int | Fraction, ...]
+    Q: tuple[int | Fraction, ...]
     M: RatMatrix
 
 
@@ -61,8 +64,8 @@ def gamma_eval(F: FlatForm, P: Sequence, Q: Sequence) -> GammaEval:
     rescales G but never changes the Trivial/Jumping verdict.
     """
     w = F.n + 1
-    Pt = _frac_point(P, w)
-    Qt = _frac_point(Q, w)
+    Pt = _exact_point(P, w)
+    Qt = _exact_point(Q, w)
     if not line_span_ok(Pt, Qt):
         raise DegenerateLine("points are proportional and span no line")
     return GammaEval(Pt, Qt, F.pencil(Pt, Qt))
@@ -168,20 +171,9 @@ def evaluate_bilinear(G: RatMatrix, P: Sequence, Q: Sequence) -> Fraction:
 
 
 @dataclass(frozen=True)
-class K12Status:
-    kind: str  # CertifiedFullRank | SampledNoCounterexample | CounterexampleFound
-    samples: Optional[int] = None
-    witness_v: Optional[tuple[int, ...]] = None
-    witness_h: Optional[tuple[int, ...]] = None
-
-    def is_pass(self) -> bool:
-        return self.kind in ("CertifiedFullRank", "SampledNoCounterexample")
-
-
-@dataclass(frozen=True)
 class KroneckerReport:
-    k1: K12Status
-    k2: K12Status  # transpose-dual of k1: injectivity of the slices dualizes to surjectivity
+    k1: A2Status  # the A2 statement read on the pencil module
+    k2: A2Status  # transpose-dual of k1: injectivity of the slices dualizes to surjectivity
     rank_gamma_hat: int
     expected_rank: int  # 2c + r, the operative reading
     printed_alt_rank: int  # 2n + r, reported for comparison only
@@ -210,9 +202,9 @@ def kronecker_conditions(
     w = n + 1
     rank_g = rank(F.M)
 
-    status: K12Status
+    status: A2Status
     if rank_g == F.size:
-        status = K12Status("CertifiedFullRank")
+        status = A2Status("CertifiedFullRank")
     else:
         hit = None
         sweeps = [[1 if t == j else 0 for t in range(w)] for j in range(w)]
@@ -227,9 +219,9 @@ def kronecker_conditions(
                 hit = (tuple(int(x) for x in v), tuple(int(x) for x in ker[0]))
                 break
         if hit is not None:
-            status = K12Status("CounterexampleFound", witness_v=hit[0], witness_h=hit[1])
+            status = A2Status("CounterexampleFound", witness_h=hit[1], witness_v=hit[0])
         else:
-            status = K12Status("SampledNoCounterexample", samples=budget)
+            status = A2Status("SampledNoCounterexample", samples=budget)
 
     expected = 2 * c + r
     printed = 2 * n + r

@@ -8,7 +8,8 @@ for symmetric matrices.
 
 Every elimination runs on the stored integer rows, with no conversion and no
 Fraction arithmetic; a Fraction appears only in a result, as an integer over
-a power of the denominator.  ``rank`` is memoised on the matrix, so the
+a power of the denominator.  ``nonzeros`` reads a sparse matrix, such as a
+coefficient matrix of a monad map, without touching its zero entries.  ``rank`` is memoised on the matrix, so the
 callers that all ask for the rank of one form share one elimination.
 ``principal_rank_subset`` returns the whole index set at full rank and
 otherwise runs its greedy in one fraction-free pass over the Schur
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NonSquare, NotSkew, NotSymmetric, OddOrder, RankMismatch, ShapeMismatch
@@ -125,6 +127,11 @@ class RatMatrix:
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def nonzeros(self) -> list[tuple[int, int, Fraction]]:
+        """(i, j, M[i, j]) for the nonzero entries only, row-major."""
+        d = self.den
+        return [(i, j, Fraction(x, d)) for i, r in enumerate(self.num) for j, x in enumerate(r) if x]
+
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -168,7 +175,7 @@ class RatMatrix:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         ot = [[r[j] for r in other.num] for j in range(other.cols)]
         return RatMatrix.from_ints(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.num],
+            [[sum(map(mul, row, col)) for col in ot] for row in self.num],
             self.den * other.den,
             cols=other.cols,
         )

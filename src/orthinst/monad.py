@@ -10,6 +10,12 @@ is a wedge member.  When the rank 2c+r is smaller than c(n+1) the middle
 space is realized on a rank-carrying principal index set S: beta keeps the
 columns indexed by S, alpha the rows indexed by S.
 
+A map is stored as its coefficient matrices, beta = sum_l x_l B_l with
+constant ``RatMatrix`` parts B_l (the Kronecker module of the map), so the
+composition identity is a handful of exact integer products and no entry is
+ever a Fraction form; the grid of ``LinForm`` entries is a view built on
+first use, for display.
+
 ``check_conditions`` evaluates the three defining conditions of a verified
 form (rank equals 2c+r, no decomposable kernel vector, symmetric invertible
 principal block of order 2c+r) together with the charge and rank-bound
@@ -21,10 +27,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import BadSubset, RankMismatch, ShapeMismatch
-from .forms import FlatForm, beta_coefficients, charge_point
+from .forms import FlatForm, point_indices
 from .linalg import RatMatrix, kernel_basis, principal_rank_subset, rank
 
 
@@ -33,24 +40,6 @@ class LinForm:
     """A homogeneous linear form sum_j coeffs[j] * x_j."""
 
     coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def zero(cls, nvars: int) -> "LinForm":
-        return cls(tuple(Fraction(0) for _ in range(nvars)))
-
-    @classmethod
-    def variable(cls, j: int, nvars: int) -> "LinForm":
-        return cls(tuple(Fraction(1 if l == j else 0) for l in range(nvars)))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        return sum((c * Fraction(p) for c, p in zip(self.coeffs, point)), Fraction(0))
 
     def __str__(self) -> str:
         parts = []
@@ -72,67 +61,72 @@ class LinForm:
 
 @dataclass(frozen=True)
 class LinFormMatrix:
-    """Dense matrix whose entries are linear forms in the same n+1 variables."""
+    """Matrix of linear forms sum_l x_l * parts[l] in n+1 variables, one
+    constant coefficient matrix per variable, all of one shape."""
 
-    nvars: int
-    entries: tuple[tuple[LinForm, ...], ...]
+    parts: tuple[RatMatrix, ...]
 
     def __post_init__(self):
-        for row in self.entries:
-            for e in row:
-                if e.nvars != self.nvars:
-                    raise ShapeMismatch("mixed variable counts in linear-form matrix")
+        if len({(P.rows, P.cols) for P in self.parts}) != 1:
+            raise ShapeMismatch("a linear-form matrix needs coefficient matrices of one shape")
+
+    @property
+    def nvars(self) -> int:
+        return len(self.parts)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return self.parts[0].rows
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return self.parts[0].cols
+
+    @cached_property
+    def entries(self) -> tuple[tuple[LinForm, ...], ...]:
+        """The grid of linear forms, read off the nonzero coefficients (a
+        zero coefficient is the int 0)."""
+        grid = [[[0] * self.nvars for _ in range(self.cols)] for _ in range(self.rows)]
+        for l, P in enumerate(self.parts):
+            for i, j, x in P.nonzeros():
+                grid[i][j][l] = x
+        return tuple(tuple(LinForm(tuple(e)) for e in row) for row in grid)
 
     def __getitem__(self, ij) -> LinForm:
         i, j = ij
         return self.entries[i][j]
 
     def transpose(self) -> "LinFormMatrix":
-        return LinFormMatrix(
-            self.nvars,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        return LinFormMatrix(tuple(P.transpose() for P in self.parts))
 
     def evaluate(self, point: Sequence) -> RatMatrix:
-        return RatMatrix(
-            [[e.evaluate(point) for e in row] for row in self.entries],
-            cols=self.cols,
-        )
+        """The constant matrix sum_l point[l] * parts[l]."""
+        return sum((P.scale(p) for P, p in zip(self.parts, point)), RatMatrix.zeros(self.rows, self.cols))
 
 
 def build_alpha(c: int, n: int, S: Optional[Sequence[int]] = None) -> LinFormMatrix:
-    """First monad map: column i' carries x_0..x_n in its i'-th block.
+    """First monad map: column i' carries x_0..x_n in its i'-th block, so
+    its part A_l selects the rows (i', l).
 
     With ``S`` the rows are restricted to that index set (a choice of basis
     for the middle space in the non-maximal case).
     """
-    w = n + 1
-    size = c * w
+    size = c * (n + 1)
     if S is None:
         row_idx = range(size)
     else:
         row_idx = sorted(set(S))
         if any(s < 0 or s >= size for s in row_idx):
             raise BadSubset(f"subset entries must lie in [0, {size})")
-    zero = LinForm.zero(w)
-    rows = []
-    for s in row_idx:
-        i, j = charge_point(s, n)
-        rows.append(tuple(LinForm.variable(j, w) if ip == i else zero for ip in range(c)))
-    return LinFormMatrix(w, tuple(rows))
+    eye = RatMatrix.identity(size)
+    return LinFormMatrix(tuple(eye.submatrix(row_idx, point_indices(c, n, l)) for l in range(n + 1)))
 
 
 def _beta_rows(F: FlatForm, col_idx: Sequence[int]) -> LinFormMatrix:
-    rows = beta_coefficients(F, col_idx)
-    return LinFormMatrix(F.n + 1, tuple(tuple(LinForm(co) for co in row) for row in rows))
+    # part B_l[k][t] = M[col_idx[t], (k, l)]
+    return LinFormMatrix(
+        tuple(F.M.submatrix(col_idx, point_indices(F.c, F.n, l)).transpose() for l in range(F.n + 1))
+    )
 
 
 def build_beta(F: FlatForm, r: int) -> LinFormMatrix:
@@ -166,33 +160,21 @@ def build_beta_full(F: FlatForm) -> LinFormMatrix:
 
 def verify_monad_identity(alpha: LinFormMatrix, beta: LinFormMatrix) -> bool:
     """True iff beta . alpha = 0, i.e. every coefficient of every monomial
-    x_j x_l in every entry of the product vanishes exactly."""
+    x_j x_l in every entry of the product vanishes exactly.
+
+    The product is sum_{j,l} x_j x_l B_j A_l, so the coefficients are
+    B_j A_j and B_j A_l + B_l A_j for j < l.  Once every B_j A_j is zero,
+    the cross term equals (B_j + B_l)(A_j + A_l): C(n+2, 2) exact products.
+    """
     if beta.cols != alpha.rows or beta.nvars != alpha.nvars:
         raise ShapeMismatch(
             f"cannot compose beta ({beta.rows}x{beta.cols}) with alpha ({alpha.rows}x{alpha.cols})"
         )
+    B, A = beta.parts, alpha.parts
+    if any((Bj @ Aj).nonzeros() for Bj, Aj in zip(B, A)):
+        return False
     w = beta.nvars
-    for k in range(beta.rows):
-        for i in range(alpha.cols):
-            acc = [[Fraction(0)] * w for _ in range(w)]
-            for t in range(beta.cols):
-                b = beta.entries[k][t]
-                a = alpha.entries[t][i]
-                if b.is_zero() or a.is_zero():
-                    continue
-                for j in range(w):
-                    if b.coeffs[j] == 0:
-                        continue
-                    for l in range(w):
-                        if a.coeffs[l] != 0:
-                            acc[j][l] += b.coeffs[j] * a.coeffs[l]
-            for j in range(w):
-                if acc[j][j] != 0:
-                    return False
-                for l in range(j + 1, w):
-                    if acc[j][l] + acc[l][j] != 0:
-                        return False
-    return True
+    return not any(((B[j] + B[l]) @ (A[j] + A[l])).nonzeros() for j in range(w) for l in range(j + 1, w))
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +193,9 @@ class NondegStrategy:
 
 @dataclass(frozen=True)
 class A2Status:
+    """Status of the no-decomposable-kernel condition: A2 of a form, and K1
+    and K2 of its pencil module, which state the same condition."""
+
     kind: str  # CertifiedFullRank | SampledNoCounterexample | CounterexampleFound | Unknown
     samples: Optional[int] = None
     witness_h: Optional[tuple[int, ...]] = None

@@ -9,12 +9,13 @@ identity and the line-pencil values, which is checked in test_monad.
 import re
 from fractions import Fraction
 
-from orthinst import LinForm, LinFormMatrix
+from orthinst import LinFormMatrix, RatMatrix
 
 _TERM = re.compile(r"([+-]?\d*)x(\d+)")
 
 
-def lf(text: str, nvars: int = 4) -> LinForm:
+def lf(text: str, nvars: int = 4) -> list[Fraction]:
+    """The coefficients of x_0..x_{nvars-1} in a displayed linear form."""
     coeffs = [Fraction(0)] * nvars
     if text.strip() != "0":
         for m in _TERM.finditer(text):
@@ -26,11 +27,13 @@ def lf(text: str, nvars: int = 4) -> LinForm:
             else:
                 val = Fraction(c)
             coeffs[int(m.group(2))] += val
-    return LinForm(tuple(coeffs))
+    return coeffs
 
 
 def grid_to_linform_matrix(grid, nvars: int = 4) -> LinFormMatrix:
-    return LinFormMatrix(nvars, tuple(tuple(lf(cell, nvars) for cell in row) for row in grid))
+    """The displayed grid as its coefficient matrices, one per variable."""
+    coeffs = [[lf(cell, nvars) for cell in row] for row in grid]
+    return LinFormMatrix(tuple(RatMatrix([[e[l] for e in row] for row in coeffs]) for l in range(nvars)))
 
 
 BETA_T_C6P3 = [

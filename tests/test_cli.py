@@ -1,5 +1,6 @@
 import json
 
+from orthinst import cli
 from orthinst.cli import run_command
 from orthinst.specfile import bundled_spec_path
 
@@ -142,3 +143,22 @@ class TestUsage:
     def test_no_command(self):
         rep = run_command([])
         assert rep.exit_code == 1
+
+    def test_shared_parser_reports_match_fresh_parsers(self):
+        # the parser is built once per process; a usage error must leave it
+        # as a fresh one for the calls that follow
+        argvs = [
+            ["verify"],
+            ["kronecker", C6, "--json"],
+            ["splitting", C5, "--P", "1,2,3,4", "--Q", "2,-1,0,3"],
+        ]
+        cli._build_parser.cache_clear()
+        shared = [run_command(a) for a in argvs]
+        fresh = []
+        for a in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run_command(a))
+        assert shared[0].exit_code == 1 and [r.exit_code for r in shared[1:]] == [0, 0]
+        for a, b in zip(shared, fresh):
+            assert strip_timing(a.to_json_dict()) == strip_timing(b.to_json_dict())
+            assert a.human == b.human

@@ -11,12 +11,15 @@ from orthinst import (
     Singular,
     TensorSpec,
     act,
+    build_beta,
+    build_beta_full,
     flatten,
     is_wedge_matrix,
+    principal_rank_subset,
     rank,
     wedge_membership,
 )
-from orthinst.forms import beta_coefficients, charge_point
+from orthinst.forms import point_indices
 from orthinst.moduli import random_unimodular
 
 from conftest import random_skew, random_spec
@@ -144,22 +147,32 @@ class TestContractions:
         assert F6.along_point([0] * 4) == RatMatrix.zeros(24, 6)
         assert F6.along_charge([0] * 6) == RatMatrix.zeros(24, 4)
 
-    def test_beta_coefficients_read_the_blocks(self, F_deficient):
-        # entry [k][t] is M[s, (k, l)] over l for s = col_idx[t], on integer
-        # and rational forms; equal values share one Fraction
+    def test_monad_parts_read_the_blocks(self, F_deficient):
+        # part l of the second map is B_l[k][t] = M[s, (k, l)] for s = col_idx[t],
+        # read through point_indices, on integer and rational forms
         for F in contraction_forms(F_deficient):
             w = F.n + 1
-            col_idx = list(range(0, F.size, 2))
-            coeffs = beta_coefficients(F, col_idx)
-            assert coeffs == [[tuple(F.M[s, k * w + l] for l in range(w)) for s in col_idx] for k in range(F.c)]
-            values = [x for row in coeffs for co in row for x in co]
-            assert len({id(x) for x in values}) == len(set(values))
-
-    def test_charge_point_splits_the_flat_index(self):
-        for n in (1, 3, 5):
-            assert [charge_point(i * (n + 1) + j, n) for i in range(4) for j in range(n + 1)] == [
-                (i, j) for i in range(4) for j in range(n + 1)
+            assert [list(point_indices(F.c, F.n, l)) for l in range(w)] == [
+                [i * w + l for i in range(F.c)] for l in range(w)
             ]
+            maps = [(list(range(F.size)), build_beta_full(F))]
+            r = rank(F.M) - 2 * F.c
+            if r >= 0:
+                maps.append((list(principal_rank_subset(F.M)), build_beta(F, r)))
+            for col_idx, beta in maps:
+                assert beta.nvars == w and (beta.rows, beta.cols) == (F.c, len(col_idx))
+                for l, B in enumerate(beta.parts):
+                    assert B.to_rows() == [[F.M[s, k * w + l] for s in col_idx] for k in range(F.c)]
+                assert beta[F.c - 1, 0].coeffs == tuple(F.M[col_idx[0], (F.c - 1) * w + l] for l in range(w))
+
+    def test_string_coordinates_read_exactly_and_floats_raise(self, F6):
+        assert F6.along_point(["1/2", 0, "3", Fraction(-1, 3)]) == F6.along_point(
+            [Fraction(1, 2), 0, 3, Fraction(-1, 3)]
+        )
+        with pytest.raises(TypeError):
+            F6.along_point([0.5, 0, 0, 0])
+        with pytest.raises(TypeError):
+            F6.pencil([1, 0, 0, 0], [0, 1.0, 0, 0])
 
     def test_wrong_length_rejected(self, F6):
         with pytest.raises(ShapeMismatch):

@@ -148,6 +148,15 @@ class TestGammaEval:
             assert g.M.rows == 5
             assert g.M.is_skew()
 
+    def test_exact_coordinates_only(self, F6):
+        g = gamma_eval(F6, [1, "1/2", 0, 3], [Fraction(2, 3), 0, 1, 0])
+        assert g.P == (1, Fraction(1, 2), 0, 3)
+        assert g.M == gamma_eval(F6, [2, 1, 0, 6], [2, 0, 3, 0]).M.scale(Fraction(1, 6))
+        with pytest.raises(TypeError):
+            gamma_eval(F6, [1, 0.5, 0, 3], [0, 0, 1, 0])
+        with pytest.raises(TypeError):
+            splitting_type(F6, [1, 0, 0, 3], [0, 0, 1.0, 0])
+
     def test_degenerate_line_rejected(self, F6):
         with pytest.raises(DegenerateLine):
             gamma_eval(F6, [1, 2, 3, 4], [2, 4, 6, 8])

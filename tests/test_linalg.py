@@ -290,6 +290,18 @@ class TestStorage:
             assert M.to_rows() == [[Fraction(x, den) for x in row] for row in num]
             assert M == RatMatrix([[Fraction(x, den) for x in row] for row in num], cols=c)
 
+    def test_nonzeros_row_major_with_rational_values(self):
+        M = RatMatrix([[0, Fraction(1, 2), 0], [3, 0, Fraction(-2, 3)]])
+        assert M.nonzeros() == [(0, 1, Fraction(1, 2)), (1, 0, Fraction(3)), (1, 2, Fraction(-2, 3))]
+        assert RatMatrix.zeros(3, 2).nonzeros() == []
+        assert RatMatrix([], cols=4).nonzeros() == RatMatrix([[], []]).nonzeros() == []
+        rng = random.Random(36)
+        for _ in range(20):
+            A = rand_rat_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), box=2)
+            assert A.nonzeros() == [
+                (i, j, A[i, j]) for i in range(A.rows) for j in range(A.cols) if A[i, j] != 0
+            ]
+
     def test_float_entry_raises(self):
         with pytest.raises(TypeError):
             RatMatrix([[1, 0.5]])

@@ -6,16 +6,20 @@ import pytest
 from orthinst import (
     BadSubset,
     FlatForm,
+    LinFormMatrix,
     NondegStrategy,
     RankMismatch,
     RatMatrix,
+    ShapeMismatch,
     TensorSpec,
     build_alpha,
     build_beta,
     build_beta_full,
     check_conditions,
     flatten,
+    kernel_basis,
     nondegeneracy_witness_search,
+    principal_rank_subset,
     rank,
     verify_monad_identity,
 )
@@ -27,6 +31,48 @@ from display import (
     BETA_T_C6P3_SIGN_VARIANT,
     grid_to_linform_matrix,
 )
+
+
+def reference_identity(alpha, beta):
+    """beta . alpha = 0 by the per-entry Fraction loop: accumulate the
+    coefficient of x_j x_l in every entry of the product."""
+    w = beta.nvars
+    for k in range(beta.rows):
+        for i in range(alpha.cols):
+            acc = [[Fraction(0)] * w for _ in range(w)]
+            for t in range(beta.cols):
+                b, a = beta[k, t].coeffs, alpha[t, i].coeffs
+                for j in range(w):
+                    for l in range(w):
+                        acc[j][l] += b[j] * a[l]
+            if any(acc[j][j] for j in range(w)) or any(acc[j][l] + acc[l][j] for j in range(w) for l in range(j)):
+                return False
+    return True
+
+
+def restrict_columns(beta, S):
+    return LinFormMatrix(tuple(B.submatrix(range(B.rows), S) for B in beta.parts))
+
+
+def rational_matrix(rng, rows, cols):
+    return RatMatrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)])
+
+
+def one_cross_term_pair(rng, c, w, mid):
+    """Random rational parts, for mid > c(w-1), with B_j A_j = 0 for all j
+    and B_j A_l + B_l A_j = 0 for all j < l but one pair: only B_{j0} is
+    nonzero, and its rows lie in the left kernel of every A_l but A_{l0}."""
+    while True:
+        A = [rational_matrix(rng, mid, c) for _ in range(w)]
+        j0, l0 = rng.sample(range(w), 2)
+        others = [A[l] for l in range(w) if l != l0]
+        killer = RatMatrix([[x for X in others for x in X.row(t)] for t in range(mid)])
+        left = kernel_basis(killer.transpose())
+        mix = [[rng.randint(-2, 2) for _ in left] for _ in range(c)]
+        B0 = RatMatrix([[sum(a * v[t] for a, v in zip(m, left)) for t in range(mid)] for m in mix], cols=mid)
+        if (B0 @ A[l0]).nonzeros():
+            B = [B0 if l == j0 else RatMatrix.zeros(c, mid) for l in range(w)]
+            return LinFormMatrix(tuple(A)), LinFormMatrix(tuple(B))
 
 
 class TestBuildAlpha:
@@ -134,6 +180,45 @@ class TestMonadIdentity:
             build_alpha(3, 3, S=S), build_beta(F_deficient, 2)
         )
         assert verify_monad_identity(build_alpha(3, 3), build_beta_full(F_deficient))
+
+
+class TestIdentityAgainstFractionLoop:
+    def test_full_and_restricted_pairs_of_random_forms(self):
+        rng = random.Random(205)
+        for _ in range(25):
+            F = flatten(random_spec(rng))
+            alpha, beta = build_alpha(F.c, F.n), build_beta_full(F)
+            assert verify_monad_identity(alpha, beta) == reference_identity(alpha, beta) is True
+            S = principal_rank_subset(F.M)
+            alpha_S, beta_S = build_alpha(F.c, F.n, S=S), restrict_columns(beta, S)
+            assert verify_monad_identity(alpha_S, beta_S) == reference_identity(alpha_S, beta_S)
+
+    def test_a_single_cross_term_is_caught(self):
+        # every x_j^2 coefficient vanishes, so the product is zero at every
+        # coordinate point e_j; only the one x_j x_l coefficient shows it
+        rng = random.Random(206)
+        for _ in range(20):
+            c, w = rng.randint(1, 3), rng.randint(2, 4)
+            alpha, beta = one_cross_term_pair(rng, c, w, c * (w - 1) + 2)
+            assert not reference_identity(alpha, beta)
+            assert not verify_monad_identity(alpha, beta)
+            for e in range(alpha.nvars):
+                point = [int(t == e) for t in range(alpha.nvars)]
+                assert not (beta.evaluate(point) @ alpha.evaluate(point)).nonzeros()
+
+    def test_display_sign_variant(self):
+        alpha = build_alpha(6, 3)
+        for grid in (BETA_T_C6P3, BETA_T_C6P3_SIGN_VARIANT):
+            beta = grid_to_linform_matrix(grid).transpose()
+            assert verify_monad_identity(alpha, beta) == reference_identity(alpha, beta) == (grid is BETA_T_C6P3)
+
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            LinFormMatrix((RatMatrix.zeros(2, 3), RatMatrix.zeros(3, 2)))
+        with pytest.raises(ShapeMismatch):
+            LinFormMatrix(())
+        with pytest.raises(ShapeMismatch):
+            verify_monad_identity(build_alpha(3, 3), build_beta_full(FlatForm(3, 2, RatMatrix.zeros(9, 9))))
 
 
 class TestCheckConditions:
