@@ -64,7 +64,6 @@ from .monad import (
     ConditionReport,
     LinForm,
     LinFormMatrix,
-    NondegStrategy,
     build_alpha,
     build_beta,
     build_beta_full,

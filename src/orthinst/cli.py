@@ -27,11 +27,10 @@ from .errors import (
     SchemaError,
     UsageError,
 )
-from .kronecker import gamma_eval, kronecker_conditions, scan_lines, splitting_type
+from .kronecker import gamma_eval, kronecker_conditions, scan_lines
 from .linalg import principal_rank_subset
 from .moduli import moduli_dim
 from .monad import (
-    NondegStrategy,
     build_alpha,
     build_beta,
     build_beta_full,
@@ -209,7 +208,7 @@ def _dispatch(args, argv) -> Report:
 
     if cmd == "verify":
         r = _effective_r(args, sf)
-        rep = check_conditions(F, r, NondegStrategy(budget=args.budget, seed=args.seed, box=args.box))
+        rep = check_conditions(F, r, budget=args.budget, seed=args.seed, box=args.box)
         results = {"conditions": jsonio.condition_report_json(rep)}
         lines = [
             f"rank A = {rep.rank_a} (expected 2c+r = {rep.a1_expected})",
@@ -225,11 +224,12 @@ def _dispatch(args, argv) -> Report:
         beta = build_beta(F, r)
         if 2 * sf.c + r == F.size:
             alpha = build_alpha(sf.c, sf.n)
+            identity_ok = verify_monad_identity(alpha, beta)
         else:
             alpha = build_alpha(sf.c, sf.n, S=principal_rank_subset(F.M))
-        # the vanishing statement lives on the unrestricted pair; below full
-        # rank the displayed restricted maps are only a basis presentation
-        identity_ok = verify_monad_identity(build_alpha(sf.c, sf.n), build_beta_full(F))
+            # the vanishing statement lives on the unrestricted pair; the
+            # displayed restricted maps are only a basis presentation
+            identity_ok = verify_monad_identity(build_alpha(sf.c, sf.n), build_beta_full(F))
         results = {
             "alpha": jsonio.linform_matrix_json(alpha),
             "beta_t": jsonio.linform_matrix_json(beta.transpose()),
@@ -244,7 +244,7 @@ def _dispatch(args, argv) -> Report:
 
     if cmd == "splitting":
         g = gamma_eval(F, args.P, args.Q)
-        v = splitting_type(F, args.P, args.Q)
+        v = g.verdict()
         results = {"gamma": jsonio.gamma_json(g), "split": jsonio.verdict_json(v)}
         human = (
             f"gamma(P={args.P}, Q={args.Q}) =\n" + _grid(results["gamma"]["matrix"])

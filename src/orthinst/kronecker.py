@@ -8,7 +8,8 @@ gives the c x c matrix
 (``FlatForm.pencil``), which is skew-symmetric for every wedge member.  The
 restriction of the associated bundle to the line is trivial exactly when G
 is invertible, so odd charge forces every line to jump (odd skew matrices
-are singular).
+are singular).  The pencil-module condition K1 is A2 of the form, and
+``kronecker_conditions`` samples it with the search of ``monad``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateLine, OrthinstError
 from .forms import FlatForm
-from .linalg import RatMatrix, _as_exact, det, kernel_basis, pfaffian, rank
-from .monad import A2Status
+from .linalg import RatMatrix, _as_exact, det, pfaffian, rank
+from .monad import A2Status, _check_sampling, _decomposable_kernel_hit, _directions
 
 
 def _exact_point(p: Sequence, w: int) -> tuple[int | Fraction, ...]:
@@ -45,6 +46,17 @@ class GammaEval:
     P: tuple[int | Fraction, ...]
     Q: tuple[int | Fraction, ...]
     M: RatMatrix
+
+    def verdict(self) -> "SplitVerdict":
+        """Trivial iff the pencil value is invertible; for even charge the
+        Pfaffian is reported as well, and Pf^2 = det is checked."""
+        d = det(self.M)
+        pf = None
+        if self.M.rows % 2 == 0 and self.M.is_skew():
+            pf = pfaffian(self.M)
+            if pf * pf != d:
+                raise OrthinstError(f"pfaffian {pf} does not square to the determinant {d}")
+        return SplitVerdict("Trivial" if d != 0 else "Jumping", d, pf)
 
 
 @dataclass(frozen=True)
@@ -72,19 +84,9 @@ def gamma_eval(F: FlatForm, P: Sequence, Q: Sequence) -> GammaEval:
 
 
 def splitting_type(F: FlatForm, P: Sequence, Q: Sequence) -> SplitVerdict:
-    """Trivial iff the pencil value on the line is invertible.
-
-    For even charge the Pfaffian is reported as well, and Pf^2 = det is
-    checked.
-    """
-    g = gamma_eval(F, P, Q)
-    d = det(g.M)
-    pf = None
-    if F.c % 2 == 0 and g.M.is_skew():
-        pf = pfaffian(g.M)
-        if pf * pf != d:
-            raise OrthinstError(f"pfaffian {pf} does not square to the determinant {d}")
-    return SplitVerdict("Trivial" if d != 0 else "Jumping", d, pf)
+    """Trivial iff the pencil value on the line is invertible (see
+    ``GammaEval.verdict``)."""
+    return gamma_eval(F, P, Q).verdict()
 
 
 @dataclass(frozen=True)
@@ -192,36 +194,21 @@ def kronecker_conditions(
 
     The linearized map of the pencil is the flat form itself, so injectivity
     of every fixed-direction slice is certified outright at full rank;
-    otherwise a basis sweep plus seeded sampling over directions v checks the
-    exact kernel of each c(n+1) x c slice.  The surjectivity condition is the
-    transpose dual of the injectivity condition and inherits its status.
-    The rank is compared against both candidate values 2c+r and 2n+r; the
-    first is operative.
+    otherwise A2's decomposable-kernel search runs lazily over the v basis
+    and then ``budget`` seeded directions v, taking h from the exact kernel
+    of each c(n+1) x c slice.  The surjectivity condition is the transpose
+    dual of the injectivity condition and inherits its status.  The rank is
+    compared against both candidate values 2c+r and 2n+r; the first is
+    operative.  A negative ``budget`` or ``box`` raises ``ValueError``.
     """
+    _check_sampling(budget, box)
     c, n = F.c, F.n
-    w = n + 1
     rank_g = rank(F.M)
-
-    status: A2Status
     if rank_g == F.size:
         status = A2Status("CertifiedFullRank")
     else:
-        hit = None
-        sweeps = [[1 if t == j else 0 for t in range(w)] for j in range(w)]
-        for s in range(budget):
-            rng = random.Random(f"{seed}:kdir:{s}")
-            v = [rng.randint(-box, box) for _ in range(w)]
-            if any(v):
-                sweeps.append(v)
-        for v in sweeps:
-            ker = kernel_basis(F.along_point(v))
-            if ker:
-                hit = (tuple(int(x) for x in v), tuple(int(x) for x in ker[0]))
-                break
-        if hit is not None:
-            status = A2Status("CounterexampleFound", witness_h=hit[1], witness_v=hit[0])
-        else:
-            status = A2Status("SampledNoCounterexample", samples=budget)
+        directions = _directions((("v", n + 1),), budget, seed, box, "kdir")
+        status = A2Status.sampled(_decomposable_kernel_hit(F, directions), budget)
 
     expected = 2 * c + r
     printed = 2 * n + r

@@ -19,7 +19,9 @@ first use, for display.
 ``check_conditions`` evaluates the three defining conditions of a verified
 form (rank equals 2c+r, no decomposable kernel vector, symmetric invertible
 principal block of order 2c+r) together with the charge and rank-bound
-prechecks.
+prechecks.  Below full rank the second, A2 (and K1 in ``kronecker``, the
+same statement), is sampled by one search for h (x) v in ker M along a lazy
+stream of integer directions: a hit is exact, a clean run is no proof.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BadSubset, RankMismatch, ShapeMismatch
 from .forms import FlatForm, point_indices
@@ -183,15 +185,6 @@ def verify_monad_identity(alpha: LinFormMatrix, beta: LinFormMatrix) -> bool:
 
 
 @dataclass(frozen=True)
-class NondegStrategy:
-    """Sampling parameters for the no-decomposable-kernel search."""
-
-    budget: int = 1000
-    seed: int = 0
-    box: int = 10
-
-
-@dataclass(frozen=True)
 class A2Status:
     """Status of the no-decomposable-kernel condition: A2 of a form, and K1
     and K2 of its pencil module, which state the same condition."""
@@ -203,6 +196,13 @@ class A2Status:
 
     def is_pass(self) -> bool:
         return self.kind in ("CertifiedFullRank", "SampledNoCounterexample")
+
+    @classmethod
+    def sampled(cls, hit: Optional[tuple], budget: int) -> "A2Status":
+        """A search's status: the witness pair (h, v) of a hit, else ``budget`` clean samples."""
+        if hit is None:
+            return cls("SampledNoCounterexample", samples=budget)
+        return cls("CounterexampleFound", witness_h=hit[0], witness_v=hit[1])
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,42 @@ class ConditionReport:
         return self.a1_ok and self.a3_ok and self.precheck == "Ok" and self.a2.is_pass()
 
 
-def _ints(v: Sequence[Fraction]) -> tuple[int, ...]:
-    return tuple(int(x) for x in v)
+def _check_sampling(budget: int, box: int) -> None:
+    for name, value in (("budget", budget), ("box", box)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _directions(sides: Sequence[tuple[str, int]], budget: int, seed: int, box: int, tag: str) -> Iterator:
+    """Lazy search directions: the basis of each (side, size) in turn, then
+    for each sample s one vector in [-box, box]^size per side, drawn in
+    order from the stream ``f"{seed}:{tag}:{s}"``."""
+    for side, size in sides:
+        for i in range(size):
+            yield side, [int(k == i) for k in range(size)]
+    for s in range(budget):
+        rng = random.Random(f"{seed}:{tag}:{s}")
+        for side, size in sides:
+            yield side, [rng.randint(-box, box) for _ in range(size)]
+
+
+def _decomposable_kernel_hit(F: FlatForm, directions: Iterable[tuple[str, Sequence[int]]]) -> Optional[tuple]:
+    """The first decomposable kernel vector h (x) v along a stream of integer
+    directions, as the int pair (h, v), or ``None``.
+
+    A direction ("h", h) looks for v in the kernel of ``F.along_charge(h)``,
+    ("v", v) for h in the kernel of ``F.along_point(v)``; zero directions are
+    skipped.  Every kernel is exact, so a hit is a witness; the stream is
+    drawn only as far as the first hit.
+    """
+    for side, d in directions:
+        if not any(d):
+            continue
+        ker = kernel_basis(F.along_charge(d) if side == "h" else F.along_point(d))
+        if ker:
+            k = tuple(int(x) for x in ker[0])
+            return (tuple(d), k) if side == "h" else (k, tuple(d))
+    return None
 
 
 def nondegeneracy_witness_search(
@@ -230,58 +264,24 @@ def nondegeneracy_witness_search(
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Search for a nonzero decomposable kernel vector h (x) v.
 
-    Deterministic sweep over the basis slices first (both fixed-h and
-    fixed-v), then ``budget`` seeded random integer samples; each sampled
-    direction is checked through the exact kernel of its slice, so a hit is
-    exact.  Returning ``None`` is *not* a certificate of nondegeneracy.
+    Deterministic sweep over the basis slices first (fixed-h, then fixed-v),
+    then ``budget`` seeded samples, each an h and then a v; each direction
+    is checked through the exact kernel of its slice, so a hit is exact.
+    Returning ``None`` is *not* a certificate of nondegeneracy.
     """
-    c, n = F.c, F.n
-    w = n + 1
-
-    def check_h(h) -> Optional[tuple]:
-        if all(x == 0 for x in h):
-            return None
-        ker = kernel_basis(F.along_charge(h))
-        if ker:
-            return _ints(h), _ints(ker[0])
-        return None
-
-    def check_v(v) -> Optional[tuple]:
-        if all(x == 0 for x in v):
-            return None
-        ker = kernel_basis(F.along_point(v))
-        if ker:
-            return _ints(ker[0]), _ints(v)
-        return None
-
-    for i in range(c):
-        hit = check_h([1 if k == i else 0 for k in range(c)])
-        if hit:
-            return hit
-    for j in range(w):
-        hit = check_v([1 if l == j else 0 for l in range(w)])
-        if hit:
-            return hit
-    for s in range(budget):
-        rng = random.Random(f"{seed}:wit:{s}")
-        h = [rng.randint(-box, box) for _ in range(c)]
-        hit = check_h(h)
-        if hit:
-            return hit
-        v = [rng.randint(-box, box) for _ in range(w)]
-        hit = check_v(v)
-        if hit:
-            return hit
-    return None
+    sides = (("h", F.c), ("v", F.n + 1))
+    return _decomposable_kernel_hit(F, _directions(sides, budget, seed, box, "wit"))
 
 
-def check_conditions(F: FlatForm, r: int, strategy: Optional[NondegStrategy] = None) -> ConditionReport:
+def check_conditions(F: FlatForm, r: int, budget: int = 1000, seed: int = 0, box: int = 10) -> ConditionReport:
     """Evaluate the three form conditions plus the charge/rank prechecks.
 
     The nondegeneracy status is tiered: a full-rank form is certified
-    outright (an injective map kills no decomposable tensor); otherwise the
-    witness search runs and reports either a counterexample or the clean
-    sample count; with a zero budget the status is Unknown.
+    outright (an injective map kills no decomposable tensor); otherwise
+    ``nondegeneracy_witness_search`` runs with ``budget``, ``seed`` and
+    ``box`` and reports either a counterexample or the clean sample count;
+    with a zero budget the status is Unknown.  A negative ``budget`` or
+    ``box`` raises ``ValueError``, whatever the rank.
 
     ``a3_ok`` as coded always equals ``a1_ok``: a symmetric matrix always has
     a nonsingular principal block of order equal to its rank, and
@@ -290,10 +290,8 @@ def check_conditions(F: FlatForm, r: int, strategy: Optional[NondegStrategy] = N
     raises ``RankMismatch`` otherwise).  The subset is the witness of A3,
     not an independent check.
     """
-    if strategy is None:
-        strategy = NondegStrategy()
+    _check_sampling(budget, box)
     c, n = F.c, F.n
-    size = F.size
     rank_a = rank(F.M)
     a1_expected = 2 * c + r
     a1_ok = rank_a == a1_expected
@@ -307,14 +305,10 @@ def check_conditions(F: FlatForm, r: int, strategy: Optional[NondegStrategy] = N
     else:
         precheck = "Ok"
 
-    if rank_a == size:
+    if rank_a == F.size:
         a2 = A2Status("CertifiedFullRank")
-    elif strategy.budget > 0:
-        hit = nondegeneracy_witness_search(F, strategy.budget, strategy.seed, strategy.box)
-        if hit is not None:
-            a2 = A2Status("CounterexampleFound", witness_h=hit[0], witness_v=hit[1])
-        else:
-            a2 = A2Status("SampledNoCounterexample", samples=strategy.budget)
+    elif budget > 0:
+        a2 = A2Status.sampled(nondegeneracy_witness_search(F, budget, seed, box), budget)
     else:
         a2 = A2Status("Unknown")
 

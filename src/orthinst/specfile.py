@@ -22,7 +22,7 @@ from typing import Optional
 from .errors import GenerationExhausted, OddOrder, SchemaError
 from .forms import FlatForm, TensorSpec, flatten
 from .linalg import rank
-from .monad import NondegStrategy, check_conditions
+from .monad import check_conditions
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def generate(
         F = sf.flatten()
         if rank(F.M) != size:
             return False
-        return check_conditions(F, r, NondegStrategy(budget=0)).passed
+        return check_conditions(F, r, budget=0).passed
 
     if mode == "pure":
         if c % 2 != 0:

@@ -10,7 +10,6 @@ import pytest
 
 from orthinst import (
     GenerationExhausted,
-    NondegStrategy,
     RatMatrix,
     TensorSpec,
     act,
@@ -289,7 +288,7 @@ def test_criterion_7_single_term_obstruction_at_4_4():
         C = random_skew(5, rng)
         F = flatten(TensorSpec(4, 4, ((B, C),)))
         assert rank(F.M) <= 16
-        rep = check_conditions(F, 12, NondegStrategy(budget=20))
+        rep = check_conditions(F, 12, budget=20)
         assert not rep.a1_ok
         assert rep.a2.kind == "CounterexampleFound"
     _report("7-struct", "(one-term forms at (4,4) provably cannot verify)")

@@ -1,6 +1,8 @@
 import json
 
-from orthinst import cli
+import pytest
+
+from orthinst import FlatForm, cli
 from orthinst.cli import run_command
 from orthinst.specfile import bundled_spec_path
 
@@ -55,8 +57,27 @@ class TestMonad:
         assert rep.results["beta_t"][0][1] == "2x1"
         assert rep.results["alpha"][0][0] == "x0"
 
+    def test_full_rank_builds_each_map_once(self, monkeypatch):
+        calls = []
+        build_alpha = cli.build_alpha
+        monkeypatch.setattr(cli, "build_alpha", lambda *a, **k: calls.append(a) or build_alpha(*a, **k))
+        monkeypatch.setattr(cli, "build_beta_full", lambda F: pytest.fail("unrestricted beta built at full rank"))
+        rep = run_command(["monad", C6])
+        assert rep.exit_code == 0 and rep.results["identity_zero"] is True
+        assert len(calls) == 1
+
 
 class TestSplitting:
+    @pytest.mark.parametrize("P,Q", [("1,0,0,0", "0,0,0,1"), ("1,2,3,4", "5,6,7,8")])
+    def test_pencil_evaluated_once(self, monkeypatch, P, Q):
+        calls = []
+        pencil = FlatForm.pencil
+        monkeypatch.setattr(FlatForm, "pencil", lambda self, *a: calls.append(a) or pencil(self, *a))
+        for spec in (C6, C5):
+            rep = run_command(["splitting", spec, "--P", P, "--Q", Q])
+            assert rep.exit_code == 0
+        assert len(calls) == 2
+
     def test_jumping_line(self):
         rep = run_command(["splitting", C6, "--P", "1,0,0,0", "--Q", "0,0,0,1"])
         assert rep.exit_code == 0

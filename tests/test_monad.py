@@ -7,7 +7,6 @@ from orthinst import (
     BadSubset,
     FlatForm,
     LinFormMatrix,
-    NondegStrategy,
     RankMismatch,
     RatMatrix,
     ShapeMismatch,
@@ -259,14 +258,14 @@ class TestCheckConditions:
         assert not rep.passed
 
     def test_sampled_tier_on_deficient_example(self, F_deficient):
-        rep = check_conditions(F_deficient, 2, NondegStrategy(budget=60, seed=0, box=5))
+        rep = check_conditions(F_deficient, 2, budget=60, seed=0, box=5)
         assert rep.a1_ok and rep.a3_ok
         assert rep.a2.kind == "SampledNoCounterexample"
         assert rep.a2.samples == 60
         assert len(rep.q_subset) == 8
 
     def test_unknown_tier_with_zero_budget(self, F_deficient):
-        rep = check_conditions(F_deficient, 2, NondegStrategy(budget=0))
+        rep = check_conditions(F_deficient, 2, budget=0)
         assert rep.a2.kind == "Unknown"
 
     def test_counterexample_tier(self):
@@ -274,7 +273,7 @@ class TestCheckConditions:
         B = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
         C = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -3), (0, 0, 3, 0))
         F = flatten(TensorSpec(4, 3, ((B, C),)))
-        rep = check_conditions(F, rank(F.M) - 8, NondegStrategy(budget=50))
+        rep = check_conditions(F, rank(F.M) - 8, budget=50)
         assert rep.a2.kind == "CounterexampleFound"
         h, v = rep.a2.witness_h, rep.a2.witness_v
         vec = [Fraction(hi) * Fraction(vj) for hi in h for vj in v]

@@ -47,3 +47,22 @@ def test_integer_storage_read_only_in_linalg_and_forms():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in ("num", "den"):
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert found == []
+
+
+def test_one_decomposable_kernel_search():
+    # A2 and K1 are one statement, sampled by one search: outside the
+    # elimination core exactly one function asks for a kernel basis
+    callers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split(':')[0]}:{node.name}"
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == "kernel_basis":
+            callers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in SOURCES:
+        if path.name != "linalg.py":
+            visit(ast.parse(path.read_text(), str(path)), f"{path.name}:<module>")
+    assert callers == {"monad.py:_decomposable_kernel_hit"}
