@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, factorial, lcm, prod
 
-from .errors import PreconditionN, UsageError
+from .errors import PreconditionN
 from .forms import FlatForm
-from .linalg import RatMatrix, rank
+from .linalg import RatMatrix, check_cells, rank
 from .monad import LinFormMatrix, build_beta
 
 
@@ -70,20 +70,13 @@ def section_map(F: FlatForm, r: int, k: int) -> RatMatrix:
     return _assemble_section_matrix(beta, F.c, F.n, k)
 
 
-# Section maps grow like k^(2n) cells; larger ones are refused before any
-# allocation (the benchmark's largest is 168 x 280, the fixture at k = 4).
-MAX_SECTION_CELLS = 10**6
-
-
 def _section_shape(c: int, n: int, wdim: int, k: int) -> tuple[int, int]:
     """Shape of the degree-k section map of a second monad map with ``wdim``
-    columns; ``UsageError`` if it has more than ``MAX_SECTION_CELLS`` cells."""
+    columns; ``UsageError`` if it has more than ``linalg.MAX_CELLS`` cells.
+    Section maps grow like k^(2n) cells (the benchmark's largest is
+    168 x 280, the fixture at k = 4)."""
     rows, cols = c * bott_h(0, k + 1, n), wdim * bott_h(0, k, n)
-    if rows * cols > MAX_SECTION_CELLS:
-        raise UsageError(
-            f"the degree-{k} section map would have {rows} x {cols} = {rows * cols} cells, "
-            f"over the limit of {MAX_SECTION_CELLS}"
-        )
+    check_cells(rows, cols, f"the degree-{k} section map")
     return rows, cols
 
 

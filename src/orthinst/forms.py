@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import NotSkew, ShapeMismatch, Singular
-from .linalg import RatMatrix, det
+from .linalg import RatMatrix, check_cells, det, exact_vector
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -67,6 +67,7 @@ class TensorSpec:
     def __post_init__(self):
         if self.c < 1 or self.n < 1:
             raise ShapeMismatch(f"need c >= 1 and n >= 1, got c={self.c}, n={self.n}")
+        check_cells(self.size, self.size, f"the flat matrix of c={self.c}, n={self.n}")
         coerced = []
         for t, (B, C) in enumerate(self.terms):
             coerced.append(
@@ -125,14 +126,14 @@ class FlatForm:
     def along_point(self, v: Sequence) -> RatMatrix:
         """Matrix of h -> M(h (x) v), of shape c(n+1) x c."""
         w = self.n + 1
-        e, v = _scaled(v, w)
+        e, v = exact_vector(v, w)
         terms = [[(k * w + l, x) for l, x in enumerate(v) if x] for k in range(self.c)]
         return RatMatrix.from_ints(_combine(self.M.num, terms), self.M.den * e)
 
     def along_charge(self, h: Sequence) -> RatMatrix:
         """Matrix of v -> M(h (x) v), of shape c(n+1) x (n+1)."""
         w = self.n + 1
-        e, h = _scaled(h, self.c)
+        e, h = exact_vector(h, self.c)
         terms = [[(k * w + l, x) for k, x in enumerate(h) if x] for l in range(w)]
         return RatMatrix.from_ints(_combine(self.M.num, terms), self.M.den * e)
 
@@ -140,23 +141,14 @@ class FlatForm:
         """The c x c pencil value G[i][k] = sum_{j,l} M[(i,j),(k,l)] Q_j P_l,
         summed over the nonzero slices."""
         c, w = self.c, self.n + 1
-        dp, p = _scaled(P, w)
-        dq, q = _scaled(Q, w)
+        dp, p = exact_vector(P, w)
+        dq, q = exact_vector(Q, w)
         acc = [0] * (c * c)
         for j, l, s in self._slices:
             x = q[j] * p[l]
             if x:
                 acc = [a + x * y for a, y in zip(acc, s)]
         return RatMatrix.from_ints([acc[i * c : (i + 1) * c] for i in range(c)], self.M.den * dp * dq)
-
-
-def _scaled(vec: Sequence, length: int) -> tuple[int, list[int]]:
-    """A contraction vector v of ints, Fractions or strings as (d, d*v), d
-    its common denominator."""
-    if len(vec) != length:
-        raise ShapeMismatch(f"contraction vector must have {length} entries, got {len(vec)}")
-    V = RatMatrix([vec], cols=length)
-    return V.den, V.num[0]
 
 
 def _combine(rows, terms: list[list[tuple[int, int]]]) -> list[list[int]]:

@@ -26,18 +26,14 @@ def linform_matrix_json(L: LinFormMatrix) -> list[list[str]]:
     return [[str(e) for e in row] for row in L.entries]
 
 
-def int_vec(v) -> list[int]:
-    return [int(x) for x in v]
-
-
 def a2_json(a2: A2Status) -> dict:
     out: dict = {"kind": a2.kind}
     if a2.samples is not None:
         out["samples"] = a2.samples
     if a2.witness_h is not None:
-        out["h"] = int_vec(a2.witness_h)
+        out["h"] = list(a2.witness_h)
     if a2.witness_v is not None:
-        out["v"] = int_vec(a2.witness_v)
+        out["v"] = list(a2.witness_v)
     return out
 
 
@@ -77,7 +73,7 @@ def scan_report_json(rep: ScanReport) -> dict:
         "jumping": rep.jumping,
         "degenerate": rep.degenerate,
         "witnesses": [
-            {"P": int_vec(w.P), "Q": int_vec(w.Q), "det": rat_str(w.determinant)}
+            {"P": list(w.P), "Q": list(w.Q), "det": rat_str(w.determinant)}
             for w in rep.witnesses
         ],
         "fraction_trivial": rat_str(rep.fraction_trivial),

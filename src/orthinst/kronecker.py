@@ -21,22 +21,14 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateLine, OrthinstError
 from .forms import FlatForm
-from .linalg import RatMatrix, _as_exact, det, pfaffian, rank
+from .linalg import RatMatrix, det, exact_vector, pfaffian, rank
 from .monad import A2Status, _check_sampling, _decomposable_kernel_hit, _directions
-
-
-def _exact_point(p: Sequence, w: int) -> tuple[int | Fraction, ...]:
-    """The coordinates as ints and Fractions (strings are parsed, anything
-    else raises ``TypeError``)."""
-    pt = tuple(_as_exact(x) for x in p)
-    if len(pt) != w:
-        raise DegenerateLine(f"point must have {w} coordinates, got {len(pt)}")
-    return pt
 
 
 def line_span_ok(P: Sequence, Q: Sequence) -> bool:
     """True iff P and Q span a line (are not proportional)."""
-    return rank(RatMatrix([list(P), list(Q)])) == 2
+    (_, p), (_, q) = exact_vector(P, len(P)), exact_vector(Q, len(P))
+    return rank(RatMatrix.from_ints([p, q])) == 2
 
 
 @dataclass(frozen=True)
@@ -73,14 +65,23 @@ class SplitVerdict:
 def gamma_eval(F: FlatForm, P: Sequence, Q: Sequence) -> GammaEval:
     """Evaluate the pencil at a point pair spanning a line: entry (i,k) is
     the bilinear form of the block M(i,k) at (P, Q).  Scaling P or Q
-    rescales G but never changes the Trivial/Jumping verdict.
+    rescales G but never changes the Trivial/Jumping verdict.  Each point is
+    read once, to integers over its denominator, for the span check and the
+    pencil.
     """
     w = F.n + 1
-    Pt = _exact_point(P, w)
-    Qt = _exact_point(Q, w)
-    if not line_span_ok(Pt, Qt):
+    for X in (P, Q):
+        if len(X) != w:
+            raise DegenerateLine(f"point must have {w} coordinates, got {len(X)}")
+    (dp, p), (dq, q) = exact_vector(P, w), exact_vector(Q, w)
+    if rank(RatMatrix.from_ints([p, q])) != 2:
         raise DegenerateLine("points are proportional and span no line")
-    return GammaEval(Pt, Qt, F.pencil(Pt, Qt))
+    G = F.pencil(p, q)  # dp*dq times the value at (P, Q)
+    return GammaEval(_unscaled(dp, p), _unscaled(dq, q), G if dp * dq == 1 else G.scale(Fraction(1, dp * dq)))
+
+
+def _unscaled(d: int, v: tuple[int, ...]) -> tuple[int | Fraction, ...]:
+    return v if d == 1 else tuple(Fraction(x, d) for x in v)
 
 
 def splitting_type(F: FlatForm, P: Sequence, Q: Sequence) -> SplitVerdict:
@@ -159,12 +160,8 @@ def gamma_coefficients(F: FlatForm) -> tuple[tuple[RatMatrix, ...], ...]:
 
 def evaluate_bilinear(G: RatMatrix, P: Sequence, Q: Sequence) -> Fraction:
     """Value sum_{j,l} G[j][l] Q_j P_l of one symbolic pencil entry."""
-    Qf = [Fraction(x) for x in Q]
-    Pf = [Fraction(x) for x in P]
-    return sum(
-        (G[j, l] * Qf[j] * Pf[l] for j in range(G.rows) for l in range(G.cols) if G[j, l]),
-        Fraction(0),
-    )
+    dq, q = exact_vector(Q, G.rows)
+    return Fraction(sum(x * y for x, y in zip(q, G.mul_vector(P))), dq)
 
 
 # ----------------------------------------------------------------------

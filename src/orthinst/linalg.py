@@ -27,7 +27,11 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import NonSquare, NotSkew, NotSymmetric, OddOrder, RankMismatch, ShapeMismatch
+from .errors import NonSquare, NotSkew, NotSymmetric, OddOrder, RankMismatch, ShapeMismatch, UsageError
+
+# the cell budget of every matrix built from a form: its flat matrix and each
+# cohomology section map
+MAX_CELLS = 10**6
 
 
 def _as_exact(x) -> int | Fraction:
@@ -36,6 +40,25 @@ def _as_exact(x) -> int | Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"matrix entries must be exact (int/Fraction/str), got {type(x).__name__}")
+
+
+def check_cells(rows: int, cols: int, what: str) -> None:
+    """``UsageError`` if ``what``, a rows x cols matrix, is over the budget."""
+    if rows * cols > MAX_CELLS:
+        raise UsageError(f"{what} would have {rows} x {cols} = {rows * cols} cells, over the limit of {MAX_CELLS}")
+
+
+def exact_vector(vec: Sequence, length: int) -> tuple[int, tuple[int, ...]]:
+    """A point, direction or contraction vector of ``length`` ints, Fractions
+    or "p/q" strings as (d, d*v) over its least common denominator d: the one
+    reader of exact vectors.  A float raises ``TypeError``."""
+    if len(vec) != length:
+        raise ShapeMismatch(f"vector must have {length} entries, got {len(vec)}")
+    if all(type(x) is int for x in vec):
+        return 1, tuple(vec)
+    xs = [_as_exact(x) for x in vec]
+    d = lcm(*[x.denominator for x in xs])
+    return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
 class RatMatrix:
@@ -53,12 +76,10 @@ class RatMatrix:
     __slots__ = ("num", "den", "cols", "_rank")
 
     def __init__(self, data: Iterable[Sequence], cols: int | None = None):
-        rows = [[_as_exact(x) for x in row] for row in data]
-        den = 1
-        for row in rows:
-            den = lcm(den, *[x.denominator for x in row])
+        rows = [exact_vector(row, len(row)) for row in data]
+        den = lcm(*[d for d, _ in rows])
         # over the least common denominator the numerators share no factor
-        self._fill([tuple(x.numerator * (den // x.denominator) for x in row) for row in rows], den, cols)
+        self._fill([tuple(x * (den // d) for x in row) for d, row in rows], den, cols)
 
     def _fill(self, num: list[tuple[int, ...]], den: int, cols: int | None) -> None:
         if num:
@@ -181,10 +202,8 @@ class RatMatrix:
         )
 
     def mul_vector(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise ShapeMismatch("vector length mismatch")
-        V = RatMatrix([v], cols=self.cols)
-        return tuple(Fraction(sum(a * b for a, b in zip(row, V.num[0])), self.den * V.den) for row in self.num)
+        d, x = exact_vector(v, self.cols)
+        return tuple(Fraction(sum(map(mul, row, x)), self.den * d) for row in self.num)
 
     # --- misc ---------------------------------------------------------
 
@@ -267,7 +286,7 @@ def det(M: RatMatrix) -> Fraction:
     return Fraction(sign * last, M.den**n)
 
 
-def kernel_basis(M: RatMatrix) -> list[tuple[Fraction, ...]]:
+def kernel_basis(M: RatMatrix) -> list[tuple[int, ...]]:
     """Basis of the right kernel {v : Mv = 0}.
 
     Vectors are primitive integer vectors, one per free column in ascending
@@ -297,7 +316,7 @@ def kernel_basis(M: RatMatrix) -> list[tuple[Fraction, ...]]:
             f = abs(p) // gcd(s, p)
             v = [x * f for x in v]
             v[pc] = -s * f // p
-        basis.append(tuple(Fraction(x) for x in v))
+        basis.append(tuple(v))
     return basis
 
 

@@ -48,13 +48,11 @@ def moduli_dim(c: int, n: int) -> ModuliInfo:
     return ModuliInfo(c=c, n=n, ambient_dim=ambient, group_dim=group, dim=dim, possibly_empty=dim < 0)
 
 
-def random_unimodular(c: int, rng: random.Random, ops: int | None = None) -> RatMatrix:
-    """Product of seeded elementary row operations with entries in [-3, 3];
-    exactly invertible by construction (determinant +-1)."""
-    if ops is None:
-        ops = 3 * c
+def random_unimodular(c: int, rng: random.Random) -> RatMatrix:
+    """Product of 3c seeded elementary row operations with entries in
+    [-3, 3]; exactly invertible by construction (determinant +-1)."""
     rows = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    for _ in range(ops):
+    for _ in range(3 * c):
         kind = rng.randrange(3)
         i = rng.randrange(c)
         j = rng.randrange(c)
@@ -65,7 +63,7 @@ def random_unimodular(c: int, rng: random.Random, ops: int | None = None) -> Rat
             rows[i], rows[j] = rows[j], rows[i]
         elif kind == 2:
             rows[i] = [-a for a in rows[i]]
-    return RatMatrix(rows)
+    return RatMatrix.from_ints(rows, cols=c)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BadSubset, RankMismatch, ShapeMismatch
 from .forms import FlatForm, point_indices
-from .linalg import RatMatrix, kernel_basis, principal_rank_subset, rank
+from .linalg import RatMatrix, exact_vector, kernel_basis, principal_rank_subset, rank
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,9 @@ class LinFormMatrix:
 
     def evaluate(self, point: Sequence) -> RatMatrix:
         """The constant matrix sum_l point[l] * parts[l]."""
-        return sum((P.scale(p) for P, p in zip(self.parts, point)), RatMatrix.zeros(self.rows, self.cols))
+        d, p = exact_vector(point, self.nvars)
+        total = sum((P.scale(x) for P, x in zip(self.parts, p)), RatMatrix.zeros(self.rows, self.cols))
+        return total.scale(Fraction(1, d))
 
 
 def build_alpha(c: int, n: int, S: Optional[Sequence[int]] = None) -> LinFormMatrix:
@@ -254,8 +256,7 @@ def _decomposable_kernel_hit(F: FlatForm, directions: Iterable[tuple[str, Sequen
             continue
         ker = kernel_basis(F.along_charge(d) if side == "h" else F.along_point(d))
         if ker:
-            k = tuple(int(x) for x in ker[0])
-            return (tuple(d), k) if side == "h" else (k, tuple(d))
+            return (tuple(d), ker[0]) if side == "h" else (ker[0], tuple(d))
     return None
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import GenerationExhausted, OddOrder, SchemaError
 from .forms import FlatForm, TensorSpec, flatten
-from .linalg import rank
+from .linalg import check_cells, rank
 from .monad import check_conditions
 
 
@@ -167,9 +167,10 @@ def _random_skew(size: int, rng: random.Random, box: int = 3) -> tuple[tuple[int
     return tuple(tuple(r) for r in rows)
 
 
-def generate(
-    c: int, n: int, mode: str = "pure", seed: int = 0, num_terms: int = 3, max_attempts: int = 100
-) -> tuple[SpecFile, int]:
+GENERATE_ATTEMPTS = 100
+
+
+def generate(c: int, n: int, mode: str = "pure", seed: int = 0, num_terms: int = 3) -> tuple[SpecFile, int]:
     """Generate a verified spec with maximal rank r = (n-1)c.
 
     ``pure`` emits one block pair with random nonzero block parameters when
@@ -180,12 +181,14 @@ def generate(
     mode falls back to the multi-term style of the odd-size worked example,
     growing the term count from 2 until the flattening verifies; the spec
     name records the fallback.  ``sum`` draws ``num_terms`` random skew
-    pairs per attempt.  Returns the spec and the attempt count.
+    pairs per attempt.  Each mode makes at most ``GENERATE_ATTEMPTS``
+    attempts.  Returns the spec and the attempt count.
     """
     if c < 3 or n < 3:
         raise ValueError(f"generation needs c >= 3 and n >= 3, got c={c}, n={n}")
     r = (n - 1) * c
     size = c * (n + 1)
+    check_cells(size, size, f"the flat matrix of c={c}, n={n}")
 
     def verified(sf: SpecFile) -> bool:
         F = sf.flatten()
@@ -200,7 +203,7 @@ def generate(
                 "single-term form cannot reach full rank; use sum mode",
                 attempts=0,
             )
-        for attempt in range(1, max_attempts + 1):
+        for attempt in range(1, GENERATE_ATTEMPTS + 1):
             rng = random.Random(f"{seed}:gen:{attempt}")
             if (n + 1) % 2 == 0:
                 sf = SpecFile(
@@ -222,10 +225,10 @@ def generate(
                     )
                     if verified(sf):
                         return sf, attempt
-        raise GenerationExhausted("no verified pure spec found", attempts=max_attempts)
+        raise GenerationExhausted("no verified pure spec found", attempts=GENERATE_ATTEMPTS)
     if mode == "sum":
         t = max(2, num_terms)
-        for attempt in range(1, max_attempts + 1):
+        for attempt in range(1, GENERATE_ATTEMPTS + 1):
             rng = random.Random(f"{seed}:gen:{attempt}")
             terms = tuple((_random_skew(c, rng), _random_skew(n + 1, rng)) for _ in range(t))
             sf = SpecFile(
@@ -236,6 +239,6 @@ def generate(
             if verified(sf):
                 return sf, attempt
         raise GenerationExhausted(
-            f"no verified sum spec found in {max_attempts} attempts", attempts=max_attempts
+            f"no verified sum spec found in {GENERATE_ATTEMPTS} attempts", attempts=GENERATE_ATTEMPTS
         )
     raise ValueError(f"unknown mode {mode!r}; expected 'pure' or 'sum'")

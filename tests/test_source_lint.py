@@ -66,3 +66,32 @@ def test_one_decomposable_kernel_search():
         if path.name != "linalg.py":
             visit(ast.parse(path.read_text(), str(path)), f"{path.name}:<module>")
     assert callers == {"monad.py:_decomposable_kernel_hit"}
+
+
+def _outside_linalg():
+    for path in SOURCES:
+        if path.name != "linalg.py":
+            yield path, ast.walk(ast.parse(path.read_text(), str(path)))
+
+
+def test_exact_entries_parsed_only_in_linalg():
+    # every point, direction and contraction vector goes through
+    # linalg.exact_vector, so no other module parses an entry itself
+    found = []
+    for path, nodes in _outside_linalg():
+        for node in nodes:
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name == "_as_exact":
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: _as_exact")
+    assert found == []
+
+
+def test_no_parsing_matrix_constructor_outside_linalg():
+    # integer data becomes a matrix through RatMatrix.from_ints; the parsing
+    # constructor RatMatrix(...) is for user-facing rational entries
+    found = []
+    for path, nodes in _outside_linalg():
+        for node in nodes:
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == "RatMatrix":
+                found.append(f"{path.name}:{node.lineno}: RatMatrix(...)")
+    assert found == []

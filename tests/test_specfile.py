@@ -9,8 +9,13 @@ from orthinst import (
     OddOrder,
     SchemaError,
     ShapeMismatch,
+    TensorSpec,
+    UsageError,
     rank,
+    specfile,
 )
+from orthinst.cli import run_command
+from orthinst.linalg import MAX_CELLS
 from orthinst.specfile import (
     _paired_skew,
     bundled_spec_path,
@@ -152,3 +157,39 @@ class TestGenerate:
     def test_paired_skew_rejects_odd_size(self):
         with pytest.raises(OddOrder):
             _paired_skew(5, random.Random(0))
+
+
+class TestFlatSizeGuard:
+    # the flat matrix has c(n+1) x c(n+1) cells: c(n+1) = 1000 is the largest
+    # size within MAX_CELLS = 10**6, and 1001 is refused
+    def test_cap_lies_between_1000_and_1001(self):
+        assert MAX_CELLS == 1000 * 1000
+        assert TensorSpec(1, 999, ()).size == 1000
+        with pytest.raises(UsageError, match="1001 x 1001 = 1002001 cells"):
+            TensorSpec(1, 1000, ())
+
+    def test_cap_comes_before_block_validation(self):
+        with pytest.raises(UsageError, match="c=3, n=333"):
+            TensorSpec(3, 333, ((((0,),), ((0,),)),))
+
+    def test_generate_draws_no_block_over_the_cap(self, monkeypatch):
+        for drawer in ("_paired_skew", "_random_skew"):
+            monkeypatch.setattr(specfile, drawer, lambda *a, **k: pytest.fail("drew a block"))
+        for c, n, mode in ((4, 250, "pure"), (4, 251, "pure"), (3, 333, "sum")):
+            with pytest.raises(UsageError, match="over the limit"):
+                generate(c, n, mode=mode)
+
+    def test_verify_exits_1(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"c": 3, "n": 333, "r": 0, "terms": [{"B": [], "C": []}]}))
+        rep = run_command(["verify", str(path)])
+        assert rep.exit_code == 1
+        assert rep.results["error"] == "UsageError"
+        assert "1002 x 1002" in rep.results["message"]
+
+    def test_generate_exits_1(self, monkeypatch):
+        for drawer in ("_paired_skew", "_random_skew"):
+            monkeypatch.setattr(specfile, drawer, lambda *a, **k: pytest.fail("drew a block"))
+        rep = run_command(["generate", "--c", "4", "--n", "250"])
+        assert rep.exit_code == 1
+        assert rep.results["error"] == "UsageError"
