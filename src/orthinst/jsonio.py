@@ -30,10 +30,8 @@ def a2_json(a2: A2Status) -> dict:
     out: dict = {"kind": a2.kind}
     if a2.samples is not None:
         out["samples"] = a2.samples
-    if a2.witness_h is not None:
-        out["h"] = list(a2.witness_h)
-    if a2.witness_v is not None:
-        out["v"] = list(a2.witness_v)
+    if a2.witness_h is not None:  # a counterexample carries both halves
+        out["h"], out["v"] = list(a2.witness_h), list(a2.witness_v)
     return out
 
 

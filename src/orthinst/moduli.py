@@ -1,9 +1,10 @@
 """Moduli numerology and base-change-orbit diagnostics.
 
 The space of verified maximal-rank forms, modulo the charge-factor group
-action (whose isotropy is plus/minus identity), has dimension
-
-    C(c,2) * C(n+1,2) - c^2        for c, n >= 3.
+GL(c), has expected dimension C(c,2) * C(n+1,2) - c^2 for c, n >= 3, which
+holds at a form exactly when its stabiliser is finite.  Plus/minus identity
+always fix a form, but a stabiliser can be larger: the bundled c6p3 is one
+term B (x) C, fixed to first order by sp(B), of dimension 21.
 
 ``orbit_probe`` stress-tests the computable orbit invariants: rank, wedge
 membership, and the line verdicts on a fixed seeded panel must be constant
@@ -20,7 +21,7 @@ from math import comb
 
 from .errors import HypothesisViolation
 from .forms import FlatForm, act, wedge_membership
-from .kronecker import line_span_ok, splitting_type
+from .kronecker import GammaEval, line_span_ok
 from .linalg import RatMatrix, rank
 
 
@@ -78,15 +79,18 @@ class OrbitProbeReport:
         return not self.violations and self.isotropy_ok
 
 
-def _seeded_panel(n: int, seed: int, size: int, box: int = 10) -> list[tuple[list[int], list[int]]]:
+PANEL_SIZE, PANEL_BOX = 20, 10  # the seeded lines orbit_probe compares, and their box
+
+
+def _seeded_panel(n: int, seed: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     rng = random.Random(f"{seed}:panel")
     w = n + 1
     panel = []
-    while len(panel) < size:
-        P = [rng.randint(-box, box) for _ in range(w)]
-        Q = [rng.randint(-box, box) for _ in range(w)]
+    while len(panel) < PANEL_SIZE:
+        P = [rng.randint(-PANEL_BOX, PANEL_BOX) for _ in range(w)]
+        Q = [rng.randint(-PANEL_BOX, PANEL_BOX) for _ in range(w)]
         if line_span_ok(P, Q):
-            panel.append((P, Q))
+            panel.append((tuple(P), tuple(Q)))
     return panel
 
 
@@ -98,10 +102,11 @@ def orbit_probe(F: FlatForm, trials: int = 25, seed: int = 0) -> OrbitProbeRepor
     the identity and its negative must return the form unchanged.
     """
     c = F.c
-    panel = _seeded_panel(F.n, seed, 20)
+    panel = _seeded_panel(F.n, seed)
     base_rank = rank(F.M)
     base_wedge = wedge_membership(F)
-    base_verdicts = [splitting_type(F, P, Q).verdict for P, Q in panel]
+    # the panel lines span, so each verdict is read off the pencil with no span check
+    base_verdicts = [GammaEval(P, Q, F.pencil(P, Q)).verdict().verdict for P, Q in panel]
 
     violations: list[str] = []
     for t in range(trials):
@@ -113,7 +118,7 @@ def orbit_probe(F: FlatForm, trials: int = 25, seed: int = 0) -> OrbitProbeRepor
         if wedge_membership(G) != base_wedge:
             violations.append(f"trial {t}: wedge membership changed under the action")
         for p, (P, Q) in enumerate(panel):
-            if splitting_type(G, P, Q).verdict != base_verdicts[p]:
+            if GammaEval(P, Q, G.pencil(P, Q)).verdict().verdict != base_verdicts[p]:
                 violations.append(f"trial {t}: verdict changed on panel line {p}")
 
     eye = RatMatrix.identity(c)

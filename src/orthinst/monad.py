@@ -19,9 +19,10 @@ first use, for display.
 ``check_conditions`` evaluates the three defining conditions of a verified
 form (rank equals 2c+r, no decomposable kernel vector, symmetric invertible
 principal block of order 2c+r) together with the charge and rank-bound
-prechecks.  Below full rank the second, A2 (and K1 in ``kronecker``, the
-same statement), is sampled by one search for h (x) v in ker M along a lazy
-stream of integer directions: a hit is exact, a clean run is no proof.
+prechecks.  The second, A2, is decided once, by ``nondegeneracy``, which
+``kronecker`` also reads for K1 and K2 (the same statement): full rank
+certifies it, and below full rank one search for h (x) v in ker M runs along
+a lazy stream of integer directions: a hit is exact, a clean run is no proof.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BadSubset, RankMismatch, ShapeMismatch
 from .forms import FlatForm, point_indices
@@ -199,13 +200,6 @@ class A2Status:
     def is_pass(self) -> bool:
         return self.kind in ("CertifiedFullRank", "SampledNoCounterexample")
 
-    @classmethod
-    def sampled(cls, hit: Optional[tuple], budget: int) -> "A2Status":
-        """A search's status: the witness pair (h, v) of a hit, else ``budget`` clean samples."""
-        if hit is None:
-            return cls("SampledNoCounterexample", samples=budget)
-        return cls("CounterexampleFound", witness_h=hit[0], witness_v=hit[1])
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -223,35 +217,47 @@ class ConditionReport:
         return self.a1_ok and self.a3_ok and self.precheck == "Ok" and self.a2.is_pass()
 
 
-def _check_sampling(budget: int, box: int) -> None:
-    for name, value in (("budget", budget), ("box", box)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+MAX_SAMPLES = 100_000  # cap on --budget and --samples, 100 times their defaults
 
 
-def _directions(sides: Sequence[tuple[str, int]], budget: int, seed: int, box: int, tag: str) -> Iterator:
-    """Lazy search directions: the basis of each (side, size) in turn, then
-    for each sample s one vector in [-box, box]^size per side, drawn in
-    order from the stream ``f"{seed}:{tag}:{s}"``."""
+def check_sampling(name: str, count: int, box: int, least: int = 0) -> None:
+    """The one sampling bound of verify, kronecker and scan-lines: ``least <=
+    count <= MAX_SAMPLES`` and ``box >= 1`` (box 0 draws only zeros)."""
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    if count > MAX_SAMPLES:
+        raise ValueError(f"{name} must be <= {MAX_SAMPLES}, got {count}")
+    if box < 1:
+        raise ValueError(f"box must be >= 1, got {box}")
+
+
+def _directions(F: FlatForm, budget: int, seed: int, box: int) -> Iterator[tuple[str, list[int]]]:
+    """Lazy search directions: the h basis, the v basis, then for each
+    sample s one h in [-box, box]^c and one v in [-box, box]^(n+1), drawn in
+    that order from the stream ``f"{seed}:wit:{s}"``."""
+    sides = (("h", F.c), ("v", F.n + 1))
     for side, size in sides:
         for i in range(size):
             yield side, [int(k == i) for k in range(size)]
     for s in range(budget):
-        rng = random.Random(f"{seed}:{tag}:{s}")
+        rng = random.Random(f"{seed}:wit:{s}")
         for side, size in sides:
             yield side, [rng.randint(-box, box) for _ in range(size)]
 
 
-def _decomposable_kernel_hit(F: FlatForm, directions: Iterable[tuple[str, Sequence[int]]]) -> Optional[tuple]:
-    """The first decomposable kernel vector h (x) v along a stream of integer
-    directions, as the int pair (h, v), or ``None``.
+def nondegeneracy_witness_search(
+    F: FlatForm, budget: int = 1000, seed: int = 0, box: int = 10
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The first decomposable kernel vector h (x) v along ``_directions``,
+    as the int pair (h, v), or ``None``.
 
     A direction ("h", h) looks for v in the kernel of ``F.along_charge(h)``,
     ("v", v) for h in the kernel of ``F.along_point(v)``; zero directions are
     skipped.  Every kernel is exact, so a hit is a witness; the stream is
-    drawn only as far as the first hit.
+    drawn only as far as the first hit.  ``None`` is *not* a certificate of
+    nondegeneracy.
     """
-    for side, d in directions:
+    for side, d in _directions(F, budget, seed, box):
         if not any(d):
             continue
         ker = kernel_basis(F.along_charge(d) if side == "h" else F.along_point(d))
@@ -260,29 +266,28 @@ def _decomposable_kernel_hit(F: FlatForm, directions: Iterable[tuple[str, Sequen
     return None
 
 
-def nondegeneracy_witness_search(
-    F: FlatForm, budget: int = 1000, seed: int = 0, box: int = 10
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Search for a nonzero decomposable kernel vector h (x) v.
-
-    Deterministic sweep over the basis slices first (fixed-h, then fixed-v),
-    then ``budget`` seeded samples, each an h and then a v; each direction
-    is checked through the exact kernel of its slice, so a hit is exact.
-    Returning ``None`` is *not* a certificate of nondegeneracy.
-    """
-    sides = (("h", F.c), ("v", F.n + 1))
-    return _decomposable_kernel_hit(F, _directions(sides, budget, seed, box, "wit"))
+def nondegeneracy(F: FlatForm, budget: int = 1000, seed: int = 0, box: int = 10) -> A2Status:
+    """The one decision of A2, and of K1 and K2, the same statement: after
+    ``check_sampling``, full rank is certified outright (an injective map
+    kills no decomposable tensor), a zero budget is Unknown, and otherwise
+    ``nondegeneracy_witness_search`` finds a counterexample or reports the
+    clean sample count."""
+    check_sampling("budget", budget, box)
+    if rank(F.M) == F.size:
+        return A2Status("CertifiedFullRank")
+    if budget == 0:
+        return A2Status("Unknown")
+    hit = nondegeneracy_witness_search(F, budget, seed, box)
+    if hit is None:
+        return A2Status("SampledNoCounterexample", samples=budget)
+    return A2Status("CounterexampleFound", witness_h=hit[0], witness_v=hit[1])
 
 
 def check_conditions(F: FlatForm, r: int, budget: int = 1000, seed: int = 0, box: int = 10) -> ConditionReport:
     """Evaluate the three form conditions plus the charge/rank prechecks.
 
-    The nondegeneracy status is tiered: a full-rank form is certified
-    outright (an injective map kills no decomposable tensor); otherwise
-    ``nondegeneracy_witness_search`` runs with ``budget``, ``seed`` and
-    ``box`` and reports either a counterexample or the clean sample count;
-    with a zero budget the status is Unknown.  A negative ``budget`` or
-    ``box`` raises ``ValueError``, whatever the rank.
+    A2 is ``nondegeneracy(F, budget, seed, box)``, decided first, so a bound
+    outside ``check_sampling`` raises ``ValueError`` whatever the rank.
 
     ``a3_ok`` as coded always equals ``a1_ok``: a symmetric matrix always has
     a nonsingular principal block of order equal to its rank, and
@@ -291,7 +296,7 @@ def check_conditions(F: FlatForm, r: int, budget: int = 1000, seed: int = 0, box
     raises ``RankMismatch`` otherwise).  The subset is the witness of A3,
     not an independent check.
     """
-    _check_sampling(budget, box)
+    a2 = nondegeneracy(F, budget, seed, box)
     c, n = F.c, F.n
     rank_a = rank(F.M)
     a1_expected = 2 * c + r
@@ -305,13 +310,6 @@ def check_conditions(F: FlatForm, r: int, budget: int = 1000, seed: int = 0, box
         precheck = "RankBoundViolated"
     else:
         precheck = "Ok"
-
-    if rank_a == F.size:
-        a2 = A2Status("CertifiedFullRank")
-    elif budget > 0:
-        a2 = A2Status.sampled(nondegeneracy_witness_search(F, budget, seed, box), budget)
-    else:
-        a2 = A2Status("Unknown")
 
     q_subset = principal_rank_subset(F.M)
     a3_ok = len(q_subset) == a1_expected

@@ -1,6 +1,7 @@
-"""A2 and K1 share one decomposable-kernel search over a lazy direction
-stream; these tests pin it to the two samplers it replaced, which are kept
-below as references."""
+"""A2 is decided once, by ``monad.nondegeneracy``, and K1 reads that
+decision; these tests pin K1 to A2, and A2's search over a lazy direction
+stream to the sampler it replaced, which is kept below as a reference, and
+check the one sampling bound of verify, kronecker and scan-lines."""
 
 import random
 
@@ -10,7 +11,8 @@ from conftest import DEFICIENT_TERMS, random_skew, random_spec
 from orthinst import A2Status, FlatForm, RatMatrix, TensorSpec, check_conditions, flatten, kernel_basis, rank
 from orthinst.cli import run_command
 from orthinst.kronecker import kronecker_conditions
-from orthinst.specfile import SpecFile, bundled_spec_path, serialize_spec
+from orthinst.monad import MAX_SAMPLES
+from orthinst.specfile import SpecFile, bundled_spec_path, load_bundled, serialize_spec
 
 C6 = str(bundled_spec_path("c6p3"))
 
@@ -59,27 +61,6 @@ def reference_a2(F, budget, seed, box):
     return A2Status("SampledNoCounterexample", samples=budget)
 
 
-def reference_k1(F, budget, seed, box):
-    """The eager K1 sampler before the shared search: every direction is
-    drawn before the first kernel is tried."""
-    w = F.n + 1
-    hit = None
-    sweeps = [[1 if t == j else 0 for t in range(w)] for j in range(w)]
-    for s in range(budget):
-        rng = random.Random(f"{seed}:kdir:{s}")
-        v = [rng.randint(-box, box) for _ in range(w)]
-        if any(v):
-            sweeps.append(v)
-    for v in sweeps:
-        ker = kernel_basis(F.along_point(v))
-        if ker:
-            hit = (tuple(int(x) for x in v), tuple(int(x) for x in ker[0]))
-            break
-    if hit is not None:
-        return A2Status("CounterexampleFound", witness_h=hit[1], witness_v=hit[0])
-    return A2Status("SampledNoCounterexample", samples=budget)
-
-
 @pytest.fixture(scope="module")
 def deficient_forms():
     # the fixture, the zero form and 40 deficient random forms
@@ -92,34 +73,57 @@ def deficient_forms():
     return forms
 
 
-# box 0 draws only zero directions, which the search must skip
-@pytest.mark.parametrize("budget,seed,box", [(1000, 0, 10), (0, 0, 10), (7, 3, 2), (5, 4, 1), (20, 1, 0)])
-def test_a2_and_k1_statuses_match_the_replaced_samplers(budget, seed, box, deficient_forms):
+@pytest.fixture(scope="module")
+def bundled_forms():
+    return [load_bundled(name).flatten() for name in ("c6p3", "c5p3")]
+
+
+@pytest.mark.parametrize("budget,seed,box", [(1000, 0, 10), (0, 0, 10), (7, 3, 2), (5, 4, 1)])
+def test_a2_and_k1_statuses_match_the_replaced_samplers(budget, seed, box, deficient_forms, bundled_forms):
+    # K1 is A2's decision at the same budget; A2 below full rank is the
+    # replaced sampler's status
     kinds = set()
-    for F in deficient_forms:
+    for F in deficient_forms + bundled_forms:
         r = rank(F.M) - 2 * F.c
         a2 = check_conditions(F, r, budget=budget, seed=seed, box=box).a2
-        k1 = kronecker_conditions(F, r, budget=budget, seed=seed, box=box).k1
-        assert a2 == reference_a2(F, budget, seed, box)
-        assert k1 == reference_k1(F, budget, seed, box)
-        kinds |= {a2.kind, k1.kind}
-    assert {"CounterexampleFound", "SampledNoCounterexample"} <= kinds
+        assert kronecker_conditions(F, r, budget=budget, seed=seed, box=box).k1 == a2
+        if rank(F.M) < F.size:
+            assert a2 == reference_a2(F, budget, seed, box)
+        else:
+            assert a2.kind == "CertifiedFullRank"
+        kinds.add(a2.kind)
+    if budget == 0:
+        assert kinds == {"CertifiedFullRank", "Unknown"}
+    else:
+        assert kinds == {"CertifiedFullRank", "CounterexampleFound", "SampledNoCounterexample"}
+
+
+def no_rng(*args, **kwargs):
+    raise AssertionError("a random direction was drawn")
 
 
 def test_k1_draws_no_direction_past_the_first_hit(monkeypatch):
     # one term with a singular 3x3 B: h in ker B gives M(h (x) v) = 0 for
-    # every v, so the first basis direction hits
+    # every v, so a basis direction hits
     rng = random.Random(5)
     F = flatten(TensorSpec(3, 3, ((random_skew(3, rng), random_skew(4, rng)),)))
     assert rank(F.M) < F.size
 
-    def no_rng(*args, **kwargs):
-        raise AssertionError("a random direction was drawn")
-
     monkeypatch.setattr(random, "Random", no_rng)
-    rep = kronecker_conditions(F, rank(F.M) - 6, budget=10**9)
+    rep = kronecker_conditions(F, rank(F.M) - 6, budget=MAX_SAMPLES)
     assert rep.k1.kind == "CounterexampleFound"
     assert rep.k1.witness_v == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("box", [0, -1])
+def test_box_below_1_is_refused_before_any_draw(box, deficient_forms, bundled_forms, monkeypatch):
+    # box 0 draws only zero directions, which the search skips: a clean run
+    # of nothing, so it is refused at every rank
+    monkeypatch.setattr(random, "Random", no_rng)
+    for F in deficient_forms + bundled_forms:
+        for check in (check_conditions, kronecker_conditions):
+            with pytest.raises(ValueError, match=f"^box must be >= 1, got {box}$"):
+                check(F, rank(F.M) - 2 * F.c, budget=20, seed=1, box=box)
 
 
 @pytest.fixture(scope="module")
@@ -137,4 +141,41 @@ def test_negative_budget_or_box_exits_1_at_every_rank(cmd, flag, name, which, fi
     rep = run_command([cmd, spec, flag, "-5"])
     assert rep.exit_code == 1
     assert rep.results["error"] == "ValueError"
-    assert rep.results["message"] == f"{name} must be >= 0, got -5"
+    assert rep.results["message"] == (f"{name} must be >= 0, got -5" if name == "budget" else "box must be >= 1, got -5")
+
+
+@pytest.mark.parametrize("cmd,flag", [("verify", "--budget"), ("kronecker", "--budget"), ("scan-lines", "--samples")])
+@pytest.mark.parametrize("which", ["c6p3", "fixture"])
+def test_sampling_bound_exits_1_before_any_draw(cmd, flag, which, fixture_path, monkeypatch):
+    # c6p3 is full rank: the bound is checked before the full-rank shortcut
+    spec = C6 if which == "c6p3" else fixture_path
+    monkeypatch.setattr(random, "Random", no_rng)
+    over = MAX_SAMPLES + 1
+    for args, message in (
+        ([flag, str(over)], f"{flag[2:]} must be <= {MAX_SAMPLES}, got {over}"),
+        (["--box", "0"], "box must be >= 1, got 0"),
+        (["--box", "-1"], "box must be >= 1, got -1"),
+    ):
+        rep = run_command([cmd, spec, *args])
+        assert (rep.exit_code, rep.results["error"], rep.results["message"]) == (1, "ValueError", message)
+
+
+def test_kronecker_refutes_the_form_verify_refutes(tmp_path):
+    # draw 0 of this stream is a one-term c=4, n=4 form with singular B;
+    # K1 once passed it on its own v-only sampler
+    spec = random_spec(random.Random(20261018), cs=(3, 4, 5, 6), ns=(3, 4))
+    F = flatten(spec)
+    path = tmp_path / "draw0.json"
+    path.write_text(serialize_spec(SpecFile(spec, rank(F.M) - 2 * F.c)))
+    verify = run_command(["verify", str(path)])
+    kron = run_command(["kronecker", str(path)])
+    assert verify.exit_code == kron.exit_code == 2
+    a2, k1 = verify.results["conditions"]["a2"], kron.results["kronecker"]["k1"]
+    assert a2["kind"] == k1["kind"] == "CounterexampleFound"
+    assert a2["h"] == k1["h"] == [1, 0, 0, 0]
+
+
+def test_kronecker_with_zero_budget_is_unknown(fixture_path):
+    rep = run_command(["kronecker", fixture_path, "--budget", "0"])
+    assert rep.exit_code == 2
+    assert rep.results["kronecker"]["k1"] == rep.results["kronecker"]["k2"] == {"kind": "Unknown"}

@@ -10,6 +10,7 @@ from orthinst import (
     RatMatrix,
     build_alpha,
     build_beta,
+    det,
     evaluate_bilinear,
     flatten,
     gamma_coefficients,
@@ -302,6 +303,24 @@ class TestScanLines:
             want += all(P[j] * Q[l] == P[l] * Q[j] for j in range(4) for l in range(4))
         assert rep.degenerate == want
         assert rep.trivial + rep.jumping + rep.degenerate == 200
+
+    def test_each_line_tests_skewness_once(self, F6, monkeypatch):
+        # the pfaffian's own skewness test is the only one per pencil
+        calls = []
+        is_skew = RatMatrix.is_skew
+        monkeypatch.setattr(RatMatrix, "is_skew", lambda M: calls.append(M.rows) or is_skew(M))
+        rep = scan_lines(F6, 250, seed=3)
+        assert rep.degenerate == 0
+        assert calls == [6] * 250
+
+    def test_non_skew_pencil_has_no_pfaffian(self):
+        # a symmetric M outside the wedge: its even pencil is not skew
+        rng = random.Random(41)
+        F = FlatForm(4, 3, RatMatrix(random_symmetric(16, rng)))
+        g = gamma_eval(F, [1, 2, 0, -1], [0, 1, 3, 1])
+        assert not g.M.is_skew()
+        v = g.verdict()
+        assert v.pfaffian is None and v.determinant == det(g.M)
 
     def test_c5p3_no_trivial(self, F5):
         rep = scan_lines(F5, 300, seed=1, box=10)

@@ -9,6 +9,7 @@ from orthinst import (
     moduli_dim,
     orbit_probe,
 )
+from orthinst import kronecker
 from orthinst.moduli import random_unimodular
 
 import random
@@ -67,6 +68,16 @@ class TestOrbitProbe:
         F = FlatForm(3, 3, RatMatrix.zeros(12, 12))
         rep = orbit_probe(F, trials=5, seed=1)
         assert rep.passed
+
+    def test_panel_lines_are_span_checked_once(self, F6, monkeypatch):
+        # the span checks are the rank calls on 2 x (n+1) point matrices;
+        # the panel's own check is the only one per line
+        shapes = []
+        rank = kronecker.rank
+        monkeypatch.setattr(kronecker, "rank", lambda M: shapes.append((M.rows, M.cols)) or rank(M))
+        rep = orbit_probe(F6, trials=8, seed=3)
+        assert rep.passed and rep.panel_size == 20
+        assert shapes == [(2, 4)] * 20
 
     def test_deterministic(self, F5):
         a = orbit_probe(F5, trials=4, seed=3)

@@ -49,23 +49,46 @@ def test_integer_storage_read_only_in_linalg_and_forms():
     assert found == []
 
 
-def test_one_decomposable_kernel_search():
-    # A2 and K1 are one statement, sampled by one search: outside the
-    # elimination core exactly one function asks for a kernel basis
+def _callers(name, skip=()):
+    # "module.py:function" for each call of `name`, by its innermost enclosing function
     callers = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{where.split(':')[0]}:{node.name}"
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == "kernel_basis":
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == name:
             callers.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     for path in SOURCES:
-        if path.name != "linalg.py":
+        if path.name not in skip:
             visit(ast.parse(path.read_text(), str(path)), f"{path.name}:<module>")
-    assert callers == {"monad.py:_decomposable_kernel_hit"}
+    return callers
+
+
+def test_one_decomposable_kernel_search():
+    # A2 and K1 are one statement, sampled by one search: outside the
+    # elimination core exactly one function asks for a kernel basis
+    assert _callers("kernel_basis", skip=("linalg.py",)) == {"monad.py:nondegeneracy_witness_search"}
+
+
+def test_a2_status_built_only_by_the_decision():
+    # every A2, K1 and K2 status is the one decision's
+    assert _callers("A2Status") == {"monad.py:nondegeneracy"}
+
+
+def test_kronecker_imports_no_private_monad_name():
+    # K1 reads A2's decision and runs no search or policy of its own
+    tree = ast.parse((Path(orthinst.__file__).parent / "kronecker.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "monad"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def _outside_linalg():
