@@ -12,6 +12,12 @@ the monad gives, for n >= 3,
 the last line using the symmetric self-duality of the bundle.  Monomials are
 ordered graded-lexicographically with x_0 > x_1 > ... > x_n so every matrix
 layout is reproducible.
+
+Each sigma_k is built once, sparse: the nonzero coefficients of the second
+map are scattered straight into ``linalg.SparseIntMatrix`` rows, with at
+most n+1 nonzeros in a column of each block, and its rank is exact sparse
+elimination through ``linalg.rank``.  ``section_map`` is the dense
+``RatMatrix`` view of the same build.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from math import comb, factorial, lcm, prod
 
 from .errors import PreconditionN
 from .forms import FlatForm
-from .linalg import RatMatrix, check_cells, rank
+from .linalg import RatMatrix, SparseIntMatrix, check_cells, rank
 from .monad import LinFormMatrix, build_beta
 
 
@@ -64,10 +70,11 @@ def section_map(F: FlatForm, r: int, k: int) -> RatMatrix:
     Maps (middle space) x (degree-k monomials) to (charge-dual space) x
     (degree-(k+1) monomials); block (m, w) multiplies by the linear form in
     entry (m, w) of the second map.  At k = 0 and maximal rank this is the
-    flat matrix itself.
+    flat matrix itself.  This is the dense view of the sparse build whose
+    rank the cohomology tables take.
     """
-    beta = build_beta(F, r)
-    return _assemble_section_matrix(beta, F.c, F.n, k)
+    den, sigma = _section_rows(build_beta(F, r), F.c, F.n, k)
+    return sigma.dense(den)
 
 
 def _section_shape(c: int, n: int, wdim: int, k: int) -> tuple[int, int]:
@@ -80,9 +87,11 @@ def _section_shape(c: int, n: int, wdim: int, k: int) -> tuple[int, int]:
     return rows, cols
 
 
-def _assemble_section_matrix(beta: LinFormMatrix, c: int, n: int, k: int) -> RatMatrix:
-    """Scatter each nonzero coefficient of x_l in entry (m, w) of the second
-    map to block (m, w), mapping the source monomial u to u * x_l."""
+def _section_rows(beta: LinFormMatrix, c: int, n: int, k: int) -> tuple[int, SparseIntMatrix]:
+    """The degree-k section map of ``beta`` as (den, den * sigma_k), the
+    integer map stored sparsely.  Each nonzero coefficient of x_l in entry
+    (m, w) of the second map is scattered to block (m, w), mapping the
+    source monomial u to u * x_l."""
     rows_n, cols_n = _section_shape(c, n, beta.cols, k)
     src = monomials(n, k)
     dst = monomials(n, k + 1)
@@ -90,12 +99,14 @@ def _assemble_section_matrix(beta: LinFormMatrix, c: int, n: int, k: int) -> Rat
     bumped = [[dst_index[u[:l] + (u[l] + 1,) + u[l + 1 :]] for u in src] for l in range(n + 1)]
     nonzeros = [(l, m, w, x) for l, P in enumerate(beta.parts) for m, w, x in P.nonzeros()]
     den = lcm(*(x.denominator for *_, x in nonzeros))
-    grid = [[0] * cols_n for _ in range(rows_n)]
+    rows: list[dict[int, int]] = [{} for _ in range(rows_n)]
     for l, m, w, x in nonzeros:
         coef = x.numerator * (den // x.denominator)
         for s, t in enumerate(bumped[l]):
-            grid[m * len(dst) + t][w * len(src) + s] += coef
-    return RatMatrix.from_ints(grid, den, cols=cols_n)
+            # each cell is written once: its column fixes w and u, its row
+            # m and u * x_l, hence l
+            rows[m * len(dst) + t][w * len(src) + s] = coef
+    return den, SparseIntMatrix(rows, cols_n)
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,7 @@ class _DirectEngine:
 
     def _sigma(self, k: int) -> tuple[int, int, int]:
         if k not in self._cache:
-            m = _assemble_section_matrix(self.beta, self.c, self.n, k)
+            _, m = _section_rows(self.beta, self.c, self.n, k)
             self._cache[k] = (m.rows, m.cols, rank(m))
         return self._cache[k]
 

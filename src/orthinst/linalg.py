@@ -1,16 +1,22 @@
 """Exact linear algebra over the rationals.
 
-A matrix over Q is stored as integer rows over one positive denominator.
-Every algorithm is deterministic and tolerance-free: fraction-free Bareiss
-elimination for rank, determinant and kernels, a fraction-free skew pair
-elimination for Pfaffians, and a greedy principal-submatrix rank realization
-for symmetric matrices.
+A dense matrix over Q is stored as integer rows over one positive
+denominator (``RatMatrix``); a sparse integer matrix as one ``{col: nonzero
+int}`` dict per row (``SparseIntMatrix``).  Every algorithm is deterministic
+and tolerance-free: fraction-free Bareiss elimination for dense rank,
+determinant and kernels, primitive-row elimination for sparse rank, a
+fraction-free skew pair elimination for Pfaffians, and a greedy
+principal-submatrix rank realization for symmetric matrices.
 
 Every elimination runs on the stored integer rows, with no conversion and no
 Fraction arithmetic; a Fraction appears only in a result, as an integer over
 a power of the denominator.  ``nonzeros`` reads a sparse matrix, such as a
-coefficient matrix of a monad map, without touching its zero entries.  ``rank`` is memoised on the matrix, so the
-callers that all ask for the rank of one form share one elimination.
+coefficient matrix of a monad map, without touching its zero entries.
+``rank`` picks the elimination by representation and is memoised on the
+matrix, so the callers that all ask for the rank of one form share one
+elimination.  A ``RatMatrix`` keeps Bareiss, which is fastest on the many
+tiny matrices of the line scans; a ``SparseIntMatrix``, such as a cohomology
+section map, is eliminated touching only its nonzero entries.
 ``principal_rank_subset`` returns the whole index set at full rank and
 otherwise runs its greedy in one fraction-free pass over the Schur
 complement of the chosen block, instead of a rank call per candidate.
@@ -222,6 +228,39 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
+class SparseIntMatrix:
+    """Immutable sparse integer matrix.
+
+    ``entries`` holds one ``{col: nonzero int}`` dict per row, copied from
+    the constructor's input with its zeros dropped.  ``rows`` and ``cols``
+    are the shape, so empty shapes stay well-defined.  ``dense`` reads the
+    same matrix back as a ``RatMatrix``.  ``_rank`` memoises ``rank(self)``.
+    """
+
+    __slots__ = ("entries", "rows", "cols", "_rank")
+
+    def __init__(self, entries: Iterable[dict[int, int]], cols: int):
+        data = tuple({j: x for j, x in row.items() if x} for row in entries)
+        for row in data:
+            for j, x in row.items():
+                if type(x) is not int:
+                    raise TypeError(f"sparse entries must be ints, got {type(x).__name__}")
+                if not 0 <= j < cols:
+                    raise ShapeMismatch(f"column {j} outside 0..{cols - 1}")
+        object.__setattr__(self, "entries", data)
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_rank", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseIntMatrix is immutable")
+
+    def dense(self, den: int = 1) -> RatMatrix:
+        """The matrix over ``den`` as a dense ``RatMatrix``."""
+        width = range(self.cols)
+        return RatMatrix.from_ints([[row.get(j, 0) for j in width] for row in self.entries], den, cols=self.cols)
+
+
 # ----------------------------------------------------------------------
 # elimination core
 # ----------------------------------------------------------------------
@@ -265,12 +304,84 @@ def _bareiss(rows: list[list[int]], ncols: int):
     return len(pivots), pivots, sign, last
 
 
-def rank(M: RatMatrix) -> int:
-    """Exact rank via fraction-free Bareiss elimination, memoised on ``M``."""
+def _sparse_rank(entries: Sequence[dict[int, int]]) -> int:
+    """Rank of integer rows given as ``{col: nonzero int}`` dicts, by
+    primitive-row elimination on copies of them.
+
+    Each step pivots on a shortest remaining row P, at the column j of P
+    that the fewest other rows share, and replaces each row R with an entry
+    at j by (a*R - b*P) / content, where a = P[j]/g, b = R[j]/g and
+    g = gcd(P[j], R[j]).  These are invertible row operations over Q that
+    clear column j outside P, so P adds one to the rank and leaves the
+    elimination.  Dividing out the content bounds entry growth as in
+    Bareiss: each updated row is primitive and proportional to an integer
+    row of minors of the input (a row of the Schur complement times the
+    determinant of the pivot block), so no entry exceeds those minors.
+    """
+    rows = {i: dict(r) for i, r in enumerate(entries) if r}
+    at: dict[int, set[int]] = {}  # column -> the remaining rows with an entry there
+    by_len: dict[int, set[int]] = {}  # length -> the remaining rows of that length
+    for i, r in rows.items():
+        by_len.setdefault(len(r), set()).add(i)
+        for j in r:
+            at.setdefault(j, set()).add(i)
+
+    def leave(i: int, size: int) -> None:
+        same = by_len[size]
+        same.discard(i)
+        if not same:
+            del by_len[size]
+
+    rk = 0
+    while by_len:
+        size = min(by_len)
+        p = next(iter(by_len[size]))
+        leave(p, size)
+        P = rows.pop(p)
+        rk += 1
+        for k in P:
+            at[k].discard(p)
+        j = min(P, key=lambda k: len(at[k]))
+        pj = P.pop(j)
+        for i in at.pop(j):
+            R = rows[i]
+            leave(i, len(R))
+            rj = R.pop(j)
+            g = gcd(pj, rj)
+            a, b = pj // g, rj // g
+            if a != 1:
+                for k in R:
+                    R[k] *= a
+            for k, y in P.items():
+                x = R.get(k, 0) - b * y
+                if x:
+                    if k not in R:
+                        at[k].add(i)
+                    R[k] = x
+                else:
+                    del R[k]
+                    at[k].discard(i)
+            if not R:
+                del rows[i]
+                continue
+            content = gcd(*R.values())
+            if content != 1:
+                for k in R:
+                    R[k] //= content
+            by_len.setdefault(len(R), set()).add(i)
+    return rk
+
+
+def rank(M: RatMatrix | SparseIntMatrix) -> int:
+    """Exact rank, memoised on ``M``: fraction-free Bareiss elimination on a
+    ``RatMatrix``, primitive-row elimination on a ``SparseIntMatrix``."""
     if M._rank is None:
-        r = 0
-        if M.rows and M.cols:
+        if isinstance(M, SparseIntMatrix):
+            r = _sparse_rank(M.entries)
+        elif M.rows and M.cols:
             r, _, _, _ = _bareiss([list(row) for row in M.num], M.cols)
+        else:
+            r = 0
         object.__setattr__(M, "_rank", r)
     return M._rank
 

@@ -16,6 +16,7 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
+from math import comb
 from pathlib import Path
 from typing import Optional
 
@@ -181,7 +182,10 @@ def generate(c: int, n: int, mode: str = "pure", seed: int = 0, num_terms: int =
     mode falls back to the multi-term style of the odd-size worked example,
     growing the term count from 2 until the flattening verifies; the spec
     name records the fallback.  ``sum`` draws ``num_terms`` random skew
-    pairs per attempt.  Each mode makes at most ``GENERATE_ATTEMPTS``
+    pairs per attempt; ``num_terms`` must lie in 2..C(c,2)*C(n+1,2), the
+    dimension of the space of forms (every form is a sum of at most that
+    many pure tensors), and a count outside raises ``ValueError`` before
+    any draw.  Each mode makes at most ``GENERATE_ATTEMPTS``
     attempts.  Returns the spec and the attempt count.
     """
     if c < 3 or n < 3:
@@ -227,14 +231,16 @@ def generate(c: int, n: int, mode: str = "pure", seed: int = 0, num_terms: int =
                         return sf, attempt
         raise GenerationExhausted("no verified pure spec found", attempts=GENERATE_ATTEMPTS)
     if mode == "sum":
-        t = max(2, num_terms)
+        cap = comb(c, 2) * comb(n + 1, 2)
+        if not 2 <= num_terms <= cap:
+            raise ValueError(f"sum mode needs 2 <= terms <= C(c,2)*C(n+1,2) = {cap}, got {num_terms}")
         for attempt in range(1, GENERATE_ATTEMPTS + 1):
             rng = random.Random(f"{seed}:gen:{attempt}")
-            terms = tuple((_random_skew(c, rng), _random_skew(n + 1, rng)) for _ in range(t))
+            terms = tuple((_random_skew(c, rng), _random_skew(n + 1, rng)) for _ in range(num_terms))
             sf = SpecFile(
                 spec=TensorSpec(c, n, terms),
                 r=r,
-                name=f"sum{t}-c{c}n{n}-seed{seed}",
+                name=f"sum{num_terms}-c{c}n{n}-seed{seed}",
             )
             if verified(sf):
                 return sf, attempt

@@ -14,6 +14,7 @@ from orthinst import (
     OrthinstError,
     RankMismatch,
     RatMatrix,
+    ShapeMismatch,
     det,
     flatten,
     kernel_basis,
@@ -256,6 +257,101 @@ def rand_sparse_skew(rng, n, rational):
                 x = Fraction(rng.randint(-4, 4), rng.randint(1, 5) if rational else 1)
                 rows[i][j], rows[j][i] = x, -x
     return RatMatrix(rows, cols=n)
+
+
+BIG = 2**70
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer rows with entries up to 2^70 in size: mostly zero, dense, or
+    a low-rank product A*B; then some rows and columns zeroed and some rows
+    repeated."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["mostly zero", "dense", "low rank"]))
+    if kind == "low rank":
+        k = draw(st.integers(0, min(m, n)))
+        half = st.integers(-(2**35), 2**35)
+        A = [[draw(half) for _ in range(k)] for _ in range(m)]
+        B = [[draw(half) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+    elif kind == "dense":
+        rows = [[draw(st.integers(-BIG, BIG)) for _ in range(n)] for _ in range(m)]
+    else:
+        rows = [[0] * n for _ in range(m)]
+        if m and n:
+            cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), st.integers(-BIG, BIG))
+            for i, j, x in draw(st.lists(cells, max_size=m * n // 3 + 1)):
+                rows[i][j] = x
+    if m and n:
+        for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+            rows[i] = [0] * n
+        for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            for row in rows:
+                row[j] = 0
+        rows += [list(rows[i]) for i in draw(st.lists(st.integers(0, m - 1), max_size=3))]
+    return rows, n
+
+
+def sparse(rows, cols):
+    return linalg.SparseIntMatrix([dict(enumerate(row)) for row in rows], cols)
+
+
+class TestSparseRank:
+    """Primitive-row elimination on a SparseIntMatrix against Bareiss on the
+    same entries as a RatMatrix."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(int_matrices())
+    def test_equals_bareiss(self, data):
+        rows, cols = data
+        S = sparse(rows, cols)
+        before = [dict(r) for r in S.entries]
+        assert rank(S) == rank(RatMatrix.from_ints(rows, cols=cols))
+        assert [dict(r) for r in S.entries] == before  # rank mutates nothing
+
+    def test_against_gauss_oracle(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            r, c = rng.randint(1, 7), rng.randint(1, 7)
+            rows = [[rng.choice([0, 0, rng.randint(-4, 4)]) for _ in range(c)] for _ in range(r)]
+            assert rank(sparse(rows, c)) == rank_gauss_oracle(rows, c)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 5), (3, 0), (0, 0), (4, 6)])
+    def test_empty_shapes_and_zero_matrix(self, rows, cols):
+        S = linalg.SparseIntMatrix([{} for _ in range(rows)], cols)
+        assert (S.rows, S.cols) == (rows, cols) and rank(S) == 0
+        assert S.dense() == RatMatrix.zeros(rows, cols)
+
+    def test_never_runs_bareiss(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_bareiss", lambda *a: pytest.fail("dense elimination"))
+        assert rank(sparse([[2, 4, 0], [1, 2, 0], [0, 0, 3]], 3)) == 2
+
+    def test_memoised(self, monkeypatch):
+        S = sparse([[1, 2], [3, 4]], 2)
+        calls = []
+        sparse_rank = linalg._sparse_rank
+        monkeypatch.setattr(linalg, "_sparse_rank", lambda e: calls.append(1) or sparse_rank(e))
+        assert rank(S) == rank(S) == 2
+        assert calls == [1]
+
+    def test_storage(self):
+        given_rows = [{0: 3, 2: 0}, {1: -2**70}]
+        S = linalg.SparseIntMatrix(given_rows, 3)
+        assert S.entries == ({0: 3}, {1: -2**70})  # zeros are dropped
+        given_rows[0][1] = 5  # the caller's dicts are not shared
+        assert S.entries[0] == {0: 3}
+        assert S.dense(4) == RatMatrix([[Fraction(3, 4), 0, 0], [0, Fraction(-2**70, 4), 0]])
+        with pytest.raises(AttributeError):
+            S.cols = 4
+
+    def test_rejects_bad_entries(self):
+        with pytest.raises(ShapeMismatch, match="column 3 outside 0..2"):
+            linalg.SparseIntMatrix([{3: 1}], 3)
+        with pytest.raises(ShapeMismatch, match="column -1"):
+            linalg.SparseIntMatrix([{-1: 1}], 3)
+        with pytest.raises(TypeError):
+            linalg.SparseIntMatrix([{0: Fraction(1, 2)}], 3)
 
 
 class TestStorage:

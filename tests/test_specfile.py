@@ -145,6 +145,16 @@ class TestGenerate:
         assert rank(sf.flatten().M) == 20
         assert attempts <= 100
 
+    @pytest.mark.parametrize("terms", [0, 1, 61])
+    def test_sum_term_count_outside_2_to_cap_refused_before_any_draw(self, monkeypatch, terms):
+        # the cap for c = 5, n = 3 is C(5,2) * C(4,2) = 60, the dimension of the space of forms
+        monkeypatch.setattr(specfile, "_random_skew", lambda *a, **k: pytest.fail("drew a block"))
+        with pytest.raises(ValueError, match=f"2 <= terms <= C\\(c,2\\)\\*C\\(n\\+1,2\\) = 60, got {terms}"):
+            generate(5, 3, mode="sum", num_terms=terms)
+        rep = run_command(["generate", "--c", "5", "--n", "3", "--mode", "sum", "--terms", str(terms)])
+        assert rep.exit_code == 1
+        assert rep.results["error"] == "ValueError"
+
     def test_precondition(self):
         with pytest.raises(ValueError):
             generate(2, 3, mode="pure", seed=0)
