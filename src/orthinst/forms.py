@@ -22,18 +22,31 @@ coordinate, from which the monad maps take their coefficient matrices.  M is
 the integer view: every contraction and ``act`` read the integer rows
 ``M.num`` over ``M.den`` and return integer rows over a denominator, with no
 Fraction arithmetic.
+
+The contractions are mixes of column groups, cached on the form at first
+use: point group l holds the columns (k, l) for k = 0..c-1 and charge group
+k the columns (k, l) for l = 0..n, so ``along_point(v)`` is sum_l v_l
+(group l), ``along_charge(h)`` is sum_k h_k (group k), and ``act`` mixes
+charge groups and then row groups by the rows of h.  From the same groups P_a the form caches, per side, the
+Gram coefficients P_a^T P_a and P_a^T P_b + P_b^T P_a (a < b), so
+``gram_along_point(v)`` and ``gram_along_charge(h)`` return A^T A for the
+contraction A, a c x c or (n+1) x (n+1) matrix with the kernel of A,
+without building A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .errors import NotSkew, ShapeMismatch, Singular
 from .linalg import RatMatrix, check_cells, det, exact_vector
 
 IntRows = tuple[tuple[int, ...], ...]
+# the pairs a <= b and the flat k x k Gram coefficient of each
+GramCoefficients = tuple[list[tuple[int, int]], list[list[int]]]
 
 
 def _check_int_skew(mat, size: int, pointer: str) -> IntRows:
@@ -86,8 +99,9 @@ class TensorSpec:
 @dataclass(frozen=True)
 class FlatForm:
     """The flattened symmetric bilinear form of a tensor spec.  M is the
-    integer view (``M.num`` over ``M.den``); its slices are computed on first
-    use and are not part of the value."""
+    integer view (``M.num`` over ``M.den``); its slices, column groups and
+    Gram coefficients are computed on first use and are not part of the
+    value."""
 
     c: int
     n: int
@@ -110,50 +124,111 @@ class FlatForm:
         return self.M.submatrix(range(i * w, (i + 1) * w), range(k * w, (k + 1) * w))
 
     @cached_property
-    def _slices(self) -> list[tuple[int, int, list[int]]]:
-        """The nonzero c x c slices S_jl[i][k] = M[(i,j),(k,l)] of ``M.num``,
-        each as (j, l, its entries row-major)."""
+    def _slices(self) -> tuple[list[tuple[int, int]], list[list[int]]]:
+        """The pairs (j, l) of the nonzero c x c slices S_jl[i][k] =
+        M[(i,j),(k,l)] of ``M.num``, and each slice's entries row-major."""
         c, w = self.c, self.n + 1
         R = self.M.num
-        out = []
+        pairs, mats = [], []
         for j in range(w):
             for l in range(w):
                 s = [R[i * w + j][k * w + l] for i in range(c) for k in range(c)]
                 if any(s):
-                    out.append((j, l, s))
-        return out
+                    pairs.append((j, l))
+                    mats.append(s)
+        return pairs, mats
+
+    @cached_property
+    def _point_groups(self) -> list[list[int]]:
+        """Point group l: the columns (k, l), k = 0..c-1, of ``M.num`` as one
+        flat c(n+1) x c list, row-major."""
+        w = self.n + 1
+        return [[x for r in self.M.num for x in r[l::w]] for l in range(w)]
+
+    @cached_property
+    def _charge_groups(self) -> list[list[int]]:
+        """Charge group k: the columns (k, l), l = 0..n, of ``M.num`` as one
+        flat c(n+1) x (n+1) list, row-major."""
+        w = self.n + 1
+        return [[x for r in self.M.num for x in r[k * w : (k + 1) * w]] for k in range(self.c)]
+
+    @cached_property
+    def _point_gram(self) -> GramCoefficients:
+        return _gram_coefficients(self._point_groups, self.c)
+
+    @cached_property
+    def _charge_gram(self) -> GramCoefficients:
+        return _gram_coefficients(self._charge_groups, self.n + 1)
 
     def along_point(self, v: Sequence) -> RatMatrix:
-        """Matrix of h -> M(h (x) v), of shape c(n+1) x c."""
-        w = self.n + 1
-        e, v = exact_vector(v, w)
-        terms = [[(k * w + l, x) for l, x in enumerate(v) if x] for k in range(self.c)]
-        return RatMatrix.from_ints(_combine(self.M.num, terms), self.M.den * e)
+        """Matrix of h -> M(h (x) v), of shape c(n+1) x c: the point groups
+        mixed by v."""
+        e, v = exact_vector(v, self.n + 1)
+        return _from_flat(_mix(self._point_groups, v), self.c, self.M.den * e)
 
     def along_charge(self, h: Sequence) -> RatMatrix:
-        """Matrix of v -> M(h (x) v), of shape c(n+1) x (n+1)."""
-        w = self.n + 1
+        """Matrix of v -> M(h (x) v), of shape c(n+1) x (n+1): the charge
+        groups mixed by h."""
         e, h = exact_vector(h, self.c)
-        terms = [[(k * w + l, x) for k, x in enumerate(h) if x] for l in range(w)]
-        return RatMatrix.from_ints(_combine(self.M.num, terms), self.M.den * e)
+        return _from_flat(_mix(self._charge_groups, h), self.n + 1, self.M.den * e)
+
+    def gram_along_point(self, v: Sequence) -> RatMatrix:
+        """The c x c Gram matrix A^T A of A = ``along_point(v)``; it has the
+        kernel of A."""
+        e, v = exact_vector(v, self.n + 1)
+        return _gram(self._point_gram, v, self.c, (self.M.den * e) ** 2)
+
+    def gram_along_charge(self, h: Sequence) -> RatMatrix:
+        """The (n+1) x (n+1) Gram matrix A^T A of A = ``along_charge(h)``; it
+        has the kernel of A."""
+        e, h = exact_vector(h, self.c)
+        return _gram(self._charge_gram, h, self.n + 1, (self.M.den * e) ** 2)
 
     def pencil(self, P: Sequence, Q: Sequence) -> RatMatrix:
         """The c x c pencil value G[i][k] = sum_{j,l} M[(i,j),(k,l)] Q_j P_l,
-        summed over the nonzero slices."""
+        the nonzero slices mixed by Q_j P_l."""
         c, w = self.c, self.n + 1
         dp, p = exact_vector(P, w)
         dq, q = exact_vector(Q, w)
-        acc = [0] * (c * c)
-        for j, l, s in self._slices:
-            x = q[j] * p[l]
-            if x:
-                acc = [a + x * y for a, y in zip(acc, s)]
-        return RatMatrix.from_ints([acc[i * c : (i + 1) * c] for i in range(c)], self.M.den * dp * dq)
+        pairs, mats = self._slices
+        flat = _mix(mats, [q[j] * p[l] for j, l in pairs]) if mats else [0] * (c * c)
+        return _from_flat(flat, c, self.M.den * dp * dq)
 
 
-def _combine(rows, terms: list[list[tuple[int, int]]]) -> list[list[int]]:
-    """Row r becomes [sum of r[a] * y over (a, y) in t, for t in terms]."""
-    return [[sum(r[a] * y for a, y in t) for t in terms] for r in rows]
+def _mix(groups: Sequence[list[int]], coeffs: Sequence[int]) -> list[int]:
+    """The flat integer list sum_a coeffs[a] * groups[a], skipping zero
+    coefficients; every group has one length."""
+    acc = None
+    for g, x in zip(groups, coeffs):
+        if x:
+            acc = [x * y for y in g] if acc is None else [a + x * y for a, y in zip(acc, g)]
+    return [0] * len(groups[0]) if acc is None else acc
+
+
+def _from_flat(flat: list[int], width: int, den: int) -> RatMatrix:
+    return RatMatrix.from_ints([flat[s : s + width] for s in range(0, len(flat), width)], den, cols=width)
+
+
+def _gram_coefficients(groups: list[list[int]], k: int) -> GramCoefficients:
+    """The pairs a <= b and their flat k x k matrices G_ab, so that for
+    A(d) = sum_a d_a P_a the Gram matrix is A(d)^T A(d) = sum_{a<=b} d_a d_b
+    G_ab: G_aa = P_a^T P_a and G_ab = P_a^T P_b + P_b^T P_a.  P_a is the flat
+    rows x k group ``groups[a]``."""
+    cols = [[g[p::k] for p in range(k)] for g in groups]
+    pairs, mats = [], []
+    for a, A in enumerate(cols):
+        for b in range(a, len(cols)):
+            T = [sum(map(mul, x, y)) for x in A for y in cols[b]]
+            if a < b:
+                T = [T[p * k + q] + T[q * k + p] for p in range(k) for q in range(k)]
+            pairs.append((a, b))
+            mats.append(T)
+    return pairs, mats
+
+
+def _gram(coefficients: GramCoefficients, d: Sequence[int], k: int, den: int) -> RatMatrix:
+    pairs, mats = coefficients
+    return _from_flat(_mix(mats, [d[a] * d[b] for a, b in pairs]), k, den)
 
 
 def point_indices(c: int, n: int, l: int) -> range:
@@ -210,7 +285,7 @@ def wedge_membership(F: FlatForm) -> bool:
 def act(h: RatMatrix, F: FlatForm) -> FlatForm:
     """Base change on the charge factor: M -> (h (x) Id) M (h^T (x) Id), i.e.
     M'(i,k) = sum_{a,b} h[i,a] h[k,b] M(a,b) on the blocks, contracted
-    first over block rows, then over block columns.
+    first over block columns, Y = M (h^T (x) Id), then over block rows.
 
     Runs on integers: with h = H/e and M = R/d the result is
     (H (x) Id) R (H^T (x) Id) / (d e^2).  Requires invertible h.  Preserves
@@ -221,9 +296,13 @@ def act(h: RatMatrix, F: FlatForm) -> FlatForm:
         raise ShapeMismatch(f"action matrix must be {c}x{c}, got {h.rows}x{h.cols}")
     if det(h) == 0:
         raise Singular("action matrix must be invertible")
-    w = n + 1
-    R, H = F.M.num, h.num
-    # column (k,l) of X (H^T (x) Id) is sum_b H[k,b] X[:, (b,l)]
-    terms = [[(b * w + l, x) for b, x in enumerate(H[k]) if x] for k in range(c) for l in range(w)]
-    left = _combine(zip(*R), terms)  # ((H (x) Id) R)^T
-    return FlatForm(c, n, RatMatrix.from_ints(_combine(zip(*left), terms), F.M.den * h.den**2))
+    w, size = n + 1, F.size
+    # column group k of Y = R (H^T (x) Id) is the charge groups mixed by H[k]
+    mixes = [_mix(F._charge_groups, Hk) for Hk in h.num]
+    Y = [x for s in range(0, size * w, w) for m in mixes for x in m[s : s + w]]
+    # row group a of Y is its rows (a, j), j = 0..n; row group i of the
+    # result is them mixed by H[i]
+    span = w * size
+    row_groups = [Y[a : a + span] for a in range(0, size * size, span)]
+    flat = [x for Hi in h.num for x in _mix(row_groups, Hi)]
+    return FlatForm(c, n, _from_flat(flat, size, F.M.den * h.den**2))

@@ -9,6 +9,7 @@ import pytest
 from conftest import DEFICIENT_TERMS, random_skew, random_spec
 
 from orthinst import A2Status, FlatForm, RatMatrix, TensorSpec, check_conditions, flatten, kernel_basis, rank
+from orthinst import monad
 from orthinst.cli import run_command
 from orthinst.kronecker import kronecker_conditions
 from orthinst.monad import MAX_SAMPLES
@@ -96,6 +97,26 @@ def test_a2_and_k1_statuses_match_the_replaced_samplers(budget, seed, box, defic
         assert kinds == {"CertifiedFullRank", "Unknown"}
     else:
         assert kinds == {"CertifiedFullRank", "CounterexampleFound", "SampledNoCounterexample"}
+
+
+def test_search_eliminates_only_the_hit(deficient_forms, monkeypatch):
+    # a direction is screened by the rank of its Gram matrix, so a kernel is
+    # computed once, at the first hit, and never on a clean run
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return kernel_basis(A)
+
+    monkeypatch.setattr(monad, "kernel_basis", counting)
+    hits = []
+    for F in deficient_forms:
+        calls.clear()
+        hits.append(monad.nondegeneracy_witness_search(F, budget=1000))
+        assert len(calls) == (hits[-1] is not None)
+    # the fixture's clean run eliminates nothing
+    assert hits[0] is None
+    assert 0 < sum(hit is not None for hit in hits) < len(hits)
 
 
 def no_rng(*args, **kwargs):

@@ -15,6 +15,7 @@ from orthinst import (
     build_beta_full,
     flatten,
     is_wedge_matrix,
+    kernel_basis,
     principal_rank_subset,
     rank,
     wedge_membership,
@@ -22,7 +23,7 @@ from orthinst import (
 from orthinst.forms import point_indices
 from orthinst.moduli import random_unimodular
 
-from conftest import random_skew, random_spec
+from conftest import DEFICIENT_TERMS, random_skew, random_spec
 
 
 def tensor_vec(h, v):
@@ -131,6 +132,7 @@ class TestContractions:
             vs = [unit(j, w) for j in range(w)] + [[rng.randint(-4, 4) for _ in range(w)] for _ in range(3)]
             vs.append([Fraction(1, 2)] + [0] * (w - 1))
             vs.append(fraction_vector(w))
+            vs += [[0] * w, [Fraction(0)] * w]
             for v in vs:
                 assert F.along_point(v) == reference_along_point(F, v)
 
@@ -140,12 +142,28 @@ class TestContractions:
             hs = [unit(i, F.c) for i in range(F.c)] + [[rng.randint(-4, 4) for _ in range(F.c)] for _ in range(3)]
             hs.append([Fraction(1, 2), 1] + [0] * (F.c - 2))
             hs.append(fraction_vector(F.c))
+            hs += [[0] * F.c, [Fraction(0)] * F.c]
             for h in hs:
                 assert F.along_charge(h) == reference_along_charge(F, h)
 
     def test_zero_vector_gives_zero_slice(self, F6):
         assert F6.along_point([0] * 4) == RatMatrix.zeros(24, 6)
         assert F6.along_charge([0] * 6) == RatMatrix.zeros(24, 4)
+
+    def test_filled_caches_keep_equality_and_hash(self):
+        # the column groups, Gram coefficients and slices are computed on
+        # first use and are not part of the value
+        F, G = (flatten(TensorSpec(3, 3, DEFICIENT_TERMS)) for _ in range(2))
+        F.along_point([1, 2, 0, -1])
+        F.along_charge([Fraction(1, 2), 0, 3])
+        F.gram_along_point([1, 0, 0, 0])
+        F.gram_along_charge([0, 1, 1])
+        F.pencil([1, 0, 0, 0], [0, 1, 0, 0])
+        act(RatMatrix.identity(3), F)
+        caches = {"_point_groups", "_charge_groups", "_point_gram", "_charge_gram", "_slices"}
+        assert caches <= set(vars(F)) and not caches & set(vars(G))
+        assert F == G and hash(F) == hash(G)
+        assert len({F, G}) == 1
 
     def test_monad_parts_read_the_blocks(self, F_deficient):
         # part l of the second map is B_l[k][t] = M[s, (k, l)] for s = col_idx[t],
@@ -179,6 +197,92 @@ class TestContractions:
             F6.along_point([1, 2, 3])
         with pytest.raises(ShapeMismatch):
             F6.along_charge([1, 2, 3])
+
+
+def gram_forms():
+    """60 seeded deficient forms, the zero form and a form over den 6."""
+    rng = random.Random(120)
+    forms = []
+    while len(forms) < 60:
+        F = flatten(random_spec(rng, cs=(3, 4, 5), ns=(3, 4)))
+        if rank(F.M) < F.size:
+            forms.append(F)
+    forms.append(FlatForm(3, 3, RatMatrix.zeros(12, 12)))
+    forms.append(FlatForm(F.c, F.n, F.M.scale(Fraction(7, 6))))
+    return forms
+
+
+def contraction_sides(F):
+    """(side, Gram, contraction, k = its column count, direction length)."""
+    return (
+        ("h", F.gram_along_charge, F.along_charge, F.n + 1, F.c),
+        ("v", F.gram_along_point, F.along_point, F.c, F.n + 1),
+    )
+
+
+def gram_directions(F, rng):
+    """Per side: the basis, seeded integer and Fraction directions, and the
+    kernel vectors of the other side's basis contractions, which are
+    directions with a kernel off the basis."""
+    out = {}
+    for side, *_, length in contraction_sides(F):
+        out[side] = (
+            [unit(i, length) for i in range(length)]
+            + [[rng.randint(-6, 6) for _ in range(length)] for _ in range(4)]
+            + [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(length)] for _ in range(2)]
+        )
+    for side, _, along, _, length in contraction_sides(F):
+        other = "v" if side == "h" else "h"
+        out[other] += [list(x) for i in range(length) for x in kernel_basis(along(unit(i, length)))]
+    return out
+
+
+def one_sided_gram(along, k, length):
+    """A broken Gram matrix: sum_{a<=b} d_a d_b P_a^T P_b, the cross term
+    P_b^T P_a dropped, with P_a the contraction along the basis vector a."""
+    P = [along(unit(a, length)) for a in range(length)]
+
+    def gram(d):
+        total = RatMatrix.zeros(k, k)
+        for a in range(length):
+            for b in range(a, length):
+                total = total + (P[a].transpose() @ P[b]).scale(Fraction(d[a]) * Fraction(d[b]))
+        return total
+
+    return gram
+
+
+class TestGram:
+    def test_gram_has_full_rank_exactly_when_the_contraction_is_injective(self):
+        rng = random.Random(121)
+        cases = hits = off_basis_hits = broken_misses = 0
+        for F in gram_forms():
+            directions = gram_directions(F, rng)
+            for side, gram, along, k, length in contraction_sides(F):
+                broken = one_sided_gram(along, k, length)
+                for d in directions[side]:
+                    A, G = along(d), gram(d)
+                    assert G == A.transpose() @ A
+                    has_kernel = bool(kernel_basis(A))
+                    assert (rank(G) < k) == has_kernel
+                    broken_misses += (rank(broken(d)) < k) != has_kernel
+                    cases += 1
+                    hits += has_kernel
+                    off_basis_hits += has_kernel and sum(map(bool, d)) > 1
+        # the sweep reaches directions with and without a kernel, including
+        # kernels off the basis, where dropping the cross term shows
+        assert hits > 500 and off_basis_hits > 300 and cases - hits > 700
+        assert broken_misses > 0
+
+    def test_zero_direction_gives_zero_gram(self, F_deficient):
+        assert F_deficient.gram_along_point([0] * 4) == RatMatrix.zeros(3, 3)
+        assert F_deficient.gram_along_charge([Fraction(0)] * 3) == RatMatrix.zeros(4, 4)
+
+    def test_wrong_length_rejected(self, F6):
+        with pytest.raises(ShapeMismatch):
+            F6.gram_along_point([1, 2, 3])
+        with pytest.raises(ShapeMismatch):
+            F6.gram_along_charge([1, 2, 3])
 
 
 class TestWedgeMembership:
@@ -246,5 +350,8 @@ class TestAct:
                 random_unimodular(F.c, rng),
                 RatMatrix.diagonal([Fraction(1, 2)] + [1] * (F.c - 1)),
                 RatMatrix.diagonal([Fraction(t + 1, 3) for t in range(F.c)]) @ random_unimodular(F.c, rng),
+                # a full matrix with mixed denominators 2, 3 and 5
+                random_unimodular(F.c, rng) @ RatMatrix.diagonal([Fraction(1, 2 + t % 3) for t in range(F.c)])
+                + RatMatrix.identity(F.c).scale(Fraction(1, 5)),
             ):
                 assert act(h, F).M == reference_act(h, F)
