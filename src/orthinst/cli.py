@@ -96,10 +96,10 @@ def _build_parser() -> _Parser:
         q = sub.add_parser(name, help=help_text)
         q.add_argument("spec", help="path of a spec JSON file")
         q.add_argument("--json", action="store_true", dest="as_json")
-        q.add_argument("--seed", type=int, default=0)
         return q
 
     q = add_spec_cmd("verify", "check the form conditions and prechecks")
+    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--r", type=int, default=None, help="override the rank from the file")
     q.add_argument("--budget", type=int, default=1000)
     q.add_argument("--box", type=int, default=10)
@@ -112,10 +112,12 @@ def _build_parser() -> _Parser:
     q.add_argument("--Q", type=_int_list, required=True)
 
     q = add_spec_cmd("scan-lines", "sample lines and tally splitting verdicts")
+    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--samples", type=int, default=1000)
     q.add_argument("--box", type=int, default=10)
 
     q = add_spec_cmd("kronecker", "check the pencil-module conditions")
+    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--r", type=int, default=None)
     q.add_argument("--budget", type=int, default=200)
     q.add_argument("--box", type=int, default=10)

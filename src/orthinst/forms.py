@@ -15,23 +15,23 @@ indices; ``wedge_membership`` tests both conditions.
 
 A flat form is its matrix M and nothing else.  Only this module maps flat
 indices to (charge, point) pairs; other modules use the blocks M(i,k)
-(``FlatForm.block``, the pencil's coefficients), the contractions
-``along_point(v)``: h -> M(h (x) v), ``along_charge(h)``: v -> M(h (x) v)
-and ``pencil(P, Q)``, and ``point_indices``, the flat indices of one point
-coordinate, from which the monad maps take their coefficient matrices.  M is
-the integer view: every contraction and ``act`` read the integer rows
-``M.num`` over ``M.den`` and return integer rows over a denominator, with no
-Fraction arithmetic.
+(``FlatForm.block``, the pencil's coefficients), the Gram matrices A^T A of
+the contractions A: h -> M(h (x) v) along a point v and A: v -> M(h (x) v)
+along a charge vector h (``gram_along_point(v)``, c x c, and
+``gram_along_charge(h)``, (n+1) x (n+1)), ``pencil(P, Q)``, and
+``point_indices``, the flat indices of one point coordinate, from which the
+monad maps take their coefficient matrices.  M is the integer view: the Gram
+matrices, the pencil and ``act`` read the integer rows ``M.num`` over
+``M.den`` and return integer rows over a denominator, with no Fraction
+arithmetic.
 
-The contractions are mixes of column groups, cached on the form at first
-use: point group l holds the columns (k, l) for k = 0..c-1 and charge group
-k the columns (k, l) for l = 0..n, so ``along_point(v)`` is sum_l v_l
-(group l), ``along_charge(h)`` is sum_k h_k (group k), and ``act`` mixes
-charge groups and then row groups by the rows of h.  From the same groups P_a the form caches, per side, the
-Gram coefficients P_a^T P_a and P_a^T P_b + P_b^T P_a (a < b), so
-``gram_along_point(v)`` and ``gram_along_charge(h)`` return A^T A for the
-contraction A, a c x c or (n+1) x (n+1) matrix with the kernel of A,
-without building A.
+Over Q a Gram matrix has the kernel of its contraction (x^T A^T A x =
+|Ax|^2), so it answers every kernel question about A without building A.
+Its coefficients are cached on the form at first use, per side, from the
+column groups P_a of ``M.num`` (point group l: the columns (k, l) for k =
+0..c-1; charge group k: the columns (k, l) for l = 0..n) as P_a^T P_a and
+P_a^T P_b + P_b^T P_a (a < b); a Gram matrix is their mix by d_a d_b.
+``act`` mixes the charge groups and then row groups by the rows of h.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class TensorSpec:
 @dataclass(frozen=True)
 class FlatForm:
     """The flattened symmetric bilinear form of a tensor spec.  M is the
-    integer view (``M.num`` over ``M.den``); its slices, column groups and
+    integer view (``M.num`` over ``M.den``); its slices, charge groups and
     Gram coefficients are computed on first use and are not part of the
     value."""
 
@@ -139,13 +139,6 @@ class FlatForm:
         return pairs, mats
 
     @cached_property
-    def _point_groups(self) -> list[list[int]]:
-        """Point group l: the columns (k, l), k = 0..c-1, of ``M.num`` as one
-        flat c(n+1) x c list, row-major."""
-        w = self.n + 1
-        return [[x for r in self.M.num for x in r[l::w]] for l in range(w)]
-
-    @cached_property
     def _charge_groups(self) -> list[list[int]]:
         """Charge group k: the columns (k, l), l = 0..n, of ``M.num`` as one
         flat c(n+1) x (n+1) list, row-major."""
@@ -154,33 +147,23 @@ class FlatForm:
 
     @cached_property
     def _point_gram(self) -> GramCoefficients:
-        return _gram_coefficients(self._point_groups, self.c)
+        # point group l: the columns (k, l), k = 0..c-1, as one flat c(n+1) x c list
+        w = self.n + 1
+        return _gram_coefficients([[x for r in self.M.num for x in r[l::w]] for l in range(w)], self.c)
 
     @cached_property
     def _charge_gram(self) -> GramCoefficients:
         return _gram_coefficients(self._charge_groups, self.n + 1)
 
-    def along_point(self, v: Sequence) -> RatMatrix:
-        """Matrix of h -> M(h (x) v), of shape c(n+1) x c: the point groups
-        mixed by v."""
-        e, v = exact_vector(v, self.n + 1)
-        return _from_flat(_mix(self._point_groups, v), self.c, self.M.den * e)
-
-    def along_charge(self, h: Sequence) -> RatMatrix:
-        """Matrix of v -> M(h (x) v), of shape c(n+1) x (n+1): the charge
-        groups mixed by h."""
-        e, h = exact_vector(h, self.c)
-        return _from_flat(_mix(self._charge_groups, h), self.n + 1, self.M.den * e)
-
     def gram_along_point(self, v: Sequence) -> RatMatrix:
-        """The c x c Gram matrix A^T A of A = ``along_point(v)``; it has the
-        kernel of A."""
+        """The c x c Gram matrix A^T A of the c(n+1) x c contraction A: h ->
+        M(h (x) v); it has the kernel of A."""
         e, v = exact_vector(v, self.n + 1)
         return _gram(self._point_gram, v, self.c, (self.M.den * e) ** 2)
 
     def gram_along_charge(self, h: Sequence) -> RatMatrix:
-        """The (n+1) x (n+1) Gram matrix A^T A of A = ``along_charge(h)``; it
-        has the kernel of A."""
+        """The (n+1) x (n+1) Gram matrix A^T A of the c(n+1) x (n+1)
+        contraction A: v -> M(h (x) v); it has the kernel of A."""
         e, h = exact_vector(h, self.c)
         return _gram(self._charge_gram, h, self.n + 1, (self.M.den * e) ** 2)
 

@@ -401,8 +401,12 @@ def kernel_basis(M: RatMatrix) -> list[tuple[int, ...]]:
     """Basis of the right kernel {v : Mv = 0}.
 
     Vectors are primitive integer vectors, one per free column in ascending
-    column order, each positive at its free column, so the result is
-    deterministic and its length is cols - rank(M).
+    column order, each positive at its free column; its length is cols -
+    rank(M).  The basis is canonical: it depends only on the kernel, so two
+    matrices with one kernel, such as A and A^T A over Q, get equal bases.
+    A column is free when it lies in the span of the columns before it, and
+    the vector of a free column is the unique kernel vector with 1 there and
+    0 at the other free columns, made primitive.
     """
     ncols = M.cols
     if ncols == 0:

@@ -23,10 +23,9 @@ prechecks.  The second, A2, is decided once, by ``nondegeneracy``, which
 ``kronecker`` also reads for K1 and K2 (the same statement): full rank
 certifies it, and below full rank one search for h (x) v in ker M runs along
 a lazy stream of integer directions: a hit is exact, a clean run is no proof.
-The search screens each direction by the exact rank of the small Gram matrix
-A^T A of its contraction A (``FlatForm.gram_along_point`` and
-``gram_along_charge``), which has the kernel of A, and builds and eliminates
-A itself only at the hit.
+Each direction's contraction A is asked for its kernel once, through its
+small Gram matrix A^T A (``FlatForm.gram_along_point`` and
+``gram_along_charge``), which has the kernel of A; A itself is never built.
 """
 
 from __future__ import annotations
@@ -255,25 +254,21 @@ def nondegeneracy_witness_search(
     """The first decomposable kernel vector h (x) v along ``_directions``,
     as the int pair (h, v), or ``None``.
 
-    A direction ("h", h) looks for v in the kernel of A = ``F.along_charge(h)``,
-    ("v", v) for h in the kernel of A = ``F.along_point(v)``; zero directions
-    are skipped.  A direction whose k x k Gram matrix A^T A has full rank k
-    is skipped too: x^T A^T A x = |Ax|^2, so ker A^T A = ker A, and only a
-    direction with a kernel has A built and eliminated.  Every kernel is
-    exact, so a hit is a witness; the stream is drawn only as far as the
-    first hit.  ``None`` is *not* a certificate of nondegeneracy.
+    A direction ("h", h) looks for v in the kernel of the contraction A: v ->
+    M(h (x) v), ("v", v) for h in the kernel of A: h -> M(h (x) v); zero
+    directions are skipped.  Each direction takes one kernel, of its k x k
+    Gram matrix A^T A, which is ker A since x^T A^T A x = |Ax|^2; the basis
+    ``kernel_basis`` returns depends only on the kernel, so the witness is
+    the first vector of the basis of ker A.  Every kernel is exact, so a hit
+    is a witness; the stream is drawn only as far as the first hit.  ``None``
+    is *not* a certificate of nondegeneracy.
     """
     for side, d in _directions(F, budget, seed, box):
         if not any(d):
             continue
-        if side == "h":
-            gram, along, k = F.gram_along_charge, F.along_charge, F.n + 1
-        else:
-            gram, along, k = F.gram_along_point, F.along_point, F.c
-        if rank(gram(d)) == k:
-            continue
-        ker = kernel_basis(along(d))[0]
-        return (tuple(d), ker) if side == "h" else (ker, tuple(d))
+        ker = kernel_basis(F.gram_along_charge(d) if side == "h" else F.gram_along_point(d))
+        if ker:
+            return (tuple(d), ker[0]) if side == "h" else (ker[0], tuple(d))
     return None
 
 

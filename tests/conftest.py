@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import pytest
 
-from orthinst import TensorSpec, flatten
+from orthinst import RatMatrix, TensorSpec, flatten
 from orthinst.specfile import load_bundled
 
 
@@ -21,6 +24,33 @@ def random_spec(rng, cs=(3, 4, 5, 6), ns=(3, 4), max_terms=3):
     n = rng.choice(ns)
     t = rng.randint(1, max_terms)
     return TensorSpec(c, n, tuple((random_skew(c, rng), random_skew(n + 1, rng)) for _ in range(t)))
+
+
+def _over_one_denominator(vec):
+    """(e, integers) with vec = integers / e."""
+    if all(type(x) is int for x in vec):
+        return 1, list(vec)
+    vec = [Fraction(x) for x in vec]
+    e = lcm(*(x.denominator for x in vec))
+    return e, [int(x * e) for x in vec]
+
+
+def reference_along_point(F, v):
+    """The c(n+1) x c contraction h -> M(h (x) v): entry ((i,j), k) is
+    sum_l M[(i,j),(k,l)] v_l, summed on the integer rows of M."""
+    c, w = F.c, F.n + 1
+    e, v = _over_one_denominator(v)
+    rows = [[sum(map(mul, r[k * w : (k + 1) * w], v)) for k in range(c)] for r in F.M.num]
+    return RatMatrix.from_ints(rows, F.M.den * e, cols=c)
+
+
+def reference_along_charge(F, h):
+    """The c(n+1) x (n+1) contraction v -> M(h (x) v): entry ((i,j), l) is
+    sum_k h_k M[(i,j),(k,l)], summed on the integer rows of M."""
+    c, w = F.c, F.n + 1
+    e, h = _over_one_denominator(h)
+    rows = [[sum(map(mul, r[l::w], h)) for l in range(w)] for r in F.M.num]
+    return RatMatrix.from_ints(rows, F.M.den * e, cols=w)
 
 
 @pytest.fixture(scope="session")

@@ -165,6 +165,22 @@ class TestUsage:
         rep = run_command([])
         assert rep.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["monad", C5], ["splitting", C5, "--P", "1,2,3,4", "--Q", "2,-1,0,3"], ["cohomology", C5, "--kmax", "-1"]],
+    )
+    def test_seed_is_refused_where_nothing_is_drawn(self, argv):
+        # only verify, kronecker and scan-lines draw from a seed
+        assert run_command(argv).exit_code == 0
+        rep = run_command([*argv, "--seed", "1"])
+        assert (rep.exit_code, rep.results["error"]) == (1, "UsageError")
+        assert "--seed" in rep.results["message"]
+
+    @pytest.mark.parametrize("cmd", ["verify", "kronecker", "scan-lines"])
+    def test_seeded_commands_keep_seed(self, cmd):
+        rep = run_command([cmd, C5, "--seed", "1", *(["--samples", "5"] if cmd == "scan-lines" else [])])
+        assert rep.exit_code == 0
+
     def test_shared_parser_reports_match_fresh_parsers(self):
         # the parser is built once per process; a usage error must leave it
         # as a fresh one for the calls that follow

@@ -6,7 +6,7 @@ check the one sampling bound of verify, kronecker and scan-lines."""
 import random
 
 import pytest
-from conftest import DEFICIENT_TERMS, random_skew, random_spec
+from conftest import DEFICIENT_TERMS, random_skew, random_spec, reference_along_charge, reference_along_point
 
 from orthinst import A2Status, FlatForm, RatMatrix, TensorSpec, check_conditions, flatten, kernel_basis, rank
 from orthinst import monad
@@ -18,47 +18,38 @@ from orthinst.specfile import SpecFile, bundled_spec_path, load_bundled, seriali
 C6 = str(bundled_spec_path("c6p3"))
 
 
+def reference_directions(F, budget, seed, box):
+    """The sampler's directions before the shared search: basis h, basis v,
+    then per sample s an h and a v from the stream f"{seed}:wit:{s}"."""
+    c, w = F.c, F.n + 1
+    for i in range(c):
+        yield "h", [1 if k == i else 0 for k in range(c)]
+    for j in range(w):
+        yield "v", [1 if l == j else 0 for l in range(w)]
+    for s in range(budget):
+        rng = random.Random(f"{seed}:wit:{s}")
+        yield "h", [rng.randint(-box, box) for _ in range(c)]
+        yield "v", [rng.randint(-box, box) for _ in range(w)]
+
+
+def reference_hit(F, side, d):
+    """The witness (h, v) along a nonzero direction, from the kernel of its
+    contraction, or None."""
+    if side == "h":
+        ker = kernel_basis(reference_along_charge(F, d))
+        return (tuple(d), ker[0]) if ker else None
+    ker = kernel_basis(reference_along_point(F, d))
+    return (ker[0], tuple(d)) if ker else None
+
+
 def reference_a2(F, budget, seed, box):
-    """The A2 sampler before the shared search: basis h, basis v, then per
-    sample s an h and a v from the stream f"{seed}:wit:{s}"."""
+    """The A2 sampler before the shared search."""
     if budget <= 0:
         return A2Status("Unknown")
-    c, w = F.c, F.n + 1
-
-    def check_h(h):
-        if all(x == 0 for x in h):
-            return None
-        ker = kernel_basis(F.along_charge(h))
-        return (tuple(int(x) for x in h), tuple(int(x) for x in ker[0])) if ker else None
-
-    def check_v(v):
-        if all(x == 0 for x in v):
-            return None
-        ker = kernel_basis(F.along_point(v))
-        return (tuple(int(x) for x in ker[0]), tuple(int(x) for x in v)) if ker else None
-
-    def search():
-        for i in range(c):
-            hit = check_h([1 if k == i else 0 for k in range(c)])
-            if hit:
-                return hit
-        for j in range(w):
-            hit = check_v([1 if l == j else 0 for l in range(w)])
-            if hit:
-                return hit
-        for s in range(budget):
-            rng = random.Random(f"{seed}:wit:{s}")
-            hit = check_h([rng.randint(-box, box) for _ in range(c)])
-            if hit:
-                return hit
-            hit = check_v([rng.randint(-box, box) for _ in range(w)])
-            if hit:
-                return hit
-        return None
-
-    hit = search()
-    if hit is not None:
-        return A2Status("CounterexampleFound", witness_h=hit[0], witness_v=hit[1])
+    for side, d in reference_directions(F, budget, seed, box):
+        hit = any(d) and reference_hit(F, side, d)
+        if hit:
+            return A2Status("CounterexampleFound", witness_h=hit[0], witness_v=hit[1])
     return A2Status("SampledNoCounterexample", samples=budget)
 
 
@@ -99,24 +90,33 @@ def test_a2_and_k1_statuses_match_the_replaced_samplers(budget, seed, box, defic
         assert kinds == {"CertifiedFullRank", "CounterexampleFound", "SampledNoCounterexample"}
 
 
-def test_search_eliminates_only_the_hit(deficient_forms, monkeypatch):
-    # a direction is screened by the rank of its Gram matrix, so a kernel is
-    # computed once, at the first hit, and never on a clean run
-    calls = []
+def test_search_takes_one_gram_kernel_per_direction(deficient_forms, monkeypatch):
+    # every nonzero direction drawn, up to and including the hit, asks once
+    # for the kernel of its k x k Gram matrix: k = n+1 along h, c along v
+    shapes = []
 
     def counting(A):
-        calls.append(A)
+        shapes.append((A.rows, A.cols))
         return kernel_basis(A)
 
     monkeypatch.setattr(monad, "kernel_basis", counting)
     hits = []
     for F in deficient_forms:
-        calls.clear()
-        hits.append(monad.nondegeneracy_witness_search(F, budget=1000))
-        assert len(calls) == (hits[-1] is not None)
-    # the fixture's clean run eliminates nothing
-    assert hits[0] is None
-    assert 0 < sum(hit is not None for hit in hits) < len(hits)
+        shapes.clear()
+        hit = monad.nondegeneracy_witness_search(F, budget=1000)
+        want = []
+        for side, d in reference_directions(F, 1000, 0, 10):
+            if any(d):
+                k = F.n + 1 if side == "h" else F.c
+                want.append((k, k))
+                # a direction equal to the witness's has a kernel: the first is the hit
+                if hit is not None and tuple(d) == hit[0 if side == "h" else 1]:
+                    break
+        assert shapes == want
+        hits.append((hit, len(shapes)))
+    # the fixture's clean run: 7 basis and 2000 drawn directions
+    assert hits[0] == (None, 2007)
+    assert 0 < sum(hit is not None for hit, _ in hits) < len(hits)
 
 
 def no_rng(*args, **kwargs):

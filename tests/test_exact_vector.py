@@ -31,6 +31,10 @@ def _linear(M, d):
     return M.scale(Fraction(1, d))
 
 
+def _quadratic(M, d):  # a Gram matrix A^T A scales by d^2 with its direction
+    return M.scale(Fraction(1, d * d))
+
+
 def _split(s):
     return s.verdict, s.determinant
 
@@ -48,8 +52,8 @@ def _cases(F):
 
     return {
         "exact_vector": (w, lambda v: exact_vector(v, w), lambda r, d: (d, r[1]), ShapeMismatch),
-        "along_point": (w, F.along_point, _linear, ShapeMismatch),
-        "along_charge": (c, F.along_charge, _linear, ShapeMismatch),
+        "gram_along_point": (w, F.gram_along_point, _quadratic, ShapeMismatch),
+        "gram_along_charge": (c, F.gram_along_charge, _quadratic, ShapeMismatch),
         "pencil:P": (w, lambda v: F.pencil(v, Q0), _linear, ShapeMismatch),
         "pencil:Q": (w, lambda v: F.pencil(P0, v), _linear, ShapeMismatch),
         "mul_vector": (F.size, F.M.mul_vector, lambda r, d: tuple(x / d for x in r), ShapeMismatch),
@@ -67,8 +71,8 @@ def _cases(F):
 
 NAMES = (
     "exact_vector",
-    "along_point",
-    "along_charge",
+    "gram_along_point",
+    "gram_along_charge",
     "pencil:P",
     "pencil:Q",
     "mul_vector",

@@ -23,28 +23,11 @@ from orthinst import (
 from orthinst.forms import point_indices
 from orthinst.moduli import random_unimodular
 
-from conftest import DEFICIENT_TERMS, random_skew, random_spec
-
-
-def tensor_vec(h, v):
-    return [Fraction(a) * Fraction(b) for a in h for b in v]
+from conftest import DEFICIENT_TERMS, random_skew, random_spec, reference_along_charge, reference_along_point
 
 
 def unit(j, length):
     return [1 if t == j else 0 for t in range(length)]
-
-
-def reference_along_point(F, v):
-    """h -> M(h (x) v) built column by column from M times e_i (x) v."""
-    cols = [F.M.mul_vector(tensor_vec(unit(i, F.c), v)) for i in range(F.c)]
-    return RatMatrix([[col[s] for col in cols] for s in range(F.size)], cols=F.c)
-
-
-def reference_along_charge(F, h):
-    """v -> M(h (x) v) built column by column from M times h (x) e_j."""
-    w = F.n + 1
-    cols = [F.M.mul_vector(tensor_vec(h, unit(j, w))) for j in range(w)]
-    return RatMatrix([[col[s] for col in cols] for s in range(F.size)], cols=w)
 
 
 def reference_act(h, F):
@@ -125,7 +108,7 @@ class TestFlatten:
 
 
 class TestContractions:
-    def test_along_point_matches_tensor_products(self, F_deficient):
+    def test_gram_along_point_matches_tensor_products(self, F_deficient):
         rng = random.Random(111)
         for F in contraction_forms(F_deficient):
             w = F.n + 1
@@ -134,9 +117,10 @@ class TestContractions:
             vs.append(fraction_vector(w))
             vs += [[0] * w, [Fraction(0)] * w]
             for v in vs:
-                assert F.along_point(v) == reference_along_point(F, v)
+                A = reference_along_point(F, v)
+                assert F.gram_along_point(v) == A.transpose() @ A
 
-    def test_along_charge_matches_tensor_products(self, F_deficient):
+    def test_gram_along_charge_matches_tensor_products(self, F_deficient):
         rng = random.Random(112)
         for F in contraction_forms(F_deficient):
             hs = [unit(i, F.c) for i in range(F.c)] + [[rng.randint(-4, 4) for _ in range(F.c)] for _ in range(3)]
@@ -144,23 +128,22 @@ class TestContractions:
             hs.append(fraction_vector(F.c))
             hs += [[0] * F.c, [Fraction(0)] * F.c]
             for h in hs:
-                assert F.along_charge(h) == reference_along_charge(F, h)
+                A = reference_along_charge(F, h)
+                assert F.gram_along_charge(h) == A.transpose() @ A
 
     def test_zero_vector_gives_zero_slice(self, F6):
-        assert F6.along_point([0] * 4) == RatMatrix.zeros(24, 6)
-        assert F6.along_charge([0] * 6) == RatMatrix.zeros(24, 4)
+        assert F6.gram_along_point([0] * 4) == RatMatrix.zeros(6, 6)
+        assert F6.gram_along_charge([0] * 6) == RatMatrix.zeros(4, 4)
 
     def test_filled_caches_keep_equality_and_hash(self):
-        # the column groups, Gram coefficients and slices are computed on
+        # the charge groups, Gram coefficients and slices are computed on
         # first use and are not part of the value
         F, G = (flatten(TensorSpec(3, 3, DEFICIENT_TERMS)) for _ in range(2))
-        F.along_point([1, 2, 0, -1])
-        F.along_charge([Fraction(1, 2), 0, 3])
-        F.gram_along_point([1, 0, 0, 0])
-        F.gram_along_charge([0, 1, 1])
+        F.gram_along_point([1, 2, 0, -1])
+        F.gram_along_charge([Fraction(1, 2), 0, 3])
         F.pencil([1, 0, 0, 0], [0, 1, 0, 0])
         act(RatMatrix.identity(3), F)
-        caches = {"_point_groups", "_charge_groups", "_point_gram", "_charge_gram", "_slices"}
+        caches = {"_charge_groups", "_point_gram", "_charge_gram", "_slices"}
         assert caches <= set(vars(F)) and not caches & set(vars(G))
         assert F == G and hash(F) == hash(G)
         assert len({F, G}) == 1
@@ -184,19 +167,20 @@ class TestContractions:
                 assert beta[F.c - 1, 0].coeffs == tuple(F.M[col_idx[0], (F.c - 1) * w + l] for l in range(w))
 
     def test_string_coordinates_read_exactly_and_floats_raise(self, F6):
-        assert F6.along_point(["1/2", 0, "3", Fraction(-1, 3)]) == F6.along_point(
+        assert F6.gram_along_point(["1/2", 0, "3", Fraction(-1, 3)]) == F6.gram_along_point(
             [Fraction(1, 2), 0, 3, Fraction(-1, 3)]
         )
         with pytest.raises(TypeError):
-            F6.along_point([0.5, 0, 0, 0])
+            F6.gram_along_point([0.5, 0, 0, 0])
         with pytest.raises(TypeError):
             F6.pencil([1, 0, 0, 0], [0, 1.0, 0, 0])
 
     def test_wrong_length_rejected(self, F6):
+        # too long; TestGram checks too short
         with pytest.raises(ShapeMismatch):
-            F6.along_point([1, 2, 3])
+            F6.gram_along_point([1, 2, 3, 4, 5])
         with pytest.raises(ShapeMismatch):
-            F6.along_charge([1, 2, 3])
+            F6.gram_along_charge([1] * 7)
 
 
 def gram_forms():
@@ -213,10 +197,10 @@ def gram_forms():
 
 
 def contraction_sides(F):
-    """(side, Gram, contraction, k = its column count, direction length)."""
+    """(side, Gram, reference contraction, k = its column count, direction length)."""
     return (
-        ("h", F.gram_along_charge, F.along_charge, F.n + 1, F.c),
-        ("v", F.gram_along_point, F.along_point, F.c, F.n + 1),
+        ("h", F.gram_along_charge, lambda h: reference_along_charge(F, h), F.n + 1, F.c),
+        ("v", F.gram_along_point, lambda v: reference_along_point(F, v), F.c, F.n + 1),
     )
 
 
@@ -254,8 +238,10 @@ def one_sided_gram(along, k, length):
 
 class TestGram:
     def test_gram_has_full_rank_exactly_when_the_contraction_is_injective(self):
+        # the search reads each kernel off the Gram matrix: it must be the
+        # contraction's kernel, down to the canonical basis kernel_basis returns
         rng = random.Random(121)
-        cases = hits = off_basis_hits = broken_misses = 0
+        cases = hits = off_basis_hits = broken_misses = broken_kernels = 0
         for F in gram_forms():
             directions = gram_directions(F, rng)
             for side, gram, along, k, length in contraction_sides(F):
@@ -263,16 +249,19 @@ class TestGram:
                 for d in directions[side]:
                     A, G = along(d), gram(d)
                     assert G == A.transpose() @ A
-                    has_kernel = bool(kernel_basis(A))
-                    assert (rank(G) < k) == has_kernel
-                    broken_misses += (rank(broken(d)) < k) != has_kernel
+                    ker = kernel_basis(A)
+                    assert kernel_basis(G) == ker
+                    assert (rank(G) < k) == bool(ker)
+                    B = broken(d)
+                    broken_misses += (rank(B) < k) != bool(ker)
+                    broken_kernels += kernel_basis(B) != ker
                     cases += 1
-                    hits += has_kernel
-                    off_basis_hits += has_kernel and sum(map(bool, d)) > 1
+                    hits += bool(ker)
+                    off_basis_hits += bool(ker) and sum(map(bool, d)) > 1
         # the sweep reaches directions with and without a kernel, including
         # kernels off the basis, where dropping the cross term shows
         assert hits > 500 and off_basis_hits > 300 and cases - hits > 700
-        assert broken_misses > 0
+        assert broken_misses > 0 and broken_kernels > 0
 
     def test_zero_direction_gives_zero_gram(self, F_deficient):
         assert F_deficient.gram_along_point([0] * 4) == RatMatrix.zeros(3, 3)

@@ -73,6 +73,26 @@ def test_one_decomposable_kernel_search():
     assert _callers("kernel_basis", skip=("linalg.py",)) == {"monad.py:nondegeneracy_witness_search"}
 
 
+def test_no_slice_contraction():
+    # a contraction A is read only through its Gram matrix A^T A, which has
+    # its kernel: nothing defines or calls a builder of A itself
+    names = ("along_point", "along_charge")
+    defined = [
+        f"{path.name}:{node.lineno}: def {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names
+    ]
+    assert defined == []
+    assert all(_callers(name) == set() for name in names)
+
+
+def test_gram_read_only_by_the_search():
+    # the one search asks for a contraction's kernel through its Gram matrix
+    for name in ("gram_along_point", "gram_along_charge"):
+        assert _callers(name) == {"monad.py:nondegeneracy_witness_search"}
+
+
 def test_a2_status_built_only_by_the_decision():
     # every A2, K1 and K2 status is the one decision's
     assert _callers("A2Status") == {"monad.py:nondegeneracy"}
