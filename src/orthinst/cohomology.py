@@ -16,8 +16,10 @@ layout is reproducible.
 Each sigma_k is built once, sparse: the nonzero coefficients of the second
 map are scattered straight into ``linalg.SparseIntMatrix`` rows, with at
 most n+1 nonzeros in a column of each block, and its rank is exact sparse
-elimination through ``linalg.rank``.  ``section_map`` is the dense
-``RatMatrix`` view of the same build.
+elimination through ``linalg.rank``.  Its nonzero count is known before
+the build, so that count, not rows x cols, is held to ``linalg.MAX_CELLS``.
+``section_map`` is the dense ``RatMatrix`` view of the same build and keeps
+the cell cap.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, factorial, lcm, prod
 
-from .errors import PreconditionN
+from .errors import PreconditionN, UsageError
 from .forms import FlatForm
-from .linalg import RatMatrix, SparseIntMatrix, check_cells, rank
+from .linalg import MAX_CELLS, RatMatrix, SparseIntMatrix, check_cells, rank
 from .monad import LinFormMatrix, build_beta
 
 
@@ -71,36 +73,46 @@ def section_map(F: FlatForm, r: int, k: int) -> RatMatrix:
     (degree-(k+1) monomials); block (m, w) multiplies by the linear form in
     entry (m, w) of the second map.  At k = 0 and maximal rank this is the
     flat matrix itself.  This is the dense view of the sparse build whose
-    rank the cohomology tables take.
+    rank the cohomology tables take, so it is capped by its cells:
+    ``UsageError`` if it has more than ``linalg.MAX_CELLS``.
     """
-    den, sigma = _section_rows(build_beta(F, r), F.c, F.n, k)
+    beta = build_beta(F, r)
+    rows, cols = _section_shape(beta, F.n, k)
+    check_cells(rows, cols, f"the degree-{k} section map")
+    den, sigma = _section_rows(beta, F.n, k)
     return sigma.dense(den)
 
 
-def _section_shape(c: int, n: int, wdim: int, k: int) -> tuple[int, int]:
-    """Shape of the degree-k section map of a second monad map with ``wdim``
-    columns; ``UsageError`` if it has more than ``linalg.MAX_CELLS`` cells.
-    Section maps grow like k^(2n) cells (the benchmark's largest is
-    168 x 280, the fixture at k = 4)."""
-    rows, cols = c * bott_h(0, k + 1, n), wdim * bott_h(0, k, n)
-    check_cells(rows, cols, f"the degree-{k} section map")
+def _section_shape(beta: LinFormMatrix, n: int, k: int) -> tuple[int, int]:
+    """Shape of the degree-k section map of ``beta``; ``UsageError`` if its
+    sparse build would hold more than ``linalg.MAX_CELLS`` nonzeros, or
+    rows, which are allocated even when empty.  Each nonzero coefficient of
+    x_l in ``beta`` becomes one nonzero per degree-k monomial, so the count
+    is known before allocation.  On c6p3 it is 24 * h^0(O(k)), and the cap
+    lies between twists 61 and 62."""
+    src = bott_h(0, k, n)
+    rows, cols = beta.rows * bott_h(0, k + 1, n), beta.cols * src
+    nnz = src * len(beta.coefficients)
+    if max(nnz, rows) > MAX_CELLS:
+        raise UsageError(
+            f"the degree-{k} section map would have {nnz} nonzeros in {rows} rows, over the limit of {MAX_CELLS}"
+        )
     return rows, cols
 
 
-def _section_rows(beta: LinFormMatrix, c: int, n: int, k: int) -> tuple[int, SparseIntMatrix]:
+def _section_rows(beta: LinFormMatrix, n: int, k: int) -> tuple[int, SparseIntMatrix]:
     """The degree-k section map of ``beta`` as (den, den * sigma_k), the
     integer map stored sparsely.  Each nonzero coefficient of x_l in entry
     (m, w) of the second map is scattered to block (m, w), mapping the
     source monomial u to u * x_l."""
-    rows_n, cols_n = _section_shape(c, n, beta.cols, k)
+    rows_n, cols_n = _section_shape(beta, n, k)
     src = monomials(n, k)
     dst = monomials(n, k + 1)
     dst_index = {m: t for t, m in enumerate(dst)}
     bumped = [[dst_index[u[:l] + (u[l] + 1,) + u[l + 1 :]] for u in src] for l in range(n + 1)]
-    nonzeros = [(l, m, w, x) for l, P in enumerate(beta.parts) for m, w, x in P.nonzeros()]
-    den = lcm(*(x.denominator for *_, x in nonzeros))
+    den = lcm(*(x.denominator for *_, x in beta.coefficients))
     rows: list[dict[int, int]] = [{} for _ in range(rows_n)]
-    for l, m, w, x in nonzeros:
+    for l, m, w, x in beta.coefficients:
         coef = x.numerator * (den // x.denominator)
         for s, t in enumerate(bumped[l]):
             # each cell is written once: its column fixes w and u, its row
@@ -153,7 +165,7 @@ class _DirectEngine:
 
     def _sigma(self, k: int) -> tuple[int, int, int]:
         if k not in self._cache:
-            _, m = _section_rows(self.beta, self.c, self.n, k)
+            _, m = _section_rows(self.beta, self.n, k)
             self._cache[k] = (m.rows, m.cols, rank(m))
         return self._cache[k]
 
@@ -204,9 +216,9 @@ def h_table(F: FlatForm, r: int, kmin: int, kmax: int, engine: _DirectEngine | N
         raise PreconditionN(f"cohomology tables need n >= 3, got n={n}")
     if kmin > kmax:
         raise ValueError("kmin must be <= kmax")
-    # the largest twist the window reaches, directly or by duality
-    _section_shape(c, n, 2 * c + r, max(kmax, -kmin - n - 1))
     eng = _engine_for(F, r, engine)
+    # the largest twist the window reaches, directly or by duality
+    _section_shape(eng.beta, n, max(kmax, -kmin - n - 1))
     entries: dict[tuple[int, int], CohomEntry] = {}
     for k in range(kmin, kmax + 1):
         for i in range(n + 1):

@@ -3,20 +3,24 @@
 A dense matrix over Q is stored as integer rows over one positive
 denominator (``RatMatrix``); a sparse integer matrix as one ``{col: nonzero
 int}`` dict per row (``SparseIntMatrix``).  Every algorithm is deterministic
-and tolerance-free: fraction-free Bareiss elimination for dense rank,
-determinant and kernels, primitive-row elimination for sparse rank, a
-fraction-free skew pair elimination for Pfaffians, and a greedy
-principal-submatrix rank realization for symmetric matrices.
+and tolerance-free: primitive-row elimination for rank, fraction-free
+Bareiss elimination for determinants and kernels, a fraction-free skew pair
+elimination for Pfaffians, and a greedy principal-submatrix rank
+realization for symmetric matrices.
 
 Every elimination runs on the stored integer rows, with no conversion and no
 Fraction arithmetic; a Fraction appears only in a result, as an integer over
 a power of the denominator.  ``nonzeros`` reads a sparse matrix, such as a
 coefficient matrix of a monad map, without touching its zero entries.
-``rank`` picks the elimination by representation and is memoised on the
-matrix, so the callers that all ask for the rank of one form share one
-elimination.  A ``RatMatrix`` keeps Bareiss, which is fastest on the many
-tiny matrices of the line scans; a ``SparseIntMatrix``, such as a cohomology
-section map, is eliminated touching only its nonzero entries.
+``rank`` is memoised on the matrix, so the callers that all ask for the
+rank of one form share one elimination.  It runs one rule on either
+representation: a pivot row clears its pivot column from every row with a
+nonzero there, each updated row is divided by its content, and a row with
+a zero there is left untouched, which Bareiss cannot do.  A ``RatMatrix``
+is eliminated on its dense integer rows, column by column; a
+``SparseIntMatrix``, such as a cohomology section map, touching only its
+nonzero entries.  Bareiss is kept where its last pivot (``det``) or its
+echelon form (``kernel_basis``) is read.
 ``principal_rank_subset`` returns the whole index set at full rank and
 otherwise runs its greedy in one fraction-free pass over the Schur
 complement of the chosen block, instead of a rank call per candidate.
@@ -35,8 +39,9 @@ from typing import Iterable, Sequence
 
 from .errors import NonSquare, NotSkew, NotSymmetric, OddOrder, RankMismatch, ShapeMismatch, UsageError
 
-# the cell budget of every matrix built from a form: its flat matrix and each
-# cohomology section map
+# the budget of every matrix built from a form: the cells of a dense one (its
+# flat matrix, the dense view of a section map) and the nonzeros of a
+# cohomology section map, which is built sparse
 MAX_CELLS = 10**6
 
 
@@ -372,16 +377,59 @@ def _sparse_rank(entries: Sequence[dict[int, int]]) -> int:
     return rk
 
 
+def _dense_rank(rows: list[list[int]], ncols: int) -> int:
+    """Rank of integer rows of width ``ncols`` by primitive-row elimination,
+    the rule of ``_sparse_rank`` on dense rows; mutates ``rows``.
+
+    Column by column, the first remaining row P with a nonzero at j is the
+    pivot and leaves, and each later row R with a nonzero at j becomes
+    (a*R - b*P) / content, where a = P[j]/g, b = R[j]/g and
+    g = gcd(P[j], R[j]).  Unlike Bareiss, a row with a zero at j is left as
+    it is.  A row that becomes zero leaves too, so the elimination stops
+    once every row is a pivot row: the last row left is one iff it is not
+    a multiple of the pivot before it.
+    """
+    rk = 0
+    for j in range(ncols):
+        if len(rows) < 2:
+            break
+        for p, P in enumerate(rows):
+            if P[j]:
+                break
+        else:
+            continue
+        del rows[p]
+        rk += 1
+        pj = P[j]
+        if len(rows) == 1:
+            R = rows[0]
+            return rk + any(pj * x - R[j] * y for x, y in zip(R, P))
+        # the rows before the pivot have a zero at j
+        for i in range(len(rows) - 1, p - 1, -1):
+            rj = rows[i][j]
+            if rj:
+                g = gcd(pj, rj)
+                a, b = pj // g, rj // g
+                R = [a * x - b * y for x, y in zip(rows[i], P)]
+                content = gcd(*R)
+                if content == 1:
+                    rows[i] = R
+                elif content:
+                    rows[i] = [x // content for x in R]
+                else:
+                    del rows[i]
+    return rk + (len(rows) == 1 and any(rows[0]))
+
+
 def rank(M: RatMatrix | SparseIntMatrix) -> int:
-    """Exact rank, memoised on ``M``: fraction-free Bareiss elimination on a
-    ``RatMatrix``, primitive-row elimination on a ``SparseIntMatrix``."""
+    """Exact rank, memoised on ``M``: primitive-row elimination, on the
+    dense integer rows of a ``RatMatrix`` or the nonzero entries of a
+    ``SparseIntMatrix``."""
     if M._rank is None:
         if isinstance(M, SparseIntMatrix):
             r = _sparse_rank(M.entries)
-        elif M.rows and M.cols:
-            r, _, _, _ = _bareiss([list(row) for row in M.num], M.cols)
         else:
-            r = 0
+            r = _dense_rank([list(row) for row in M.num], M.cols)
         object.__setattr__(M, "_rank", r)
     return M._rank
 

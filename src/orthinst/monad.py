@@ -89,13 +89,17 @@ class LinFormMatrix:
         return self.parts[0].cols
 
     @cached_property
+    def coefficients(self) -> tuple[tuple[int, int, int, Fraction], ...]:
+        """(l, i, j, x) for each nonzero coefficient x of x_l in entry (i, j)."""
+        return tuple((l, i, j, x) for l, P in enumerate(self.parts) for i, j, x in P.nonzeros())
+
+    @cached_property
     def entries(self) -> tuple[tuple[LinForm, ...], ...]:
         """The grid of linear forms, read off the nonzero coefficients (a
         zero coefficient is the int 0)."""
         grid = [[[0] * self.nvars for _ in range(self.cols)] for _ in range(self.rows)]
-        for l, P in enumerate(self.parts):
-            for i, j, x in P.nonzeros():
-                grid[i][j][l] = x
+        for l, i, j, x in self.coefficients:
+            grid[i][j][l] = x
         return tuple(tuple(LinForm(tuple(e)) for e in row) for row in grid)
 
     def __getitem__(self, ij) -> LinForm:

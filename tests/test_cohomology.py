@@ -92,33 +92,48 @@ class TestSectionMap:
 
 
 class TestSectionSizeGuard:
-    # on c6p3 (c = 6, 2c + r = 24) the degree-5 map has 504 x 1344 =
-    # 677 376 cells and the degree-6 map 720 x 2016 = 1 451 520
-    def test_cap_lies_between_twists_5_and_6(self):
-        assert cohomology._section_shape(6, 3, 24, 5) == (504, 1344)
+    # on c6p3 (c = 6, 2c + r = 24) the second map has 24 nonzero
+    # coefficients, so the degree-k section map has 24 * h^0(O(k)) nonzeros:
+    # the sparse build is refused from twist 62 on.  Its dense view keeps the
+    # cell cap: the degree-5 map has 504 x 1344 = 677 376 cells and the
+    # degree-6 map 720 x 2016 = 1 451 520
+    def test_cap_lies_between_twists_5_and_6(self, F6):
+        sigma = section_map(F6, 12, 5)
+        assert (sigma.rows, sigma.cols) == (504, 1344)
         with pytest.raises(UsageError, match="720 x 2016 = 1451520 cells"):
-            cohomology._section_shape(6, 3, 24, 6)
+            section_map(F6, 12, 6)
 
-    @pytest.mark.parametrize("kmin, kmax", [(0, 6), (-10, 0)])
+    def test_nonzero_cap_lies_between_twists_61_and_62(self, F6):
+        beta = cohomology.build_beta(F6, 12)
+        assert cohomology._section_shape(beta, 3, 61) == (6 * 43680, 24 * 41664)
+        with pytest.raises(UsageError, match="degree-62 section map would have 1048320 nonzeros"):
+            cohomology._section_shape(beta, 3, 62)
+
+    @pytest.mark.parametrize("kmin, kmax", [(0, 62), (-100, 0)])
     def test_twist_or_its_dual_over_the_cap_allocates_nothing(self, monkeypatch, F6, kmin, kmax):
-        # kmin = -10 reaches twist 6 through the Serre dual -k - n - 1
-        called = []
-        monkeypatch.setattr(cohomology, "build_beta", lambda *a: called.append("beta"))
-        monkeypatch.setattr(cohomology, "monomials", lambda *a: called.append("monomials"))
-        with pytest.raises(UsageError, match="degree-6 section map"):
+        # kmin = -100 reaches twist 96 through the Serre dual -k - n - 1
+        monkeypatch.setattr(cohomology, "_section_rows", lambda *a: pytest.fail("allocated"))
+        with pytest.raises(UsageError, match=f"degree-{max(kmax, -kmin - 4)} section map"):
             h_table(F6, 12, kmin, kmax)
-        assert called == []
 
     def test_section_map_over_the_cap(self, monkeypatch, F6):
         monkeypatch.setattr(cohomology, "monomials", lambda *a: pytest.fail("allocated"))
         with pytest.raises(UsageError):
             section_map(F6, 12, 6)
 
-    @pytest.mark.parametrize("flag", [["--kmax", "20"], ["--kmin", "-25"]])
+    @pytest.mark.parametrize("flag", [["--kmax", "62"], ["--kmin", "-66"]])
     def test_cli_exits_1(self, flag):
         rep = run_command(["cohomology", str(bundled_spec_path("c6p3")), *flag])
         assert rep.exit_code == 1
         assert rep.results["error"] == "UsageError"
+
+    def test_cli_admits_twist_6(self):
+        # 720 x 2016 cells, but 2016 nonzeros
+        rep = run_command(["cohomology", str(bundled_spec_path("c6p3")), "--kmax", "6"])
+        assert rep.exit_code == 0
+        # h^1 = 0, so h^0(E(6)) = 24 h^0(O(6)) - 6 h^0(O(5)) - 6 h^0(O(7))
+        assert rep.results["table"]["entries"]["(0,6)"] == {"dim": 24 * 84 - 6 * 56 - 6 * 120, "cert": "Direct"}
+        assert rep.results["table"]["entries"]["(1,6)"]["dim"] == 0
 
 
 class TestHTable:
@@ -236,11 +251,12 @@ class TestSparseSectionRanks:
         rows, cols, rk = cohomology._DirectEngine(F, r)._sigma(k)
         sigma = section_map(F, r, k)
         assert (rows, cols) == (sigma.rows, sigma.cols)
-        assert rk == rank(sigma)
+        assert rk == linalg._bareiss([list(row) for row in sigma.num], cols)[0]
 
     def test_tables_run_no_dense_elimination(self, monkeypatch, F6):
         rank(F6.M)  # the one dense rank, memoised on the flat matrix
-        monkeypatch.setattr(linalg, "_bareiss", lambda *a: pytest.fail("dense elimination"))
+        for dense in ("_bareiss", "_dense_rank"):
+            monkeypatch.setattr(linalg, dense, lambda *a: pytest.fail("dense elimination"))
         table = h_table(F6, 12, -4, 4)
         # h^1 = 0, so h^0(E(4)) = 24 h^0(O(4)) - 6 h^0(O(3)) - 6 h^0(O(5))
         assert table.dim(0, 4) == 24 * 35 - 6 * 20 - 6 * 56 == 384 and table.dim(1, 4) == 0

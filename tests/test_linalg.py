@@ -1,11 +1,12 @@
+import inspect
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, find, given, settings, strategies as st
 
-from conftest import random_spec
+from conftest import random_skew, random_spec
 from orthinst import (
     NonSquare,
     NotSkew,
@@ -15,6 +16,7 @@ from orthinst import (
     RankMismatch,
     RatMatrix,
     ShapeMismatch,
+    act,
     det,
     flatten,
     kernel_basis,
@@ -225,8 +227,8 @@ class TestRank:
         A, B = RatMatrix(rows), RatMatrix(rows)
         h = hash(A)
         eliminations = []
-        bareiss = linalg._bareiss
-        monkeypatch.setattr(linalg, "_bareiss", lambda *a: eliminations.append(1) or bareiss(*a))
+        dense_rank = linalg._dense_rank
+        monkeypatch.setattr(linalg, "_dense_rank", lambda *a: eliminations.append(1) or dense_rank(*a))
         assert rank(A) == rank(A) == 2
         assert len(eliminations) == 1
         assert A == B and B == A
@@ -325,6 +327,7 @@ class TestSparseRank:
 
     def test_never_runs_bareiss(self, monkeypatch):
         monkeypatch.setattr(linalg, "_bareiss", lambda *a: pytest.fail("dense elimination"))
+        monkeypatch.setattr(linalg, "_dense_rank", lambda *a: pytest.fail("dense elimination"))
         assert rank(sparse([[2, 4, 0], [1, 2, 0], [0, 0, 3]], 3)) == 2
 
     def test_memoised(self, monkeypatch):
@@ -352,6 +355,86 @@ class TestSparseRank:
             linalg.SparseIntMatrix([{-1: 1}], 3)
         with pytest.raises(TypeError):
             linalg.SparseIntMatrix([{0: Fraction(1, 2)}], 3)
+
+
+@st.composite
+def rat_matrices(draw, kinds=("integer rows", "kronecker", "acted")):
+    """Rational matrices of every shape, full and deficient rank: the
+    integer rows of ``int_matrices`` over a denominator up to 30, a
+    Kronecker product B (x) C of random skew blocks, or the flat matrix of a
+    random form acted on by a rational h."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "integer rows":
+        rows, cols = draw(int_matrices())
+        return RatMatrix.from_ints(rows, draw(st.integers(1, 30)), cols=cols)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "kronecker":
+        B, C = random_skew(draw(st.integers(1, 5)), rng), random_skew(draw(st.integers(1, 5)), rng)
+        kron = [[b * x for b in Bi for x in Cj] for Bi in B for Cj in C]
+        return RatMatrix.from_ints(kron, draw(st.integers(1, 30)))
+    F = flatten(random_spec(rng, cs=(2, 3, 4), ns=(1, 2, 3), max_terms=2))
+    h = RatMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(F.c)] for _ in range(F.c)])
+    assume(det(h) != 0)
+    return act(h, F).M
+
+
+def three_ranks(M):
+    """rank(M), and the ranks of its integer rows by Bareiss and by sparse
+    elimination."""
+    bareiss = linalg._bareiss([list(r) for r in M.num], M.cols)[0] if M.rows and M.cols else 0
+    sparse_rank = linalg._sparse_rank([{j: x for j, x in enumerate(r) if x} for r in M.num])
+    return rank(M), bareiss, sparse_rank
+
+
+class TestDenseRank:
+    """Primitive-row elimination on a RatMatrix against Bareiss and the
+    sparse elimination on the same integer rows."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rat_matrices())
+    def test_equals_bareiss_and_sparse(self, M):
+        num = M.num
+        dense, bareiss, sparse_rank = three_ranks(M)
+        assert dense == bareiss == sparse_rank
+        assert M.num == num
+
+    @pytest.mark.parametrize(
+        "kind, case",
+        [
+            ("integer rows", lambda M: M.den > 1 and 0 < rank(M) < min(M.rows, M.cols)),
+            ("integer rows", lambda M: not all(any(r) for r in M.num + tuple(zip(*M.num))) and M.rows > 2),
+            ("integer rows", lambda M: M.rows == 0 and M.cols > 0),
+            ("integer rows", lambda M: M.cols == 0 and M.rows > 0),
+            ("kronecker", lambda M: M.den > 1 and 8 < M.rows and 0 < rank(M) < M.rows),
+            ("acted", lambda M: M.den > 1 and 8 < M.rows and 0 < rank(M) < M.rows),
+        ],
+        ids=["deficient over a denominator", "zero row or column", "0 x k", "k x 0", "kronecker", "acted"],
+    )
+    def test_strategy_draws(self, kind, case):
+        # denominators, zero rows and columns, empty shapes and deficient
+        # ranks, for integer rows and for both structured kinds
+        find(rat_matrices(kinds=(kind,)), case, settings=settings(database=None, derandomize=True))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("if len(rows) < 2:", "if len(rows) < 3:"),  # stops a pivot early
+            ("range(len(rows) - 1, p - 1, -1)", "range(len(rows) - 2, p - 1, -1)"),  # spares the last row
+            ("pj * x - R[j] * y", "pj * x + R[j] * y"),  # misreads the last row
+        ],
+        ids=["early stop", "spared row", "last row"],
+    )
+    def test_rejects_a_mutant(self, monkeypatch, old, new):
+        source = inspect.getsource(linalg._dense_rank)
+        assert source.count(old) == 1
+        scope = dict(vars(linalg))
+        exec(source.replace(old, new), scope)
+        monkeypatch.setattr(linalg, "_dense_rank", scope["_dense_rank"])
+        find(
+            rat_matrices(),
+            lambda M: len(set(three_ranks(M))) > 1,
+            settings=settings(database=None, derandomize=True, max_examples=300),
+        )
 
 
 class TestStorage:

@@ -67,6 +67,13 @@ def _callers(name, skip=()):
     return callers
 
 
+def test_bareiss_only_where_its_echelon_is_read():
+    # rank eliminates by the primitive-row rule, on dense and sparse rows
+    # alike; Bareiss is kept for the last pivot of det and the echelon of
+    # kernel_basis
+    assert _callers("_bareiss") == {"linalg.py:det", "linalg.py:kernel_basis"}
+
+
 def test_one_decomposable_kernel_search():
     # A2 and K1 are one statement, sampled by one search: outside the
     # elimination core exactly one function asks for a kernel basis
