@@ -151,7 +151,12 @@ def _load(args) -> tuple[SpecFile, str]:
 
 
 def _effective_r(args, sf: SpecFile) -> int:
-    return sf.r if getattr(args, "r", None) is None else args.r
+    r = getattr(args, "r", None)
+    if r is None:
+        return sf.r
+    if r < 0:
+        raise UsageError(f"--r must be >= 0, got {r}")
+    return r
 
 
 def run_command(argv: list[str]) -> Report:
@@ -206,10 +211,10 @@ def _dispatch(args, argv) -> Report:
         return Report(tuple(argv), digest, results, (), 0.0, 0, human)
 
     sf, digest = _load(args)
+    r = _effective_r(args, sf)
     F = sf.flatten()
 
     if cmd == "verify":
-        r = _effective_r(args, sf)
         rep = check_conditions(F, r, budget=args.budget, seed=args.seed, box=args.box)
         results = {"conditions": jsonio.condition_report_json(rep)}
         lines = [
@@ -222,7 +227,6 @@ def _dispatch(args, argv) -> Report:
         return Report(tuple(argv), digest, results, tuple(rep.notes), 0.0, 0 if rep.passed else MATH_EXIT, "\n".join(lines))
 
     if cmd == "monad":
-        r = _effective_r(args, sf)
         beta = build_beta(F, r)
         if 2 * sf.c + r == F.size:
             alpha = build_alpha(sf.c, sf.n)
@@ -234,7 +238,7 @@ def _dispatch(args, argv) -> Report:
             identity_ok = verify_monad_identity(build_alpha(sf.c, sf.n), build_beta_full(F))
         results = {
             "alpha": jsonio.linform_matrix_json(alpha),
-            "beta_t": jsonio.linform_matrix_json(beta.transpose()),
+            "beta_t": [list(col) for col in zip(*jsonio.linform_matrix_json(beta))],
             "identity_zero": identity_ok,
         }
         human = (
@@ -270,7 +274,6 @@ def _dispatch(args, argv) -> Report:
         return Report(tuple(argv), digest, results, (), 0.0, 0, human)
 
     if cmd == "kronecker":
-        r = _effective_r(args, sf)
         rep = kronecker_conditions(F, r, budget=args.budget, seed=args.seed, box=args.box)
         results = {"kronecker": jsonio.kronecker_report_json(rep)}
         human = (
@@ -283,7 +286,6 @@ def _dispatch(args, argv) -> Report:
         return Report(tuple(argv), digest, results, (), 0.0, 0 if rep.passed else MATH_EXIT, human)
 
     if cmd == "cohomology":
-        r = _effective_r(args, sf)
         eng = _DirectEngine(F, r)
         table = h_table(F, r, args.kmin, args.kmax, engine=eng)
         inst = verify_instanton(F, r, engine=eng)

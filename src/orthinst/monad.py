@@ -12,9 +12,9 @@ columns indexed by S, alpha the rows indexed by S.
 
 A map is stored as its coefficient matrices, beta = sum_l x_l B_l with
 constant ``RatMatrix`` parts B_l (the Kronecker module of the map), so the
-composition identity is a handful of exact integer products and no entry is
-ever a Fraction form; the grid of ``LinForm`` entries is a view built on
-first use, for display.
+composition identity is one sum over the two maps' nonzero coefficients and
+no entry is ever a Fraction form; the grid of ``LinForm`` entries is a view
+built on first use, for display.
 
 ``check_conditions`` evaluates the three defining conditions of a verified
 form (rank equals 2c+r, no decomposable kernel vector, symmetric invertible
@@ -31,6 +31,7 @@ small Gram matrix A^T A (``FlatForm.gram_along_point`` and
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -172,21 +173,24 @@ def build_beta_full(F: FlatForm) -> LinFormMatrix:
 
 def verify_monad_identity(alpha: LinFormMatrix, beta: LinFormMatrix) -> bool:
     """True iff beta . alpha = 0, i.e. every coefficient of every monomial
-    x_j x_l in every entry of the product vanishes exactly.
+    x_l x_m (l <= m) in every entry (i, k) of the product vanishes exactly.
 
-    The product is sum_{j,l} x_j x_l B_j A_l, so the coefficients are
-    B_j A_j and B_j A_l + B_l A_j for j < l.  Once every B_j A_j is zero,
-    the cross term equals (B_j + B_l)(A_j + A_l): C(n+2, 2) exact products.
+    That coefficient is the sum of x * y over the nonzero coefficients
+    (l, i, j, x) of beta and (m, j, k, y) of alpha, and over those with l
+    and m swapped, for every inner index j.
     """
     if beta.cols != alpha.rows or beta.nvars != alpha.nvars:
         raise ShapeMismatch(
             f"cannot compose beta ({beta.rows}x{beta.cols}) with alpha ({alpha.rows}x{alpha.cols})"
         )
-    B, A = beta.parts, alpha.parts
-    if any((Bj @ Aj).nonzeros() for Bj, Aj in zip(B, A)):
-        return False
-    w = beta.nvars
-    return not any(((B[j] + B[l]) @ (A[j] + A[l])).nonzeros() for j in range(w) for l in range(j + 1, w))
+    alpha_rows = defaultdict(list)
+    for m, j, k, y in alpha.coefficients:
+        alpha_rows[j].append((m, k, y))
+    sums = defaultdict(int)
+    for l, i, j, x in beta.coefficients:
+        for m, k, y in alpha_rows[j]:
+            sums[min(l, m), max(l, m), i, k] += x * y
+    return not any(sums.values())
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from orthinst import FlatForm, cli
+from orthinst import FlatForm, TensorSpec, build_beta, cli, jsonio
 from orthinst.cli import run_command
-from orthinst.specfile import bundled_spec_path
+from orthinst.specfile import SpecFile, bundled_spec_path, parse_spec, serialize_spec
+
+from conftest import DEFICIENT_TERMS
 
 C6 = str(bundled_spec_path("c6p3"))
 C5 = str(bundled_spec_path("c5p3"))
@@ -65,6 +67,22 @@ class TestMonad:
         rep = run_command(["monad", C6])
         assert rep.exit_code == 0 and rep.results["identity_zero"] is True
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("which", ["c6p3", "c5p3", "deficient"])
+    def test_beta_t_is_the_transpose_of_beta(self, which, tmp_path):
+        # beta^t is rendered from beta's own grid; it must read as the grid
+        # of the transposed map, in JSON and in text
+        if which == "deficient":
+            path = tmp_path / "deficient.json"
+            path.write_text(serialize_spec(SpecFile(TensorSpec(3, 3, DEFICIENT_TERMS), 2)))
+        else:
+            path = bundled_spec_path(which)
+        sf = parse_spec(path)
+        expected = jsonio.linform_matrix_json(build_beta(sf.flatten(), sf.r).transpose())
+        rep = run_command(["monad", str(path), "--json"])
+        assert rep.exit_code == 0
+        assert json.loads(json.dumps(rep.results))["beta_t"] == expected
+        assert "\nbeta^t =\n" + cli._grid(expected) + "\n\ncomposition beta.alpha = 0: ok" in rep.human
 
 
 class TestSplitting:
@@ -157,6 +175,22 @@ class TestGenerate:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("cmd", ["verify", "monad", "kronecker", "cohomology"])
+    def test_negative_r_is_refused(self, cmd, monkeypatch):
+        # a negative --r is a usage error, as "r": -1 in a file is, and is
+        # refused before the form is flattened
+        monkeypatch.setattr(SpecFile, "flatten", lambda sf: pytest.fail("flattened before --r was checked"))
+        rep = run_command([cmd, C6, "--r", "-1"])
+        assert (rep.exit_code, rep.results["error"]) == (1, "UsageError")
+        assert rep.human == "error: --r must be >= 0, got -1"
+
+    @pytest.mark.parametrize("cmd", ["verify", "monad", "kronecker", "cohomology"])
+    def test_r_zero_is_accepted(self, cmd):
+        # c6p3 has r = 12, so r = 0 is a mathematical failure, not a usage one
+        rep = run_command([cmd, C6, "--r", "0"])
+        assert rep.exit_code == 2
+        assert rep.results.get("error") != "UsageError"
+
     def test_unknown_command(self):
         rep = run_command(["frobnicate"])
         assert rep.exit_code == 1

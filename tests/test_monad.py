@@ -1,8 +1,11 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import find, given, settings, strategies as st
 
+from orthinst import monad
 from orthinst import (
     BadSubset,
     FlatForm,
@@ -181,7 +184,117 @@ class TestMonadIdentity:
         assert verify_monad_identity(build_alpha(3, 3), build_beta_full(F_deficient))
 
 
+def random_parts(rng, w, rows, cols, rational):
+    """w coefficient matrices, each zero with probability 1/4 and otherwise
+    half-sparse integer rows over a denominator (1 unless ``rational``)."""
+    parts = []
+    for _ in range(w):
+        zero = rng.random() < 0.25
+        num = [[0 if zero or rng.random() < 0.5 else rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        parts.append(RatMatrix.from_ints(num, rng.randint(2, 4) if rational else 1, cols=cols))
+    return parts
+
+
+def stacked(blocks_by_row, cols):
+    # the RatMatrix of a grid of RatMatrix blocks
+    rows = [[x for B in blocks for x in B.row(t)] for blocks in blocks_by_row for t in range(blocks[0].rows)]
+    return RatMatrix(rows, cols=cols)
+
+
+@st.composite
+def monad_pairs(draw, kinds=("integer", "rational", "across j", "across orders")):
+    """(alpha, beta) pairs of linear-form matrices in w variables: random
+    integer or rational parts, some of them zero; or a pair whose product
+    cancels only when summed over different inner indices j,
+    [beta, t beta] . [alpha; -alpha/t]; or one whose product cancels only
+    when x_l x_m and x_m x_l are taken together, u [b, a] . [a; -b] v for
+    rows of linear forms a and b, a column u and a row v."""
+    kind = draw(st.sampled_from(kinds))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    w, rows, mid, cols = (draw(st.integers(1, 3)) for _ in range(4))
+    if kind in ("integer", "rational"):
+        B = random_parts(rng, w, rows, mid, kind == "rational")
+        A = random_parts(rng, w, mid, cols, kind == "rational")
+    elif kind == "across j":
+        t = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        B0, A0 = random_parts(rng, w, rows, mid, True), random_parts(rng, w, mid, cols, True)
+        B = [stacked([[P, P.scale(t)]], 2 * mid) for P in B0]
+        A = [stacked([[P], [P.scale(-1 / t)]], cols) for P in A0]
+    else:
+        b, a = random_parts(rng, w, 1, mid, True), random_parts(rng, w, 1, mid, True)
+        u, v = random_parts(rng, 1, rows, 1, True)[0], random_parts(rng, 1, 1, cols, True)[0]
+        B = [stacked([[u.scale(x) for x in bl.row(0) + al.row(0)]], 2 * mid) for bl, al in zip(b, a)]
+        A = [stacked([[v.scale(x)] for x in al.row(0) + (-bl).row(0)], cols) for bl, al in zip(b, a)]
+    return LinFormMatrix(tuple(A)), LinFormMatrix(tuple(B))
+
+
+def meets(alpha, beta):
+    # some beta[i, j] and alpha[j, k] are both nonzero forms
+    return bool({j for _, _, j, _ in beta.coefficients} & {j for _, j, _, _ in alpha.coefficients})
+
+
+def unsymmetrised(alpha, beta):
+    # the coefficient of x_l * x_m, with x_l from beta and x_m from alpha
+    acc = {}
+    for l, i, j, x in beta.coefficients:
+        for m, jj, k, y in alpha.coefficients:
+            if j == jj:
+                acc[l, m, i, k] = acc.get((l, m, i, k), 0) + x * y
+    return acc
+
+
 class TestIdentityAgainstFractionLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(monad_pairs())
+    def test_drawn_pairs(self, pair):
+        assert verify_monad_identity(*pair) == reference_identity(*pair)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(monad_pairs(kinds=("across j", "across orders")))
+    def test_cancelling_pairs_compose_to_zero(self, pair):
+        assert verify_monad_identity(*pair) and reference_identity(*pair)
+
+    @pytest.mark.parametrize(
+        "kind, case",
+        [
+            ("integer", lambda A, B: not reference_identity(A, B)),
+            ("rational", lambda A, B: not reference_identity(A, B) and any(P.den > 1 for P in A.parts + B.parts)),
+            ("rational", lambda A, B: not reference_identity(A, B) and any(not P.nonzeros() for P in A.parts)),
+            ("integer", lambda A, B: reference_identity(A, B) and A.coefficients and B.coefficients),
+            ("rational", lambda A, B: not reference_identity(A, B) and A.nvars == 1),
+            ("across j", meets),
+            ("across orders", lambda A, B: any(unsymmetrised(A, B).values())),
+        ],
+        ids=["integer", "rational", "zero part", "zero product", "one variable", "across j", "across orders"],
+    )
+    def test_strategy_draws(self, kind, case):
+        # each family reaches the case it is there for: a nonzero product of
+        # integer or rational parts, a zero part, a product that vanishes
+        # without a zero map, x_l^2 terms alone, and cancellations that need
+        # the sum over j or over both orders of a monomial
+        find(monad_pairs(kinds=(kind,)), lambda p: case(*p), settings=settings(database=None, derandomize=True))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("sums[min(l, m), max(l, m), i, k]", "sums[min(l, m), max(l, m), i, j, k]"),
+            ("sums[min(l, m), max(l, m), i, k]", "sums[l, m, i, k]"),
+            ("not any(sums.values())", "not any(v for (l, m, i, k), v in sums.items() if l < m)"),
+        ],
+        ids=["no sum over j", "no symmetrisation", "no diagonal"],
+    )
+    def test_rejects_a_mutant(self, old, new):
+        source = inspect.getsource(monad.verify_monad_identity)
+        assert source.count(old) == 1
+        scope = dict(vars(monad))
+        exec(source.replace(old, new), scope)
+        mutant = scope["verify_monad_identity"]
+        find(
+            monad_pairs(),
+            lambda p: mutant(*p) != reference_identity(*p),
+            settings=settings(database=None, derandomize=True, max_examples=300),
+        )
+
     def test_full_and_restricted_pairs_of_random_forms(self):
         rng = random.Random(205)
         for _ in range(25):

@@ -145,3 +145,15 @@ def test_no_parsing_matrix_constructor_outside_linalg():
             if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == "RatMatrix":
                 found.append(f"{path.name}:{node.lineno}: RatMatrix(...)")
     assert found == []
+
+
+def test_no_matrix_products():
+    # beta . alpha = 0 is decided from the maps' nonzero coefficients, so no
+    # module multiplies dense matrices; RatMatrix.__matmul__ itself stays
+    # for the tests and the benchmark's span recorder, which wrap and call it
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+    assert found == []
