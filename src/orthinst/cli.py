@@ -144,10 +144,9 @@ def _build_parser() -> _Parser:
 
 
 def _load(args) -> tuple[SpecFile, str]:
-    path = Path(args.spec)
-    sf = parse_spec(path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return sf, digest
+    # one read: the input hash is of the bytes that are parsed
+    data = Path(args.spec).read_bytes()
+    return parse_spec(data), hashlib.sha256(data).hexdigest()
 
 
 def _effective_r(args, sf: SpecFile) -> int:

@@ -29,9 +29,12 @@ Over Q a Gram matrix has the kernel of its contraction (x^T A^T A x =
 |Ax|^2), so it answers every kernel question about A without building A.
 Its coefficients are cached on the form at first use, per side, from the
 column groups P_a of ``M.num`` (point group l: the columns (k, l) for k =
-0..c-1; charge group k: the columns (k, l) for l = 0..n) as P_a^T P_a and
-P_a^T P_b + P_b^T P_a (a < b); a Gram matrix is their mix by d_a d_b.
-``act`` mixes the charge groups and then row groups by the rows of h.
+0..c-1; charge group k: the columns (k, l) for l = 0..n) as G_aa = P_a^T P_a
+and G_ab = P_a^T P_b + P_b^T P_a (a < b), entry-major: for each entry (p, q)
+with p <= q, its coefficient in every G_ab.  A Gram matrix takes the weights
+d_a d_b, sums each upper entry's coefficients by them and mirrors it into
+its integer rows.  ``pencil`` mixes the nonzero c x c slices of ``M.num``,
+and ``act`` the charge groups and then row groups by the rows of h.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ from .errors import NotSkew, ShapeMismatch, Singular
 from .linalg import RatMatrix, check_cells, det, exact_vector
 
 IntRows = tuple[tuple[int, ...], ...]
-# the pairs a <= b and the flat k x k Gram coefficient of each
-GramCoefficients = tuple[list[tuple[int, int]], list[list[int]]]
+# the pairs a <= b; for each upper entry (p, q), p <= q row-major, its
+# coefficient in every G_ab, in pair order; and for each row p the positions
+# of its entries (p, q), q = 0..k-1, in that entry list
+GramCoefficients = tuple[list[tuple[int, int]], list[tuple[int, ...]], list[tuple[int, ...]]]
 
 
 def _check_int_skew(mat, size: int, pointer: str) -> IntRows:
@@ -193,25 +198,36 @@ def _from_flat(flat: list[int], width: int, den: int) -> RatMatrix:
 
 
 def _gram_coefficients(groups: list[list[int]], k: int) -> GramCoefficients:
-    """The pairs a <= b and their flat k x k matrices G_ab, so that for
-    A(d) = sum_a d_a P_a the Gram matrix is A(d)^T A(d) = sum_{a<=b} d_a d_b
-    G_ab: G_aa = P_a^T P_a and G_ab = P_a^T P_b + P_b^T P_a.  P_a is the flat
-    rows x k group ``groups[a]``."""
+    """The pairs a <= b and, entry-major, the coefficients of the k x k
+    matrices G_ab, so that for A(d) = sum_a d_a P_a the Gram matrix is
+    A(d)^T A(d) = sum_{a<=b} d_a d_b G_ab: G_aa = P_a^T P_a and G_ab = P_a^T
+    P_b + P_b^T P_a.  P_a is the flat rows x k group ``groups[a]``; G_ab[p][q]
+    is a dot product of columns p and q of P_a and P_b."""
     cols = [[g[p::k] for p in range(k)] for g in groups]
-    pairs, mats = [], []
-    for a, A in enumerate(cols):
-        for b in range(a, len(cols)):
-            T = [sum(map(mul, x, y)) for x in A for y in cols[b]]
-            if a < b:
-                T = [T[p * k + q] + T[q * k + p] for p in range(k) for q in range(k)]
-            pairs.append((a, b))
-            mats.append(T)
-    return pairs, mats
+    pairs = [(a, b) for a in range(len(cols)) for b in range(a, len(cols))]
+
+    def coefficient(a: int, b: int, p: int, q: int) -> int:
+        x = sum(map(mul, cols[a][p], cols[b][q]))
+        return x if a == b else x + sum(map(mul, cols[b][p], cols[a][q]))
+
+    upper = [(p, q) for p in range(k) for q in range(p, k)]
+    entries = [tuple(coefficient(a, b, p, q) for a, b in pairs) for p, q in upper]
+    position = {pq: i for i, pq in enumerate(upper)}
+    mirror = [tuple(position[min(p, q), max(p, q)] for q in range(k)) for p in range(k)]
+    return pairs, entries, mirror
 
 
 def _gram(coefficients: GramCoefficients, d: Sequence[int], k: int, den: int) -> RatMatrix:
-    pairs, mats = coefficients
-    return _from_flat(_mix(mats, [d[a] * d[b] for a, b in pairs]), k, den)
+    pairs, entries, mirror = coefficients
+    w = [d[a] * d[b] for a, b in pairs]
+    upper = [sum(map(mul, w, col)) for col in entries]
+    rows = [tuple(map(upper.__getitem__, where)) for where in mirror]
+    if den != 1:
+        return RatMatrix.from_ints(rows, den, cols=k)
+    # integer rows over den 1 are in lowest terms already
+    G = RatMatrix.__new__(RatMatrix)
+    G._fill(rows, 1, k)
+    return G
 
 
 def point_indices(c: int, n: int, l: int) -> range:

@@ -106,21 +106,22 @@ def _schema_violations(doc) -> list[tuple[str, str]]:
 
 
 def parse_spec(source) -> SpecFile:
-    """Parse a spec file from a path or a raw JSON string.
+    """Parse a spec file from a path, a raw JSON string or the file's bytes.
 
-    Structural problems raise ``SchemaError`` carrying every violation with
-    its JSON pointer; wrong matrix shapes raise ``ShapeMismatch`` and broken
-    skew-symmetry ``NotSkew``, each pointing at the offending matrix.
+    A file is UTF-8 JSON, read as bytes whatever the locale; bytes that do
+    not decode are invalid JSON.  Structural problems raise ``SchemaError``
+    carrying every violation with its JSON pointer; wrong matrix shapes raise
+    ``ShapeMismatch`` and broken skew-symmetry ``NotSkew``, each pointing at
+    the offending matrix.
     """
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
+    if isinstance(source, bytes) or (isinstance(source, str) and source.lstrip().startswith("{")):
+        data = source
     else:
-        text = Path(source).read_text()
+        data = Path(source).read_bytes()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        doc = json.loads(data)
+    except ValueError as e:
+        # a JSONDecodeError, or a UnicodeDecodeError from undecodable bytes
         raise SchemaError([("", f"invalid JSON: {e}")]) from None
     bad = _schema_violations(doc)
     if bad:

@@ -9,7 +9,7 @@ import pytest
 from conftest import DEFICIENT_TERMS, random_skew, random_spec, reference_along_charge, reference_along_point
 
 from orthinst import A2Status, FlatForm, RatMatrix, TensorSpec, check_conditions, flatten, kernel_basis, rank
-from orthinst import monad
+from orthinst import forms, monad
 from orthinst.cli import run_command
 from orthinst.kronecker import kronecker_conditions
 from orthinst.monad import MAX_SAMPLES
@@ -90,6 +90,32 @@ def test_a2_and_k1_statuses_match_the_replaced_samplers(budget, seed, box, defic
         assert kinds == {"CertifiedFullRank", "CounterexampleFound", "SampledNoCounterexample"}
 
 
+@pytest.fixture(scope="module")
+def wide_deficient_forms():
+    # n in {4, 5}, c in {3, 4}: along h a Gram table has fewer pairs a <= b
+    # (C(c+1, 2)) than upper entries (C(n+2, 2)), along v more
+    rng = random.Random(20261019)
+    found = []
+    for c in (3, 4):
+        for n in (4, 5):
+            drawn = len(found)
+            while len(found) < drawn + 4:
+                F = flatten(random_spec(rng, cs=(c,), ns=(n,)))
+                if rank(F.M) < F.size:
+                    found.append(F)
+    return found
+
+
+@pytest.mark.parametrize("seed,box", [(0, 10), (3, 2)])
+def test_search_matches_the_replaced_sampler_on_wider_shapes(seed, box, wide_deficient_forms):
+    kinds = set()
+    for F in wide_deficient_forms:
+        a2 = monad.nondegeneracy(F, budget=50, seed=seed, box=box)
+        assert a2 == reference_a2(F, 50, seed, box)
+        kinds.add(a2.kind)
+    assert kinds == {"CounterexampleFound", "SampledNoCounterexample"}
+
+
 def test_search_takes_one_gram_kernel_per_direction(deficient_forms, monkeypatch):
     # every nonzero direction drawn, up to and including the hit, asks once
     # for the kernel of its k x k Gram matrix: k = n+1 along h, c along v
@@ -117,6 +143,17 @@ def test_search_takes_one_gram_kernel_per_direction(deficient_forms, monkeypatch
     # the fixture's clean run: 7 basis and 2000 drawn directions
     assert hits[0] == (None, 2007)
     assert 0 < sum(hit is not None for hit, _ in hits) < len(hits)
+
+
+def test_search_sums_each_gram_entry_from_the_cached_table(monkeypatch):
+    # a Gram matrix is summed entry by entry from its side's coefficient
+    # table; the flat mix that pencil and act use is off the search's path
+    F = flatten(TensorSpec(3, 3, DEFICIENT_TERMS))
+    monkeypatch.setattr(forms, "_mix", lambda *a: pytest.fail("the search mixed flat Gram matrices"))
+    calls = []
+    monkeypatch.setattr(monad, "kernel_basis", lambda A: calls.append(A) or kernel_basis(A))
+    assert monad.nondegeneracy_witness_search(F, budget=1000) is None
+    assert len(calls) == 2007
 
 
 def no_rng(*args, **kwargs):

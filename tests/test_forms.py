@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -236,16 +237,44 @@ def one_sided_gram(along, k, length):
     return gram
 
 
+def gram_mutants(along, k, length):
+    """Broken Gram matrices A(d)^T A(d) = sum_{a<=b} d_a d_b G_ab, each off by
+    one slip in assembling them from the G_ab: the upper triangle left
+    unmirrored, the first cross pair G_01 dropped, and the weight d_a^2 on
+    every pair a <= b.  P_a is the contraction along the basis vector a."""
+    P = [along(unit(a, length)) for a in range(length)]
+    G = {
+        (a, b): P[a].transpose() @ P[b] + (P[b].transpose() @ P[a] if a < b else RatMatrix.zeros(k, k))
+        for a in range(length)
+        for b in range(a, length)
+    }
+    # sum_{b >= a} G_ab, which the weight d_a^2 scales in the third slip
+    row_sums = [sum((G[a, b] for b in range(a, length)), RatMatrix.zeros(k, k)) for a in range(length)]
+
+    def unmirrored(d, gram):
+        return RatMatrix([[x if p <= q else 0 for q, x in enumerate(row)] for p, row in enumerate(gram.to_rows())])
+
+    def cross_pair_dropped(d, gram):
+        return gram + G[0, 1].scale(-Fraction(d[0]) * Fraction(d[1])) if length > 1 else gram
+
+    def square_weight(d, gram):
+        return sum((S.scale(Fraction(x) ** 2) for S, x in zip(row_sums, d)), RatMatrix.zeros(k, k))
+
+    return {"unmirrored": unmirrored, "cross pair dropped": cross_pair_dropped, "square weight": square_weight}
+
+
 class TestGram:
     def test_gram_has_full_rank_exactly_when_the_contraction_is_injective(self):
         # the search reads each kernel off the Gram matrix: it must be the
         # contraction's kernel, down to the canonical basis kernel_basis returns
         rng = random.Random(121)
         cases = hits = off_basis_hits = broken_misses = broken_kernels = 0
+        mutant_kernels = Counter()
         for F in gram_forms():
             directions = gram_directions(F, rng)
             for side, gram, along, k, length in contraction_sides(F):
                 broken = one_sided_gram(along, k, length)
+                mutants = gram_mutants(along, k, length)
                 for d in directions[side]:
                     A, G = along(d), gram(d)
                     assert G == A.transpose() @ A
@@ -255,13 +284,17 @@ class TestGram:
                     B = broken(d)
                     broken_misses += (rank(B) < k) != bool(ker)
                     broken_kernels += kernel_basis(B) != ker
+                    for name, mutant in mutants.items():
+                        mutant_kernels[name] += kernel_basis(mutant(d, G)) != ker
                     cases += 1
                     hits += bool(ker)
                     off_basis_hits += bool(ker) and sum(map(bool, d)) > 1
         # the sweep reaches directions with and without a kernel, including
-        # kernels off the basis, where dropping the cross term shows
+        # kernels off the basis, where dropping the cross term shows, and each
+        # slip in assembling the Gram matrix changes some kernel the search reads
         assert hits > 500 and off_basis_hits > 300 and cases - hits > 700
         assert broken_misses > 0 and broken_kernels > 0
+        assert len(mutant_kernels) == 3 and all(mutant_kernels.values()), mutant_kernels
 
     def test_zero_direction_gives_zero_gram(self, F_deficient):
         assert F_deficient.gram_along_point([0] * 4) == RatMatrix.zeros(3, 3)

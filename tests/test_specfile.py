@@ -1,10 +1,16 @@
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from orthinst import (
     GenerationExhausted,
+    cli,
     NotSkew,
     OddOrder,
     SchemaError,
@@ -106,6 +112,64 @@ class TestParse:
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
             parse_spec("{not json")
+
+
+def utf8_spec(tmp_path):
+    """c5p3 named "Kähler-test", written as UTF-8 bytes."""
+    doc = json.loads(bundled_spec_path("c5p3").read_bytes())
+    doc["name"] = "K\u00e4hler-test"
+    path = tmp_path / "kaehler.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    return path
+
+
+class TestSpecFileBytes:
+    # a spec file is UTF-8 JSON whatever the locale, read once: the input
+    # hash is of the bytes that were parsed
+    def test_utf8_name_verifies_under_the_c_locale(self, tmp_path):
+        path = utf8_spec(tmp_path)
+        assert b"\xc3\xa4" in path.read_bytes()
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "orthinst.cli", "verify", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "verdict: PASS" in proc.stdout
+
+    def test_input_hash_is_of_the_one_read(self, tmp_path, monkeypatch):
+        path = utf8_spec(tmp_path)
+        reads, parsed = [], []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: pytest.fail("spec decoded as text"))
+        monkeypatch.setattr(cli, "parse_spec", lambda source: parsed.append(source) or parse_spec(source))
+        rep = run_command(["verify", str(path)])
+        assert rep.exit_code == 0
+        assert reads == [path]
+        assert parsed == [path.read_bytes()]
+        assert rep.input_hash == hashlib.sha256(parsed[0]).hexdigest()
+        assert parse_spec(parsed[0]).name == "K\u00e4hler-test"
+
+    def test_a_list_document_is_a_schema_error(self, tmp_path):
+        # file contents are not taken for a path: "[1]" is a document
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        with pytest.raises(SchemaError) as e:
+            parse_spec(path)
+        assert e.value.violations == [("", "document must be a JSON object")]
+        rep = run_command(["verify", str(path)])
+        assert rep.exit_code == 1
+        assert rep.results == {"error": "SchemaError", "message": ": document must be a JSON object"}
+
+    def test_undecodable_bytes_are_invalid_json(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "K\u00e4hler"}'.encode("latin-1"))
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            parse_spec(path)
+        rep = run_command(["verify", str(path)])
+        assert rep.exit_code == 1 and rep.results["error"] == "SchemaError"
 
 
 class TestRoundTrip:
