@@ -221,13 +221,7 @@ def _gram(coefficients: GramCoefficients, d: Sequence[int], k: int, den: int) ->
     pairs, entries, mirror = coefficients
     w = [d[a] * d[b] for a, b in pairs]
     upper = [sum(map(mul, w, col)) for col in entries]
-    rows = [tuple(map(upper.__getitem__, where)) for where in mirror]
-    if den != 1:
-        return RatMatrix.from_ints(rows, den, cols=k)
-    # integer rows over den 1 are in lowest terms already
-    G = RatMatrix.__new__(RatMatrix)
-    G._fill(rows, 1, k)
-    return G
+    return RatMatrix.from_ints([tuple(map(upper.__getitem__, where)) for where in mirror], den, cols=k)
 
 
 def point_indices(c: int, n: int, l: int) -> range:

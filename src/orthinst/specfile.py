@@ -108,18 +108,19 @@ def _schema_violations(doc) -> list[tuple[str, str]]:
 def parse_spec(source) -> SpecFile:
     """Parse a spec file from a path, a raw JSON string or the file's bytes.
 
-    A file is UTF-8 JSON, read as bytes whatever the locale; bytes that do
-    not decode are invalid JSON.  Structural problems raise ``SchemaError``
+    A file is UTF-8 JSON, read as bytes and decoded as UTF-8 whatever the
+    locale; bytes that do not decode, a UTF-16 or UTF-32 file, and a UTF-8
+    byte order mark are invalid JSON.  Structural problems raise ``SchemaError``
     carrying every violation with its JSON pointer; wrong matrix shapes raise
     ``ShapeMismatch`` and broken skew-symmetry ``NotSkew``, each pointing at
     the offending matrix.
     """
-    if isinstance(source, bytes) or (isinstance(source, str) and source.lstrip().startswith("{")):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         data = source
     else:
-        data = Path(source).read_bytes()
+        data = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
-        doc = json.loads(data)
+        doc = json.loads(data if isinstance(data, str) else data.decode("utf-8"))
     except ValueError as e:
         # a JSONDecodeError, or a UnicodeDecodeError from undecodable bytes
         raise SchemaError([("", f"invalid JSON: {e}")]) from None

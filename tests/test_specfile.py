@@ -171,6 +171,20 @@ class TestSpecFileBytes:
         rep = run_command(["verify", str(path)])
         assert rep.exit_code == 1 and rep.results["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("encode", [
+        lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),
+        lambda text: text.encode("utf-16"),
+    ], ids=["utf8-bom", "utf16"])
+    def test_only_plain_utf8_is_json(self, tmp_path, encode):
+        # json.loads would detect these encodings in bytes; a spec file is
+        # decoded as UTF-8 alone
+        path = tmp_path / "encoded.json"
+        path.write_bytes(encode(bundled_spec_path("c5p3").read_text(encoding="utf-8")))
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            parse_spec(path)
+        rep = run_command(["verify", str(path)])
+        assert rep.exit_code == 1 and rep.results["error"] == "SchemaError"
+
 
 class TestRoundTrip:
     def test_serialize_reparses_equal(self):
