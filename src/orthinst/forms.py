@@ -33,8 +33,13 @@ column groups P_a of ``M.num`` (point group l: the columns (k, l) for k =
 and G_ab = P_a^T P_b + P_b^T P_a (a < b), entry-major: for each entry (p, q)
 with p <= q, its coefficient in every G_ab.  A Gram matrix takes the weights
 d_a d_b, sums each upper entry's coefficients by them and mirrors it into
-its integer rows.  ``pencil`` mixes the nonzero c x c slices of ``M.num``,
-and ``act`` the charge groups and then row groups by the rows of h.
+its integer rows.  ``pencil`` mixes the nonzero c x c slices S_jl[i][k] =
+M[(i,j),(k,l)] of ``M.num``.  On a wedge member S_lj = S_jl^T = -S_jl (by
+symmetry, then by first-factor antisymmetry), so each pair j < l is kept
+once and mixed by the line's Pluecker coordinate Q_j P_l - Q_l P_j.  On any
+other symmetric form the same code keeps a pair that does not fold, and a
+nonzero diagonal slice, as they are, each mixed by Q_j P_l.
+``act`` mixes the charge groups and then row groups by the rows of h.
 """
 
 from __future__ import annotations
@@ -129,18 +134,36 @@ class FlatForm:
         return self.M.submatrix(range(i * w, (i + 1) * w), range(k * w, (k + 1) * w))
 
     @cached_property
-    def _slices(self) -> tuple[list[tuple[int, int]], list[list[int]]]:
-        """The pairs (j, l) of the nonzero c x c slices S_jl[i][k] =
-        M[(i,j),(k,l)] of ``M.num``, and each slice's entries row-major."""
+    def _slices(self) -> tuple[list[tuple[int, int, bool]], list[list[int]]]:
+        """The nonzero c x c slices S_jl[i][k] = M[(i,j),(k,l)] of ``M.num``
+        as (j, l, folded) and each slice's entries row-major.  Each pair
+        j < l is checked once, exactly: if S_lj = -S_jl, S_jl is kept once,
+        folded, and (l, j) is dropped; any other nonzero slice, a diagonal
+        S_jj included, is kept as it is.  For a wedge member every pair
+        folds: symmetry gives S_lj = S_jl^T and first-factor antisymmetry
+        S_jl^T = -S_jl, so S_lj = -S_jl (and S_jj = 0)."""
         c, w = self.c, self.n + 1
         R = self.M.num
+
+        def entries(j: int, l: int) -> list[int]:
+            return [R[i * w + j][k * w + l] for i in range(c) for k in range(c)]
+
         pairs, mats = [], []
+
+        def keep(j: int, l: int, folded: bool, s: list[int]) -> None:
+            if any(s):
+                pairs.append((j, l, folded))
+                mats.append(s)
+
         for j in range(w):
-            for l in range(w):
-                s = [R[i * w + j][k * w + l] for i in range(c) for k in range(c)]
-                if any(s):
-                    pairs.append((j, l))
-                    mats.append(s)
+            keep(j, j, False, entries(j, j))
+            for l in range(j + 1, w):
+                s, t = entries(j, l), entries(l, j)
+                if t == [-x for x in s]:
+                    keep(j, l, True, s)
+                else:
+                    keep(j, l, False, s)
+                    keep(l, j, False, t)
         return pairs, mats
 
     @cached_property
@@ -174,12 +197,16 @@ class FlatForm:
 
     def pencil(self, P: Sequence, Q: Sequence) -> RatMatrix:
         """The c x c pencil value G[i][k] = sum_{j,l} M[(i,j),(k,l)] Q_j P_l,
-        the nonzero slices mixed by Q_j P_l."""
+        the kept slices mixed by their coefficients: a folded slice S_jl
+        stands for S_jl Q_j P_l + S_lj Q_l P_j = S_jl (Q_j P_l - Q_l P_j), so
+        its coefficient is the Pluecker coordinate Q_j P_l - Q_l P_j, and any
+        other slice's is Q_j P_l."""
         c, w = self.c, self.n + 1
         dp, p = exact_vector(P, w)
         dq, q = exact_vector(Q, w)
         pairs, mats = self._slices
-        flat = _mix(mats, [q[j] * p[l] for j, l in pairs]) if mats else [0] * (c * c)
+        coeffs = [q[j] * p[l] - q[l] * p[j] if folded else q[j] * p[l] for j, l, folded in pairs]
+        flat = _mix(mats, coeffs) if mats else [0] * (c * c)
         return _from_flat(flat, c, self.M.den * dp * dq)
 
 

@@ -5,11 +5,15 @@ gives the c x c matrix
 
     G[i][k] = sum_{j,l} M[(i,j),(k,l)] * Q_j * P_l
 
-(``FlatForm.pencil``), which is skew-symmetric for every wedge member.  The
-restriction of the associated bundle to the line is trivial exactly when G
-is invertible, so odd charge forces every line to jump (odd skew matrices
-are singular).  The pencil-module condition K1 is A2 of the form, and
-``kronecker_conditions`` reads it off A2's decision, ``monad.nondegeneracy``.
+(``FlatForm.pencil``), which is skew-symmetric for every wedge member.  For
+a wedge member the slices S_jl[i][k] = M[(i,j),(k,l)] satisfy S_lj = -S_jl,
+so G = sum_{j<l} S_jl (Q_j P_l - Q_l P_j) depends on the line only through
+its Pluecker coordinates: another point pair on the same line rescales G by
+the determinant of the change of basis.  The restriction of the associated
+bundle to the line is trivial exactly when G is invertible, so odd charge
+forces every line to jump (odd skew matrices are singular).  The
+pencil-module condition K1 is A2 of the form, and ``kronecker_conditions``
+reads it off A2's decision, ``monad.nondegeneracy``.
 """
 
 from __future__ import annotations

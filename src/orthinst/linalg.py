@@ -95,7 +95,7 @@ class RatMatrix:
     def _fill(self, num: list[tuple[int, ...]], den: int, cols: int | None) -> None:
         if num:
             width = len(num[0])
-            if any(len(r) != width for r in num):
+            if any(map(width.__ne__, map(len, num))):
                 raise ShapeMismatch("ragged rows in matrix data")
             if cols is not None and cols != width:
                 raise ShapeMismatch(f"declared cols {cols} != row width {width}")
@@ -296,12 +296,15 @@ def _bareiss(rows: list[list[int]], ncols: int):
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             sign = -sign
-        piv = rows[r][col]
+        Rr = rows[r]
+        piv = Rr[col]
+        right = range(col + 1, ncols)
         for i in range(r + 1, m):
-            factor = rows[i][col]
-            for j in range(col + 1, ncols):
-                rows[i][j] = (piv * rows[i][j] - factor * rows[r][j]) // prev
-            rows[i][col] = 0
+            Ri = rows[i]
+            factor = Ri[col]
+            Ri[col] = 0
+            for j in right:
+                Ri[j] = (piv * Ri[j] - factor * Rr[j]) // prev
         prev = piv
         pivots.append(col)
         r += 1

@@ -121,8 +121,9 @@ def parse_spec(source) -> SpecFile:
         data = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
         doc = json.loads(data if isinstance(data, str) else data.decode("utf-8"))
-    except ValueError as e:
-        # a JSONDecodeError, or a UnicodeDecodeError from undecodable bytes
+    except (ValueError, RecursionError) as e:
+        # a JSONDecodeError, a UnicodeDecodeError from undecodable bytes, or
+        # a RecursionError from arrays or objects nested too deeply
         raise SchemaError([("", f"invalid JSON: {e}")]) from None
     bad = _schema_violations(doc)
     if bad:

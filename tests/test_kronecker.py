@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -23,6 +24,7 @@ from orthinst import (
 from orthinst import kronecker
 from orthinst.moduli import random_unimodular
 from orthinst.forms import act
+from orthinst.specfile import generate
 
 from conftest import random_spec
 
@@ -60,10 +62,24 @@ def random_symmetric(size, rng, box=3):
     return rows
 
 
+def flat_of_terms(c, n, terms):
+    """The symmetric flat form sum_t B_t (x) C_t of any blocks."""
+    w = n + 1
+    rows = [
+        [sum(B[i][k] * C[j][l] for B, C in terms) for k in range(c) for l in range(w)]
+        for i in range(c)
+        for j in range(w)
+    ]
+    return FlatForm(c, n, RatMatrix(rows))
+
+
 def pencil_cases():
     """(F, terms) with F.M = sum_t B_t (x) C_t: random wedge forms, their
-    images under a rational base change (common denominators 3 and 6), and
-    symmetric forms outside the wedge built directly from symmetric blocks."""
+    images under a rational base change (common denominators 3 and 6),
+    symmetric forms outside the wedge built directly from symmetric blocks,
+    and partly folded forms: a wedge member plus a symmetric c x c block D
+    at the slices (j, l) and (l, j), j < l, so that S_lj = -S_jl fails at
+    that pair alone."""
     rng = random.Random(310)
     cases = []
     for _ in range(6):
@@ -79,13 +95,19 @@ def pencil_cases():
     for c, n in ((3, 3), (4, 2)):
         w = n + 1
         terms = [(random_symmetric(c, rng), random_symmetric(w, rng)) for _ in range(2)]
-        rows = [
-            [sum(B[i][k] * C[j][l] for B, C in terms) for k in range(c) for l in range(w)]
-            for i in range(c)
-            for j in range(w)
-        ]
-        F = FlatForm(c, n, RatMatrix(rows))
+        F = flat_of_terms(c, n, terms)
         assert F.M.is_symmetric() and not is_wedge_matrix(F.M, c, n)
+        cases.append((F, terms))
+    for _ in range(4):
+        spec = random_spec(rng, max_terms=3)
+        c, w = spec.c, spec.n + 1
+        j, l = sorted(rng.sample(range(w), 2))
+        D = random_symmetric(c, rng)
+        D[0][0] = D[0][0] or 1
+        E = [[int((a, b) in ((j, l), (l, j))) for b in range(w)] for a in range(w)]
+        terms = spec.terms + ((D, E),)
+        F = flat_of_terms(c, spec.n, terms)
+        assert F.M.is_symmetric() and not is_wedge_matrix(F.M, c, spec.n)
         cases.append((F, terms))
     return cases
 
@@ -113,6 +135,22 @@ class TestPencilReferences:
                 want = block_pencil(F, P, Q)
                 assert F.pencil(P, Q) == want
                 assert gamma_eval(F, P, Q).M == want
+
+    def test_cases_fold_some_slices_and_keep_others(self):
+        # the references above see forms whose pencil mixes folded and
+        # unfolded slices at once, diagonal slices among the unfolded
+        kept = [F._slices[0] for F, _ in pencil_cases()]
+        assert [{folded for _, _, folded in pairs} for pairs in kept].count({True, False}) >= 4
+        assert any(j == l for pairs in kept for j, l, _ in pairs)
+
+    @pytest.mark.parametrize("name", ["c6p3", "c5p3", "generated (8,5)"])
+    def test_wedge_members_mix_only_folded_slices(self, name, F6, F5):
+        # S_lj = -S_jl on every wedge member, so its pencil mixes at most
+        # C(n+1, 2) slices, each by a Pluecker coordinate
+        F = {"c6p3": F6, "c5p3": F5}.get(name) or generate(8, 5, mode="pure", seed=1)[0].flatten()
+        pairs, _ = F._slices
+        assert pairs and all(folded and j < l for j, l, folded in pairs)
+        assert len(pairs) <= comb(F.n + 1, 2)
 
 
 class TestGammaEval:

@@ -128,10 +128,9 @@ def pfaffian_by_fractions(rows):
     return pf
 
 
-def kernel_by_fractions(rows, ncols):
-    """Reference: Fraction Gauss elimination to an echelon form, Fraction
-    back-substitution for each free column, then the primitive integer
-    multiple (a positive scale, so the free entry stays positive)."""
+def echelon_by_fractions(rows, ncols):
+    """Reference: Fraction Gauss elimination with first-nonzero row
+    pivoting, as (echelon rows, pivot columns)."""
     m = [[Fraction(x) for x in r] for r in rows]
     pivots = []
     for col in range(ncols):
@@ -144,6 +143,14 @@ def kernel_by_fractions(rows, ncols):
             f = m[i][col] / m[r][col]
             m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(col)
+    return m, pivots
+
+
+def kernel_by_fractions(rows, ncols):
+    """Reference: Fraction Gauss elimination to an echelon form, Fraction
+    back-substitution for each free column, then the primitive integer
+    multiple (a positive scale, so the free entry stays positive)."""
+    m, pivots = echelon_by_fractions(rows, ncols)
     basis = []
     for free in (j for j in range(ncols) if j not in pivots):
         v = [Fraction(0)] * ncols
@@ -437,6 +444,99 @@ class TestDenseRank:
         )
 
 
+@st.composite
+def skew_pencils(draw):
+    """Skew pencil values s*A + t*B over a denominator up to 30, of order 1
+    to 6: A and B are sparse skew with small entries and s, t have up to 64
+    bits.  The (0, 0) entry is zero, so a nonzero first column forces a
+    swap, and the zeros below a pivot give rows whose factor is 0."""
+    n = draw(st.integers(1, 6))
+    small = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    s, t = (draw(st.integers(-(2**64), 2**64)) for _ in range(2))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = s * draw(small) + t * draw(small)
+            rows[j][i] = -rows[i][j]
+    return RatMatrix.from_ints(rows, draw(st.integers(1, 30)), cols=n)
+
+
+def bareiss_disagrees(M):
+    """True if det(M), kernel_basis(M) or Bareiss's echelon of M.num
+    differs from its Fraction reference, or if the elimination fails.
+    Bareiss row r is the Gauss row r times the pivot of row r - 1 (1 for
+    row 0), zeros left of the pivot included."""
+    try:
+        n = M.rows
+        gauss, pivots = echelon_by_fractions(M.num, n)
+        rows = [list(r) for r in M.num]
+        rk, pivot_cols, _, _ = linalg._bareiss(rows, n)
+        scale = 1
+        for r, (got, want) in enumerate(zip(rows, gauss)):
+            if got != [scale * x for x in want]:
+                return True
+            if r < rk:
+                scale = got[pivot_cols[r]]
+        return (
+            (rk, pivot_cols) != (len(pivots), pivots)
+            or det(M) != det_cofactor(M.to_rows())
+            or kernel_basis(M) != kernel_by_fractions(M.num, n)
+        )
+    except ArithmeticError:
+        return True
+
+
+def first_column_zeros(M):
+    return sum(r[0] == 0 for r in M.num)
+
+
+class TestBareissUpdate:
+    """The Bareiss row update of det and kernel_basis on skew pencils,
+    against the cofactor expansion and Fraction back-substitution."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(skew_pencils())
+    def test_det_kernel_and_echelon_match_the_references(self, M):
+        num = M.num
+        assert not bareiss_disagrees(M)
+        assert M.num == num
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda M: M.rows % 2 == 0 and M.rows > 2 and det(M) != 0,
+            lambda M: M.rows % 2 == 1 and M.rows > 2 and any(map(any, M.num)),
+            lambda M: M.rows > 3 and first_column_zeros(M) >= 2 and first_column_zeros(M) < M.rows,
+            lambda M: det(M) != 0 and max(abs(x) for r in M.num for x in r).bit_length() >= 60,
+        ],
+        ids=["even order", "odd order", "zero factor", "60-bit entries"],
+    )
+    def test_strategy_draws(self, case):
+        # nonsingular even and nonzero odd pencils, a pivot with a zero
+        # below it after the forced swap, and entries of 60 bits or more
+        find(skew_pencils(), case, settings=settings(database=None, derandomize=True))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (
+                "if p != r:\n            rows[r], rows[p] = rows[p], rows[r]\n            sign = -sign\n        Rr = rows[r]",
+                "Rr = rows[r]\n        if p != r:\n            rows[r], rows[p] = rows[p], rows[r]\n            sign = -sign",
+            ),
+            ("Ri[col] = 0", "pass"),
+            ("right = range(col + 1, ncols)", "right = range(col, ncols)"),
+        ],
+        ids=["pivot row before the swap", "pivot column kept", "range from the pivot column"],
+    )
+    def test_rejects_a_mutant(self, monkeypatch, old, new):
+        source = inspect.getsource(linalg._bareiss)
+        assert source.count(old) == 1
+        scope = dict(vars(linalg))
+        exec(source.replace(old, new), scope)
+        monkeypatch.setattr(linalg, "_bareiss", scope["_bareiss"])
+        find(skew_pencils(), bareiss_disagrees, settings=settings(database=None, derandomize=True, max_examples=300))
+
+
 class TestStorage:
     """Integer rows over one least positive denominator."""
 
@@ -455,6 +555,15 @@ class TestStorage:
             assert M == mats[0] and hash(M) == hash(mats[0])
             assert M[1, 1] == Fraction(5, 6) and M.row(1) == (Fraction(-3, 4), Fraction(5, 6))
         assert RatMatrix.from_ints([[1, 2]], 3) != RatMatrix([[1, 2]])
+
+    @pytest.mark.parametrize("short", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_ragged_rows_raise(self, short):
+        rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        rows[short] = rows[short][:2]
+        with pytest.raises(ShapeMismatch, match="ragged rows"):
+            RatMatrix(rows)
+        with pytest.raises(ShapeMismatch, match="ragged rows"):
+            RatMatrix.from_ints(rows)
 
     def test_from_ints_is_in_lowest_terms(self):
         rng = random.Random(34)

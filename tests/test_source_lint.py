@@ -67,6 +67,24 @@ def _callers(name, skip=()):
     return callers
 
 
+def test_slices_read_only_by_the_pencil():
+    # which slices fold into a Pluecker coordinate is decided in
+    # FlatForm._slices, and one method mixes them
+    readers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if ":" in where else f"{where}:{node.name}"
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == "_slices":
+            readers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), str(path)), path.name)
+    assert readers == {"forms.py:FlatForm.pencil"}
+
+
 def test_bareiss_only_where_its_echelon_is_read():
     # rank eliminates by the primitive-row rule, on dense and sparse rows
     # alike; Bareiss is kept for the last pivot of det and the echelon of

@@ -171,6 +171,15 @@ class TestSpecFileBytes:
         rep = run_command(["verify", str(path)])
         assert rep.exit_code == 1 and rep.results["error"] == "SchemaError"
 
+    def test_deeply_nested_json_is_a_schema_error(self, tmp_path):
+        # json.loads raises RecursionError, not ValueError, past its depth
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            parse_spec(path)
+        rep = run_command(["verify", str(path), "--json"])
+        assert rep.exit_code == 1 and rep.results["error"] == "SchemaError"
+
     @pytest.mark.parametrize("encode", [
         lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),
         lambda text: text.encode("utf-16"),
