@@ -102,7 +102,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--r", type=int, default=None, help="override the rank from the file")
     q.add_argument("--budget", type=int, default=1000)
-    q.add_argument("--box", type=int, default=10)
 
     q = add_spec_cmd("monad", "build the monad maps and verify the identity")
     q.add_argument("--r", type=int, default=None)
@@ -120,7 +119,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--r", type=int, default=None)
     q.add_argument("--budget", type=int, default=200)
-    q.add_argument("--box", type=int, default=10)
 
     q = add_spec_cmd("cohomology", "cohomology table and vanishing checks")
     q.add_argument("--r", type=int, default=None)
@@ -214,7 +212,7 @@ def _dispatch(args, argv) -> Report:
     F = sf.flatten()
 
     if cmd == "verify":
-        rep = check_conditions(F, r, budget=args.budget, seed=args.seed, box=args.box)
+        rep = check_conditions(F, r, budget=args.budget, seed=args.seed)
         results = {"conditions": jsonio.condition_report_json(rep)}
         lines = [
             f"rank A = {rep.rank_a} (expected 2c+r = {rep.a1_expected})",
@@ -273,7 +271,7 @@ def _dispatch(args, argv) -> Report:
         return Report(tuple(argv), digest, results, (), 0.0, 0, human)
 
     if cmd == "kronecker":
-        rep = kronecker_conditions(F, r, budget=args.budget, seed=args.seed, box=args.box)
+        rep = kronecker_conditions(F, r, budget=args.budget, seed=args.seed)
         results = {"kronecker": jsonio.kronecker_report_json(rep)}
         human = (
             f"K1: {rep.k1.kind} | K2 (dual): {rep.k2.kind}\n"

@@ -118,6 +118,8 @@ class FlatForm:
     M: RatMatrix
 
     def __post_init__(self):
+        if self.c < 1 or self.n < 1:
+            raise ShapeMismatch(f"need c >= 1 and n >= 1, got c={self.c}, n={self.n}")
         size = self.c * (self.n + 1)
         if self.M.rows != size or self.M.cols != size:
             raise ShapeMismatch(

@@ -70,9 +70,10 @@ class SplitVerdict:
 def gamma_eval(F: FlatForm, P: Sequence, Q: Sequence) -> GammaEval:
     """Evaluate the pencil at a point pair spanning a line: entry (i,k) is
     the bilinear form of the block M(i,k) at (P, Q).  Scaling P or Q
-    rescales G but never changes the Trivial/Jumping verdict.  Each point is
-    read once, to integers over its denominator, for the span check and the
-    pencil.
+    rescales G but never changes the Trivial/Jumping verdict.  P and Q are
+    parsed once into integer tuples, which the span check and
+    ``FlatForm.pencil`` take; the pencil's ``exact_vector`` returns these
+    all-int tuples unchanged, so no Fraction is built.
     """
     w = F.n + 1
     for X in (P, Q):
@@ -119,9 +120,11 @@ def scan_lines(F: FlatForm, samples: int, seed: int = 0, box: int = 10) -> ScanR
 
     The RNG stream of sample s is derived from (seed, s), so the tally is
     reproducible and independent of any chunking of the loop.  Degenerate
-    pairs are counted, not resampled.  ``check_sampling`` bounds the input.
+    pairs are counted, not resampled.  Box 0 draws only zeros and is refused.
     """
-    check_sampling("samples", samples, box, least=1)
+    check_sampling("samples", samples, least=1)
+    if box < 1:
+        raise ValueError(f"box must be >= 1, got {box}")
     w = F.n + 1
     trivial = jumping = degenerate = 0
     witnesses: list[LineWitness] = []
@@ -188,20 +191,18 @@ class KroneckerReport:
         return self.k1.is_pass() and self.k2.is_pass() and self.matches_expected
 
 
-def kronecker_conditions(
-    F: FlatForm, r: int, budget: int = 200, seed: int = 0, box: int = 10
-) -> KroneckerReport:
+def kronecker_conditions(F: FlatForm, r: int, budget: int = 200, seed: int = 0) -> KroneckerReport:
     """Check the pencil-module conditions on the linearized map.
 
     The linearized map of the pencil is the flat form itself, and
     injectivity of every fixed-direction slice is A2, so K1 is
-    ``nondegeneracy(F, budget, seed, box)``: the decision ``check_conditions``
+    ``nondegeneracy(F, budget, seed)``: the decision ``check_conditions``
     reports, at this budget.  The surjectivity condition is the transpose
     dual of the injectivity condition and inherits its status.  The rank is
     compared against both candidate values 2c+r and 2n+r; the first is
     operative.
     """
-    status = nondegeneracy(F, budget, seed, box)
+    status = nondegeneracy(F, budget, seed)
     rank_g = rank(F.M)
     expected, printed = 2 * F.c + r, 2 * F.n + r
     return KroneckerReport(

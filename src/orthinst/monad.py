@@ -22,9 +22,9 @@ principal block of order 2c+r) together with the charge and rank-bound
 prechecks.  The second, A2, is decided once, by ``nondegeneracy``, which
 ``kronecker`` also reads for K1 and K2 (the same statement): full rank
 certifies it, and below full rank one search for h (x) v in ker M runs along
-a lazy stream of integer directions: a hit is exact, a clean run is no proof.
-Each direction's contraction A is asked for its kernel once, through its
-small Gram matrix A^T A (``FlatForm.gram_along_point`` and
+a seeded stream of directions in [-10, 10]: a hit is exact, a clean run is
+no proof.  Each direction's contraction A is asked for its kernel once,
+through its small Gram matrix A^T A (``FlatForm.gram_along_point`` and
 ``gram_along_charge``), which has the kernel of A; A itself is never built.
 """
 
@@ -229,22 +229,21 @@ class ConditionReport:
 
 
 MAX_SAMPLES = 100_000  # cap on --budget and --samples, 100 times their defaults
+WITNESS_BOX = 10  # the drawn search directions have entries in [-10, 10]
 
 
-def check_sampling(name: str, count: int, box: int, least: int = 0) -> None:
-    """The one sampling bound of verify, kronecker and scan-lines: ``least <=
-    count <= MAX_SAMPLES`` and ``box >= 1`` (box 0 draws only zeros)."""
+def check_sampling(name: str, count: int, least: int = 0) -> None:
+    """The one sample-count bound of verify, kronecker and scan-lines:
+    ``least <= count <= MAX_SAMPLES``."""
     if count < least:
         raise ValueError(f"{name} must be >= {least}, got {count}")
     if count > MAX_SAMPLES:
         raise ValueError(f"{name} must be <= {MAX_SAMPLES}, got {count}")
-    if box < 1:
-        raise ValueError(f"box must be >= 1, got {box}")
 
 
-def _directions(F: FlatForm, budget: int, seed: int, box: int) -> Iterator[tuple[str, list[int]]]:
+def _directions(F: FlatForm, budget: int, seed: int) -> Iterator[tuple[str, list[int]]]:
     """Lazy search directions: the h basis, the v basis, then for each
-    sample s one h in [-box, box]^c and one v in [-box, box]^(n+1), drawn in
+    sample s one h in [-10, 10]^c and one v in [-10, 10]^(n+1), drawn in
     that order from the stream ``f"{seed}:wit:{s}"``."""
     sides = (("h", F.c), ("v", F.n + 1))
     for side, size in sides:
@@ -253,11 +252,11 @@ def _directions(F: FlatForm, budget: int, seed: int, box: int) -> Iterator[tuple
     for s in range(budget):
         rng = random.Random(f"{seed}:wit:{s}")
         for side, size in sides:
-            yield side, [rng.randint(-box, box) for _ in range(size)]
+            yield side, [rng.randint(-WITNESS_BOX, WITNESS_BOX) for _ in range(size)]
 
 
 def nondegeneracy_witness_search(
-    F: FlatForm, budget: int = 1000, seed: int = 0, box: int = 10
+    F: FlatForm, budget: int = 1000, seed: int = 0
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The first decomposable kernel vector h (x) v along ``_directions``,
     as the int pair (h, v), or ``None``.
@@ -271,7 +270,7 @@ def nondegeneracy_witness_search(
     is a witness; the stream is drawn only as far as the first hit.  ``None``
     is *not* a certificate of nondegeneracy.
     """
-    for side, d in _directions(F, budget, seed, box):
+    for side, d in _directions(F, budget, seed):
         if not any(d):
             continue
         ker = kernel_basis(F.gram_along_charge(d) if side == "h" else F.gram_along_point(d))
@@ -280,27 +279,27 @@ def nondegeneracy_witness_search(
     return None
 
 
-def nondegeneracy(F: FlatForm, budget: int = 1000, seed: int = 0, box: int = 10) -> A2Status:
+def nondegeneracy(F: FlatForm, budget: int = 1000, seed: int = 0) -> A2Status:
     """The one decision of A2, and of K1 and K2, the same statement: after
     ``check_sampling``, full rank is certified outright (an injective map
     kills no decomposable tensor), a zero budget is Unknown, and otherwise
     ``nondegeneracy_witness_search`` finds a counterexample or reports the
     clean sample count."""
-    check_sampling("budget", budget, box)
+    check_sampling("budget", budget)
     if rank(F.M) == F.size:
         return A2Status("CertifiedFullRank")
     if budget == 0:
         return A2Status("Unknown")
-    hit = nondegeneracy_witness_search(F, budget, seed, box)
+    hit = nondegeneracy_witness_search(F, budget, seed)
     if hit is None:
         return A2Status("SampledNoCounterexample", samples=budget)
     return A2Status("CounterexampleFound", witness_h=hit[0], witness_v=hit[1])
 
 
-def check_conditions(F: FlatForm, r: int, budget: int = 1000, seed: int = 0, box: int = 10) -> ConditionReport:
+def check_conditions(F: FlatForm, r: int, budget: int = 1000, seed: int = 0) -> ConditionReport:
     """Evaluate the three form conditions plus the charge/rank prechecks.
 
-    A2 is ``nondegeneracy(F, budget, seed, box)``, decided first, so a bound
+    A2 is ``nondegeneracy(F, budget, seed)``, decided first, so a budget
     outside ``check_sampling`` raises ``ValueError`` whatever the rank.
 
     ``a3_ok`` as coded always equals ``a1_ok``: a symmetric matrix always has
@@ -310,7 +309,7 @@ def check_conditions(F: FlatForm, r: int, budget: int = 1000, seed: int = 0, box
     raises ``RankMismatch`` otherwise).  The subset is the witness of A3,
     not an independent check.
     """
-    a2 = nondegeneracy(F, budget, seed, box)
+    a2 = nondegeneracy(F, budget, seed)
     c, n = F.c, F.n
     rank_a = rank(F.M)
     a1_expected = 2 * c + r

@@ -106,7 +106,8 @@ def _schema_violations(doc) -> list[tuple[str, str]]:
 
 
 def parse_spec(source) -> SpecFile:
-    """Parse a spec file from a path, a raw JSON string or the file's bytes.
+    """Parse a spec file from its path (a ``str`` or ``os.PathLike``) or its
+    bytes; the content is never inspected to tell the two apart.
 
     A file is UTF-8 JSON, read as bytes and decoded as UTF-8 whatever the
     locale; bytes that do not decode, a UTF-16 or UTF-32 file, and a UTF-8
@@ -115,12 +116,9 @@ def parse_spec(source) -> SpecFile:
     ``ShapeMismatch`` and broken skew-symmetry ``NotSkew``, each pointing at
     the offending matrix.
     """
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        data = source
-    else:
-        data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
-        doc = json.loads(data if isinstance(data, str) else data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as e:
         # a JSONDecodeError, a UnicodeDecodeError from undecodable bytes, or
         # a RecursionError from arrays or objects nested too deeply
@@ -161,11 +159,11 @@ def _paired_skew(size: int, rng: random.Random) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def _random_skew(size: int, rng: random.Random, box: int = 3) -> tuple[tuple[int, ...], ...]:
+def _random_skew(size: int, rng: random.Random) -> tuple[tuple[int, ...], ...]:
     rows = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            x = rng.randint(-box, box)
+            x = rng.randint(-3, 3)
             rows[i][j] = x
             rows[j][i] = -x
     return tuple(tuple(r) for r in rows)

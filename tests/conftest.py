@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 from orthinst import RatMatrix, TensorSpec, flatten
-from orthinst.specfile import load_bundled
+from orthinst.specfile import SpecFile, load_bundled, serialize_spec
 
 
 def random_skew(size, rng, box=3):
@@ -90,3 +90,11 @@ DEFICIENT_TERMS = (
 @pytest.fixture(scope="session")
 def F_deficient():
     return flatten(TensorSpec(3, 3, DEFICIENT_TERMS))
+
+
+@pytest.fixture(scope="session")
+def fixture_path(tmp_path_factory):
+    """The deficient fixture as a spec file, with r = 2."""
+    path = tmp_path_factory.mktemp("specs") / "fixture.json"
+    path.write_text(serialize_spec(SpecFile(TensorSpec(3, 3, DEFICIENT_TERMS), 2)))
+    return str(path)

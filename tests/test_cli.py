@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +237,28 @@ class TestUsage:
         for a, b in zip(shared, fresh):
             assert strip_timing(a.to_json_dict()) == strip_timing(b.to_json_dict())
             assert a.human == b.human
+
+
+class TestOptimizedInterpreter:
+    # python -O drops every assert; the mathematical guards are explicit
+    # checks, so the reports must not change
+    @pytest.mark.parametrize("cmd", ["verify", "kronecker", "cohomology", "splitting"])
+    @pytest.mark.parametrize("which", ["c5p3", "fixture"])
+    def test_reports_match_under_python_o(self, cmd, which, fixture_path):
+        spec = C5 if which == "c5p3" else fixture_path
+        argv = [cmd, spec, "--json", *(["--P", "1,2,3,4", "--Q", "2,-1,0,3"] if cmd == "splitting" else [])]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONOPTIMIZE", None)
+        reports = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "orthinst.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.stderr == ""
+            report = json.loads(proc.stdout)
+            assert proc.returncode == report["exit_code"]
+            reports.append(strip_timing(report))
+        assert reports[0] == reports[1]
+        assert "error" not in reports[0]["results"]

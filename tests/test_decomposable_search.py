@@ -11,16 +11,17 @@ from conftest import DEFICIENT_TERMS, random_skew, random_spec, reference_along_
 from orthinst import A2Status, FlatForm, RatMatrix, TensorSpec, check_conditions, flatten, kernel_basis, rank
 from orthinst import forms, monad
 from orthinst.cli import run_command
-from orthinst.kronecker import kronecker_conditions
+from orthinst.kronecker import kronecker_conditions, scan_lines
 from orthinst.monad import MAX_SAMPLES
 from orthinst.specfile import SpecFile, bundled_spec_path, load_bundled, serialize_spec
 
 C6 = str(bundled_spec_path("c6p3"))
 
 
-def reference_directions(F, budget, seed, box):
+def reference_directions(F, budget, seed):
     """The sampler's directions before the shared search: basis h, basis v,
-    then per sample s an h and a v from the stream f"{seed}:wit:{s}"."""
+    then per sample s an h and a v in [-10, 10] from the stream
+    f"{seed}:wit:{s}"."""
     c, w = F.c, F.n + 1
     for i in range(c):
         yield "h", [1 if k == i else 0 for k in range(c)]
@@ -28,8 +29,8 @@ def reference_directions(F, budget, seed, box):
         yield "v", [1 if l == j else 0 for l in range(w)]
     for s in range(budget):
         rng = random.Random(f"{seed}:wit:{s}")
-        yield "h", [rng.randint(-box, box) for _ in range(c)]
-        yield "v", [rng.randint(-box, box) for _ in range(w)]
+        yield "h", [rng.randint(-10, 10) for _ in range(c)]
+        yield "v", [rng.randint(-10, 10) for _ in range(w)]
 
 
 def reference_hit(F, side, d):
@@ -42,11 +43,11 @@ def reference_hit(F, side, d):
     return (ker[0], tuple(d)) if ker else None
 
 
-def reference_a2(F, budget, seed, box):
+def reference_a2(F, budget, seed):
     """The A2 sampler before the shared search."""
     if budget <= 0:
         return A2Status("Unknown")
-    for side, d in reference_directions(F, budget, seed, box):
+    for side, d in reference_directions(F, budget, seed):
         hit = any(d) and reference_hit(F, side, d)
         if hit:
             return A2Status("CounterexampleFound", witness_h=hit[0], witness_v=hit[1])
@@ -70,17 +71,17 @@ def bundled_forms():
     return [load_bundled(name).flatten() for name in ("c6p3", "c5p3")]
 
 
-@pytest.mark.parametrize("budget,seed,box", [(1000, 0, 10), (0, 0, 10), (7, 3, 2), (5, 4, 1)])
-def test_a2_and_k1_statuses_match_the_replaced_samplers(budget, seed, box, deficient_forms, bundled_forms):
+@pytest.mark.parametrize("budget,seed", [(1000, 0), (0, 0), (7, 3), (5, 4)])
+def test_a2_and_k1_statuses_match_the_replaced_samplers(budget, seed, deficient_forms, bundled_forms):
     # K1 is A2's decision at the same budget; A2 below full rank is the
     # replaced sampler's status
     kinds = set()
     for F in deficient_forms + bundled_forms:
         r = rank(F.M) - 2 * F.c
-        a2 = check_conditions(F, r, budget=budget, seed=seed, box=box).a2
-        assert kronecker_conditions(F, r, budget=budget, seed=seed, box=box).k1 == a2
+        a2 = check_conditions(F, r, budget=budget, seed=seed).a2
+        assert kronecker_conditions(F, r, budget=budget, seed=seed).k1 == a2
         if rank(F.M) < F.size:
-            assert a2 == reference_a2(F, budget, seed, box)
+            assert a2 == reference_a2(F, budget, seed)
         else:
             assert a2.kind == "CertifiedFullRank"
         kinds.add(a2.kind)
@@ -106,12 +107,12 @@ def wide_deficient_forms():
     return found
 
 
-@pytest.mark.parametrize("seed,box", [(0, 10), (3, 2)])
-def test_search_matches_the_replaced_sampler_on_wider_shapes(seed, box, wide_deficient_forms):
+@pytest.mark.parametrize("seed", [0, 3])
+def test_search_matches_the_replaced_sampler_on_wider_shapes(seed, wide_deficient_forms):
     kinds = set()
     for F in wide_deficient_forms:
-        a2 = monad.nondegeneracy(F, budget=50, seed=seed, box=box)
-        assert a2 == reference_a2(F, 50, seed, box)
+        a2 = monad.nondegeneracy(F, budget=50, seed=seed)
+        assert a2 == reference_a2(F, 50, seed)
         kinds.add(a2.kind)
     assert kinds == {"CounterexampleFound", "SampledNoCounterexample"}
 
@@ -131,7 +132,7 @@ def test_search_takes_one_gram_kernel_per_direction(deficient_forms, monkeypatch
         shapes.clear()
         hit = monad.nondegeneracy_witness_search(F, budget=1000)
         want = []
-        for side, d in reference_directions(F, 1000, 0, 10):
+        for side, d in reference_directions(F, 1000, 0):
             if any(d):
                 k = F.n + 1 if side == "h" else F.c
                 want.append((k, k))
@@ -175,31 +176,33 @@ def test_k1_draws_no_direction_past_the_first_hit(monkeypatch):
 
 @pytest.mark.parametrize("box", [0, -1])
 def test_box_below_1_is_refused_before_any_draw(box, deficient_forms, bundled_forms, monkeypatch):
-    # box 0 draws only zero directions, which the search skips: a clean run
-    # of nothing, so it is refused at every rank
+    # the line scan is the one sampler with a box: box 0 draws only the zero
+    # point pair, a degenerate line, so it is refused at every rank
     monkeypatch.setattr(random, "Random", no_rng)
     for F in deficient_forms + bundled_forms:
-        for check in (check_conditions, kronecker_conditions):
-            with pytest.raises(ValueError, match=f"^box must be >= 1, got {box}$"):
-                check(F, rank(F.M) - 2 * F.c, budget=20, seed=1, box=box)
-
-
-@pytest.fixture(scope="module")
-def fixture_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("specs") / "fixture.json"
-    path.write_text(serialize_spec(SpecFile(TensorSpec(3, 3, DEFICIENT_TERMS), 2)))
-    return str(path)
+        with pytest.raises(ValueError, match=f"^box must be >= 1, got {box}$"):
+            scan_lines(F, 20, seed=1, box=box)
 
 
 @pytest.mark.parametrize("cmd", ["verify", "kronecker"])
 @pytest.mark.parametrize("flag,name", [("--budget", "budget"), ("--box", "box")])
 @pytest.mark.parametrize("which", ["c6p3", "fixture"])
 def test_negative_budget_or_box_exits_1_at_every_rank(cmd, flag, name, which, fixture_path):
+    # the search has no box option: --box is a usage error like any unknown flag
     spec = C6 if which == "c6p3" else fixture_path
     rep = run_command([cmd, spec, flag, "-5"])
     assert rep.exit_code == 1
-    assert rep.results["error"] == "ValueError"
-    assert rep.results["message"] == (f"{name} must be >= 0, got -5" if name == "budget" else "box must be >= 1, got -5")
+    if name == "budget":
+        assert (rep.results["error"], rep.results["message"]) == ("ValueError", "budget must be >= 0, got -5")
+    else:
+        assert rep.results["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("cmd", ["verify", "kronecker"])
+def test_verify_and_kronecker_take_no_box(cmd, fixture_path):
+    rep = run_command([cmd, fixture_path, "--box", "3"])
+    assert (rep.exit_code, rep.results["error"]) == (1, "UsageError")
+    assert rep.results["message"] == "unrecognized arguments: --box 3"
 
 
 @pytest.mark.parametrize("cmd,flag", [("verify", "--budget"), ("kronecker", "--budget"), ("scan-lines", "--samples")])
@@ -209,11 +212,10 @@ def test_sampling_bound_exits_1_before_any_draw(cmd, flag, which, fixture_path, 
     spec = C6 if which == "c6p3" else fixture_path
     monkeypatch.setattr(random, "Random", no_rng)
     over = MAX_SAMPLES + 1
-    for args, message in (
-        ([flag, str(over)], f"{flag[2:]} must be <= {MAX_SAMPLES}, got {over}"),
-        (["--box", "0"], "box must be >= 1, got 0"),
-        (["--box", "-1"], "box must be >= 1, got -1"),
-    ):
+    cases = [([flag, str(over)], f"{flag[2:]} must be <= {MAX_SAMPLES}, got {over}")]
+    if cmd == "scan-lines":  # the one command with a box
+        cases += [(["--box", "0"], "box must be >= 1, got 0"), (["--box", "-1"], "box must be >= 1, got -1")]
+    for args, message in cases:
         rep = run_command([cmd, spec, *args])
         assert (rep.exit_code, rep.results["error"], rep.results["message"]) == (1, "ValueError", message)
 

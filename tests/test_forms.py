@@ -68,6 +68,16 @@ class TestTensorSpec:
             TensorSpec(0, 3, ())
 
 
+class TestFlatForm:
+    @pytest.mark.parametrize("c,n", [(0, 0), (3, 0)])
+    def test_rejects_degenerate_dims(self, c, n):
+        # a charge-0 form of the empty matrix once passed verify and
+        # kronecker, a pass that proved nothing
+        size = c * (n + 1)
+        with pytest.raises(ShapeMismatch, match=f"need c >= 1 and n >= 1, got c={c}, n={n}$"):
+            FlatForm(c, n, RatMatrix([[0] * size for _ in range(size)], cols=size))
+
+
 class TestFlatten:
     def test_small_product(self):
         spec = TensorSpec(2, 1, ((((0, 1), (-1, 0)), ((0, 1), (-1, 0))),))

@@ -371,7 +371,7 @@ class TestCheckConditions:
         assert not rep.passed
 
     def test_sampled_tier_on_deficient_example(self, F_deficient):
-        rep = check_conditions(F_deficient, 2, budget=60, seed=0, box=5)
+        rep = check_conditions(F_deficient, 2, budget=60, seed=0)
         assert rep.a1_ok and rep.a3_ok
         assert rep.a2.kind == "SampledNoCounterexample"
         assert rep.a2.samples == 60
@@ -422,7 +422,7 @@ class TestWitnessSearch:
             F = flatten(random_spec(rng, cs=(3, 4), ns=(3,)))
             if rank(F.M) != F.size:
                 continue
-            assert nondegeneracy_witness_search(F, budget=10, seed=0, box=5) is None
+            assert nondegeneracy_witness_search(F, budget=10, seed=0) is None
             checked += 1
 
     def test_zero_form(self):

@@ -123,6 +123,19 @@ def test_a2_status_built_only_by_the_decision():
     assert _callers("A2Status") == {"monad.py:nondegeneracy"}
 
 
+def test_only_the_line_scan_takes_a_box():
+    # the witness search draws from one fixed box; the line scan is the one
+    # sampler whose box is a setting
+    takers = {
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "box" in [arg.arg for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+    }
+    assert takers == {"kronecker.py:scan_lines"}
+
+
 def test_kronecker_imports_no_private_monad_name():
     # K1 reads A2's decision and runs no search or policy of its own
     tree = ast.parse((Path(orthinst.__file__).parent / "kronecker.py").read_text())

@@ -53,8 +53,17 @@ class TestParse:
             {"c": 3, "n": 3, "r": 6, "terms": [{"B": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
                                                 "C": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]}]}
         )
-        sf = parse_spec(text)
+        sf = parse_spec(text.encode())
         assert sf.c == 3 and sf.name is None
+
+    def test_a_str_is_always_a_path(self, tmp_path, monkeypatch):
+        # the content of a str is never looked at: a file named like JSON
+        # loads, and JSON text is a missing file
+        monkeypatch.chdir(tmp_path)
+        Path("{c6}.json").write_bytes(bundled_spec_path("c6p3").read_bytes())
+        assert parse_spec("{c6}.json") == load_bundled("c6p3")
+        with pytest.raises(FileNotFoundError):
+            parse_spec('{"c": 3, "n": 3, "r": 0, "terms": []}')
 
     def test_not_skew_pointer(self):
         text = json.dumps(
@@ -62,7 +71,7 @@ class TestParse:
              "terms": [{"B": [[0, 1], [1, 0]], "C": [[0, 1], [-1, 0]]}]}
         )
         with pytest.raises(NotSkew) as e:
-            parse_spec(text)
+            parse_spec(text.encode())
         assert e.value.pointer == "/terms/0/B"
 
     def test_shape_mismatch_pointer(self):
@@ -71,7 +80,7 @@ class TestParse:
              "terms": [{"B": [[0, 1], [-1, 0]], "C": [[0, 1], [-1, 0]]}]}
         )
         with pytest.raises(ShapeMismatch) as e:
-            parse_spec(text)
+            parse_spec(text.encode())
         assert e.value.pointer == "/terms/0/B"
 
     @pytest.mark.parametrize(
@@ -92,7 +101,7 @@ class TestParse:
         doc = {"c": 3, "n": 1, "r": 0,
                "terms": [{"B": B or good_B, "C": good_C}, {"B": good_B, "C": C2 or good_C}]}
         with pytest.raises(error) as e:
-            parse_spec(json.dumps(doc))
+            parse_spec(json.dumps(doc).encode())
         assert type(e.value) is error
         assert e.value.pointer == pointer
         assert e.value.violations == [(pointer, message)]
@@ -100,18 +109,18 @@ class TestParse:
     def test_schema_violations_collected_with_pointers(self):
         text = json.dumps({"c": "six", "n": 3, "terms": [], "bogus": 1})
         with pytest.raises(SchemaError) as e:
-            parse_spec(text)
+            parse_spec(text.encode())
         pointers = {ptr for ptr, _ in e.value.violations}
         assert "/c" in pointers and "/r" in pointers and "/terms" in pointers and "/bogus" in pointers
 
     def test_degenerate_dims_rejected(self):
         text = json.dumps({"c": 0, "n": 3, "r": 0, "terms": [{"B": [], "C": []}]})
         with pytest.raises(SchemaError):
-            parse_spec(text)
+            parse_spec(text.encode())
 
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
-            parse_spec("{not json")
+            parse_spec(b"{not json")
 
 
 def utf8_spec(tmp_path):
@@ -199,12 +208,12 @@ class TestRoundTrip:
     def test_serialize_reparses_equal(self):
         for name in ("c6p3", "c5p3"):
             sf = load_bundled(name)
-            again = parse_spec(serialize_spec(sf))
+            again = parse_spec(serialize_spec(sf).encode())
             assert again == sf
 
     def test_generated_round_trip(self):
         sf, _ = generate(6, 3, mode="pure", seed=1)
-        assert parse_spec(serialize_spec(sf)) == sf
+        assert parse_spec(serialize_spec(sf).encode()) == sf
 
 
 class TestGenerate:
