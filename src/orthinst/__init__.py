@@ -35,7 +35,7 @@ from .errors import (
     Singular,
     UsageError,
 )
-from .forms import FlatForm, TensorSpec, act, flatten, is_wedge_matrix, wedge_membership
+from .forms import FlatForm, TensorSpec, act, flatten, wedge_membership
 from .kronecker import (
     GammaEval,
     KroneckerReport,

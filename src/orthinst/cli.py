@@ -65,6 +65,11 @@ class Report:
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching, here or in the subparsers (which are _Parsers):
+    # main picks the output format by an exact "--json" in argv
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -100,11 +105,9 @@ def _build_parser() -> _Parser:
 
     q = add_spec_cmd("verify", "check the form conditions and prechecks")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--r", type=int, default=None, help="override the rank from the file")
     q.add_argument("--budget", type=int, default=1000)
 
-    q = add_spec_cmd("monad", "build the monad maps and verify the identity")
-    q.add_argument("--r", type=int, default=None)
+    add_spec_cmd("monad", "build the monad maps and verify the identity")
 
     q = add_spec_cmd("splitting", "evaluate the line pencil at one point pair")
     q.add_argument("--P", type=_int_list, required=True)
@@ -117,11 +120,9 @@ def _build_parser() -> _Parser:
 
     q = add_spec_cmd("kronecker", "check the pencil-module conditions")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--r", type=int, default=None)
     q.add_argument("--budget", type=int, default=200)
 
     q = add_spec_cmd("cohomology", "cohomology table and vanishing checks")
-    q.add_argument("--r", type=int, default=None)
     q.add_argument("--kmin", type=int, default=-4)
     q.add_argument("--kmax", type=int, default=0)
 
@@ -145,15 +146,6 @@ def _load(args) -> tuple[SpecFile, str]:
     # one read: the input hash is of the bytes that are parsed
     data = Path(args.spec).read_bytes()
     return parse_spec(data), hashlib.sha256(data).hexdigest()
-
-
-def _effective_r(args, sf: SpecFile) -> int:
-    r = getattr(args, "r", None)
-    if r is None:
-        return sf.r
-    if r < 0:
-        raise UsageError(f"--r must be >= 0, got {r}")
-    return r
 
 
 def run_command(argv: list[str]) -> Report:
@@ -208,7 +200,7 @@ def _dispatch(args, argv) -> Report:
         return Report(tuple(argv), digest, results, (), 0.0, 0, human)
 
     sf, digest = _load(args)
-    r = _effective_r(args, sf)
+    r = sf.r
     F = sf.flatten()
 
     if cmd == "verify":

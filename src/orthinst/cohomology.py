@@ -77,19 +77,21 @@ def section_map(F: FlatForm, r: int, k: int) -> RatMatrix:
     ``UsageError`` if it has more than ``linalg.MAX_CELLS``.
     """
     beta = build_beta(F, r)
-    rows, cols = _section_shape(beta, F.n, k)
+    rows, cols = _section_shape(beta, k)
     check_cells(rows, cols, f"the degree-{k} section map")
-    den, sigma = _section_rows(beta, F.n, k)
+    den, sigma = _section_rows(beta, k)
     return sigma.dense(den)
 
 
-def _section_shape(beta: LinFormMatrix, n: int, k: int) -> tuple[int, int]:
-    """Shape of the degree-k section map of ``beta``; ``UsageError`` if its
-    sparse build would hold more than ``linalg.MAX_CELLS`` nonzeros, or
-    rows, which are allocated even when empty.  Each nonzero coefficient of
+def _section_shape(beta: LinFormMatrix, k: int) -> tuple[int, int]:
+    """Shape of the degree-k section map of ``beta``, whose linear forms
+    are in n + 1 = ``beta.nvars`` variables; ``UsageError`` if its sparse
+    build would hold more than ``linalg.MAX_CELLS`` nonzeros, or rows,
+    which are allocated even when empty.  Each nonzero coefficient of
     x_l in ``beta`` becomes one nonzero per degree-k monomial, so the count
     is known before allocation.  On c6p3 it is 24 * h^0(O(k)), and the cap
     lies between twists 61 and 62."""
+    n = beta.nvars - 1
     src = bott_h(0, k, n)
     rows, cols = beta.rows * bott_h(0, k + 1, n), beta.cols * src
     nnz = src * len(beta.coefficients)
@@ -100,12 +102,14 @@ def _section_shape(beta: LinFormMatrix, n: int, k: int) -> tuple[int, int]:
     return rows, cols
 
 
-def _section_rows(beta: LinFormMatrix, n: int, k: int) -> tuple[int, SparseIntMatrix]:
+def _section_rows(beta: LinFormMatrix, k: int) -> tuple[int, SparseIntMatrix]:
     """The degree-k section map of ``beta`` as (den, den * sigma_k), the
-    integer map stored sparsely.  Each nonzero coefficient of x_l in entry
-    (m, w) of the second map is scattered to block (m, w), mapping the
-    source monomial u to u * x_l."""
-    rows_n, cols_n = _section_shape(beta, n, k)
+    integer map stored sparsely, on monomials in the ``beta.nvars``
+    variables.  Each nonzero coefficient of x_l in entry (m, w) of the
+    second map is scattered to block (m, w), mapping the source monomial u
+    to u * x_l."""
+    rows_n, cols_n = _section_shape(beta, k)
+    n = beta.nvars - 1
     src = monomials(n, k)
     dst = monomials(n, k + 1)
     dst_index = {m: t for t, m in enumerate(dst)}
@@ -165,7 +169,7 @@ class _DirectEngine:
 
     def _sigma(self, k: int) -> tuple[int, int, int]:
         if k not in self._cache:
-            _, m = _section_rows(self.beta, self.n, k)
+            _, m = _section_rows(self.beta, k)
             self._cache[k] = (m.rows, m.cols, rank(m))
         return self._cache[k]
 
@@ -218,7 +222,7 @@ def h_table(F: FlatForm, r: int, kmin: int, kmax: int, engine: _DirectEngine | N
         raise ValueError("kmin must be <= kmax")
     eng = _engine_for(F, r, engine)
     # the largest twist the window reaches, directly or by duality
-    _section_shape(eng.beta, n, max(kmax, -kmin - n - 1))
+    _section_shape(eng.beta, max(kmax, -kmin - n - 1))
     entries: dict[tuple[int, int], CohomEntry] = {}
     for k in range(kmin, kmax + 1):
         for i in range(n + 1):

@@ -11,7 +11,8 @@ on the c(n+1)-dimensional product space
 with the row-major index convention idx(i, j) = i*(n+1) + j (the second
 factor runs fastest).  A symmetric matrix arises this way from skew blocks
 exactly when it also changes sign under swapping its two first-factor
-indices; ``wedge_membership`` tests both conditions.
+indices; ``wedge_membership`` tests both conditions on a flat form, whose
+shape ``FlatForm`` has already checked.
 
 A flat form is its matrix M and nothing else.  Only this module maps flat
 indices to (charge, point) pairs; other modules use the blocks M(i,k)
@@ -280,12 +281,12 @@ def flatten(spec: TensorSpec) -> FlatForm:
     return FlatForm(c, n, RatMatrix.from_ints(rows, cols=size))
 
 
-def is_wedge_matrix(M: RatMatrix, c: int, n: int) -> bool:
+def wedge_membership(F: FlatForm) -> bool:
     """True iff M is symmetric and antisymmetric under swapping the
-    first-factor indices: M[(i,j),(k,l)] = -M[(k,j),(i,l)]."""
-    w = n + 1
-    if M.rows != c * w or M.cols != c * w:
-        return False
+    first-factor indices, M[(i,j),(k,l)] = -M[(k,j),(i,l)]: the two
+    invariants of a flattened sum of skew block pairs, tested on the raw
+    matrix, so a symmetric-square contamination is rejected."""
+    M, c, w = F.M, F.c, F.n + 1
     if not M.is_symmetric():
         return False
     A = M.num
@@ -296,12 +297,6 @@ def is_wedge_matrix(M: RatMatrix, c: int, n: int) -> bool:
                     if A[i * w + j][k * w + l] != -A[k * w + j][i * w + l]:
                         return False
     return True
-
-
-def wedge_membership(F: FlatForm) -> bool:
-    """Both flat-form invariants on the raw matrix; usable for rejecting
-    symmetric-square contaminations."""
-    return is_wedge_matrix(F.M, F.c, F.n)
 
 
 def act(h: RatMatrix, F: FlatForm) -> FlatForm:

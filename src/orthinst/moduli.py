@@ -23,6 +23,7 @@ from .errors import HypothesisViolation
 from .forms import FlatForm, act, wedge_membership
 from .kronecker import GammaEval, line_span_ok
 from .linalg import RatMatrix, rank
+from .monad import check_sampling
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,10 @@ def orbit_probe(F: FlatForm, trials: int = 25, seed: int = 0) -> OrbitProbeRepor
     For each trial h the transformed form must keep the rank, keep wedge
     membership, and keep the Trivial/Jumping verdict on every panel line;
     the identity and its negative must return the form unchanged.
+    ``trials`` must lie in 1..``monad.MAX_SAMPLES``, or ``ValueError`` is
+    raised before anything is drawn.
     """
+    check_sampling("trials", trials, least=1)
     c = F.c
     panel = _seeded_panel(F.n, seed)
     base_rank = rank(F.M)

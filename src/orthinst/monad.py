@@ -233,8 +233,8 @@ WITNESS_BOX = 10  # the drawn search directions have entries in [-10, 10]
 
 
 def check_sampling(name: str, count: int, least: int = 0) -> None:
-    """The one sample-count bound of verify, kronecker and scan-lines:
-    ``least <= count <= MAX_SAMPLES``."""
+    """The one sample-count bound of verify, kronecker, scan-lines and
+    orbit_probe: ``least <= count <= MAX_SAMPLES``."""
     if count < least:
         raise ValueError(f"{name} must be >= {least}, got {count}")
     if count > MAX_SAMPLES:

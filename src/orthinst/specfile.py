@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from math import comb
 from pathlib import Path
@@ -186,8 +187,9 @@ def generate(c: int, n: int, mode: str = "pure", seed: int = 0, num_terms: int =
     pairs per attempt; ``num_terms`` must lie in 2..C(c,2)*C(n+1,2), the
     dimension of the space of forms (every form is a sum of at most that
     many pure tensors), and a count outside raises ``ValueError`` before
-    any draw.  Each mode makes at most ``GENERATE_ATTEMPTS``
-    attempts.  Returns the spec and the attempt count.
+    any draw.  At most ``GENERATE_ATTEMPTS`` attempts are made; each one
+    tries its candidates in order, all drawn from one stream seeded by
+    (seed, attempt).  Returns the spec and the attempt count.
     """
     if c < 3 or n < 3:
         raise ValueError(f"generation needs c >= 3 and n >= 3, got c={c}, n={n}")
@@ -195,11 +197,8 @@ def generate(c: int, n: int, mode: str = "pure", seed: int = 0, num_terms: int =
     size = c * (n + 1)
     check_cells(size, size, f"the flat matrix of c={c}, n={n}")
 
-    def verified(sf: SpecFile) -> bool:
-        F = sf.flatten()
-        if rank(F.M) != size:
-            return False
-        return check_conditions(F, r, budget=0).passed
+    def random_sum(t: int, rng: random.Random) -> tuple:
+        return tuple((_random_skew(c, rng), _random_skew(n + 1, rng)) for _ in range(t))
 
     if mode == "pure":
         if c % 2 != 0:
@@ -208,44 +207,28 @@ def generate(c: int, n: int, mode: str = "pure", seed: int = 0, num_terms: int =
                 "single-term form cannot reach full rank; use sum mode",
                 attempts=0,
             )
-        for attempt in range(1, GENERATE_ATTEMPTS + 1):
-            rng = random.Random(f"{seed}:gen:{attempt}")
-            if (n + 1) % 2 == 0:
-                sf = SpecFile(
-                    spec=TensorSpec(c, n, ((_paired_skew(c, rng), _paired_skew(n + 1, rng)),)),
-                    r=r,
-                    name=f"pure-c{c}n{n}-seed{seed}",
-                )
-                if verified(sf):
-                    return sf, attempt
-            else:
-                # a single term cannot reach full rank over an odd-size point
-                # factor; grow a short sum instead
-                for t in (2, 3, 4):
-                    terms = tuple((_random_skew(c, rng), _random_skew(n + 1, rng)) for _ in range(t))
-                    sf = SpecFile(
-                        spec=TensorSpec(c, n, terms),
-                        r=r,
-                        name=f"pure-fallback-sum{t}-c{c}n{n}-seed{seed}",
-                    )
-                    if verified(sf):
-                        return sf, attempt
-        raise GenerationExhausted("no verified pure spec found", attempts=GENERATE_ATTEMPTS)
-    if mode == "sum":
+        if (n + 1) % 2 == 0:
+            candidates = [
+                (f"pure-c{c}n{n}-seed{seed}", lambda rng: ((_paired_skew(c, rng), _paired_skew(n + 1, rng)),))
+            ]
+        else:
+            # a single term cannot reach full rank over an odd-size point
+            # factor; grow a short sum instead
+            candidates = [(f"pure-fallback-sum{t}-c{c}n{n}-seed{seed}", partial(random_sum, t)) for t in (2, 3, 4)]
+        exhausted = "no verified pure spec found"
+    elif mode == "sum":
         cap = comb(c, 2) * comb(n + 1, 2)
         if not 2 <= num_terms <= cap:
             raise ValueError(f"sum mode needs 2 <= terms <= C(c,2)*C(n+1,2) = {cap}, got {num_terms}")
-        for attempt in range(1, GENERATE_ATTEMPTS + 1):
-            rng = random.Random(f"{seed}:gen:{attempt}")
-            terms = tuple((_random_skew(c, rng), _random_skew(n + 1, rng)) for _ in range(num_terms))
-            sf = SpecFile(
-                spec=TensorSpec(c, n, terms),
-                r=r,
-                name=f"sum{num_terms}-c{c}n{n}-seed{seed}",
-            )
-            if verified(sf):
+        candidates = [(f"sum{num_terms}-c{c}n{n}-seed{seed}", partial(random_sum, num_terms))]
+        exhausted = f"no verified sum spec found in {GENERATE_ATTEMPTS} attempts"
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected 'pure' or 'sum'")
+    for attempt in range(1, GENERATE_ATTEMPTS + 1):
+        rng = random.Random(f"{seed}:gen:{attempt}")
+        for name, draw in candidates:
+            sf = SpecFile(spec=TensorSpec(c, n, draw(rng)), r=r, name=name)
+            F = sf.flatten()
+            if rank(F.M) == size and check_conditions(F, r, budget=0).passed:
                 return sf, attempt
-        raise GenerationExhausted(
-            f"no verified sum spec found in {GENERATE_ATTEMPTS} attempts", attempts=GENERATE_ATTEMPTS
-        )
-    raise ValueError(f"unknown mode {mode!r}; expected 'pure' or 'sum'")
+    raise GenerationExhausted(exhausted, attempts=GENERATE_ATTEMPTS)

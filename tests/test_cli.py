@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +26,7 @@ def strip_timing(report_dict):
 
 class TestVerify:
     def test_c6p3_passes(self):
-        rep = run_command(["verify", C6, "--r", "12"])
+        rep = run_command(["verify", C6])
         assert rep.exit_code == 0
         assert rep.results["conditions"]["passed"] is True
         assert rep.results["conditions"]["rank_A"] == 24
@@ -33,8 +35,12 @@ class TestVerify:
         rep = run_command(["verify", C5])
         assert rep.exit_code == 0
 
-    def test_rank_bound_violation_exits_2(self):
-        rep = run_command(["verify", C6, "--r", "13"])
+    def test_rank_bound_violation_exits_2(self, tmp_path):
+        doc = json.loads(Path(C6).read_bytes())
+        doc["r"] = 13
+        path = tmp_path / "c6p3-r13.json"
+        path.write_text(json.dumps(doc))
+        rep = run_command(["verify", str(path)])
         assert rep.exit_code == 2
         assert rep.results["conditions"]["precheck"] == "RankBoundViolated"
 
@@ -43,8 +49,9 @@ class TestVerify:
         assert rep.exit_code == 1
 
     def test_deterministic_modulo_timing(self):
-        a = run_command(["verify", C6, "--r", "12", "--json"])
-        b = run_command(["verify", C6, "--r", "12", "--json"])
+        a = run_command(["verify", C6, "--json"])
+        b = run_command(["verify", C6, "--json"])
+        assert a.exit_code == 0
         assert strip_timing(a.to_json_dict()) == strip_timing(b.to_json_dict())
         assert json.dumps(strip_timing(a.to_json_dict()), sort_keys=True) == json.dumps(
             strip_timing(b.to_json_dict()), sort_keys=True
@@ -180,20 +187,32 @@ class TestGenerate:
 
 class TestUsage:
     @pytest.mark.parametrize("cmd", ["verify", "monad", "kronecker", "cohomology"])
-    def test_negative_r_is_refused(self, cmd, monkeypatch):
-        # a negative --r is a usage error, as "r": -1 in a file is, and is
-        # refused before the form is flattened
-        monkeypatch.setattr(SpecFile, "flatten", lambda sf: pytest.fail("flattened before --r was checked"))
-        rep = run_command([cmd, C6, "--r", "-1"])
-        assert (rep.exit_code, rep.results["error"]) == (1, "UsageError")
-        assert rep.human == "error: --r must be >= 0, got -1"
+    def test_r_option_is_refused(self, cmd, monkeypatch):
+        # r is read only from the spec file: --r is an unknown option whatever
+        # its value, c6p3's own r = 12 included, and is refused before the
+        # form is flattened
+        monkeypatch.setattr(SpecFile, "flatten", lambda sf: pytest.fail("flattened despite --r"))
+        for value in ("-1", "0", "12"):
+            rep = run_command([cmd, C6, "--r", value])
+            assert (rep.exit_code, rep.results["error"]) == (1, "UsageError")
+            assert rep.human == f"error: unrecognized arguments: --r {value}"
 
-    @pytest.mark.parametrize("cmd", ["verify", "monad", "kronecker", "cohomology"])
-    def test_r_zero_is_accepted(self, cmd):
-        # c6p3 has r = 12, so r = 0 is a mathematical failure, not a usage one
-        rep = run_command([cmd, C6, "--r", "0"])
-        assert rep.exit_code == 2
-        assert rep.results.get("error") != "UsageError"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", C5, "--jso"],
+            ["verify", C5, "--bud", "5"],
+            ["scan-lines", C5, "--samp", "5"],
+            ["moduli-dim", "--c", "6", "--n", "3", "--js"],
+            ["generate", "--c", "6", "--n", "3", "--see", "1"],
+        ],
+    )
+    def test_abbreviated_flags_are_refused(self, argv):
+        # main picks the output format by an exact "--json" in argv, so the
+        # parser must not read "--jso" as "--json" either
+        rep = run_command(argv)
+        assert (rep.exit_code, rep.results["error"]) == (1, "UsageError")
+        assert rep.results["message"].startswith("unrecognized arguments: ")
 
     def test_unknown_command(self):
         rep = run_command(["frobnicate"])
@@ -237,6 +256,22 @@ class TestUsage:
         for a, b in zip(shared, fresh):
             assert strip_timing(a.to_json_dict()) == strip_timing(b.to_json_dict())
             assert a.human == b.human
+
+
+class TestReadme:
+    def test_command_line_examples_run(self, tmp_path):
+        # every line of the README's command block, run on the bundled c6p3,
+        # exits 0 or 2; a usage error means the README shows a gone option
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", text, re.S | re.M).group(1)
+        lines = block.splitlines()
+        assert lines
+        for line in lines:
+            prog, *argv = shlex.split(line, comments=True)
+            assert prog == "orthinst"
+            argv = [{"SPEC.json": C6, "out.json": str(tmp_path / "out.json")}.get(a, a) for a in argv]
+            rep = run_command(argv)
+            assert rep.exit_code in (0, 2), (line, rep.human)
 
 
 class TestOptimizedInterpreter:

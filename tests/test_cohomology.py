@@ -105,9 +105,9 @@ class TestSectionSizeGuard:
 
     def test_nonzero_cap_lies_between_twists_61_and_62(self, F6):
         beta = cohomology.build_beta(F6, 12)
-        assert cohomology._section_shape(beta, 3, 61) == (6 * 43680, 24 * 41664)
+        assert cohomology._section_shape(beta, 61) == (6 * 43680, 24 * 41664)
         with pytest.raises(UsageError, match="degree-62 section map would have 1048320 nonzeros"):
-            cohomology._section_shape(beta, 3, 62)
+            cohomology._section_shape(beta, 62)
 
     @pytest.mark.parametrize("kmin, kmax", [(0, 62), (-100, 0)])
     def test_twist_or_its_dual_over_the_cap_allocates_nothing(self, monkeypatch, F6, kmin, kmax):

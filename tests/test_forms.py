@@ -15,7 +15,6 @@ from orthinst import (
     build_beta,
     build_beta_full,
     flatten,
-    is_wedge_matrix,
     kernel_basis,
     principal_rank_subset,
     rank,
@@ -319,7 +318,7 @@ class TestGram:
 
 class TestWedgeMembership:
     def test_zero_matrix(self):
-        assert is_wedge_matrix(RatMatrix.zeros(8, 8), 2, 3)
+        assert wedge_membership(FlatForm(2, 3, RatMatrix.zeros(8, 8)))
 
     def test_symmetric_square_contamination_rejected(self):
         # flatten-like build with symmetric B, C lands in the symmetric square
@@ -335,7 +334,7 @@ class TestWedgeMembership:
                         rows[i * (n + 1) + j][k * (n + 1) + l] = B[i][k] * C[j][l]
         M = RatMatrix(rows)
         assert M.is_symmetric()
-        assert not is_wedge_matrix(M, c, n)
+        assert not wedge_membership(FlatForm(c, n, M))
 
     def test_flatten_output_true(self, F6, F5):
         assert wedge_membership(F6)

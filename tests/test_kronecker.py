@@ -16,10 +16,10 @@ from orthinst import (
     flatten,
     gamma_coefficients,
     gamma_eval,
-    is_wedge_matrix,
     kronecker_conditions,
     scan_lines,
     splitting_type,
+    wedge_membership,
 )
 from orthinst import kronecker
 from orthinst.moduli import random_unimodular
@@ -96,7 +96,7 @@ def pencil_cases():
         w = n + 1
         terms = [(random_symmetric(c, rng), random_symmetric(w, rng)) for _ in range(2)]
         F = flat_of_terms(c, n, terms)
-        assert F.M.is_symmetric() and not is_wedge_matrix(F.M, c, n)
+        assert F.M.is_symmetric() and not wedge_membership(F)
         cases.append((F, terms))
     for _ in range(4):
         spec = random_spec(rng, max_terms=3)
@@ -107,7 +107,7 @@ def pencil_cases():
         E = [[int((a, b) in ((j, l), (l, j))) for b in range(w)] for a in range(w)]
         terms = spec.terms + ((D, E),)
         F = flat_of_terms(c, spec.n, terms)
-        assert F.M.is_symmetric() and not is_wedge_matrix(F.M, c, spec.n)
+        assert F.M.is_symmetric() and not wedge_membership(F)
         cases.append((F, terms))
     return cases
 

@@ -9,8 +9,9 @@ from orthinst import (
     moduli_dim,
     orbit_probe,
 )
-from orthinst import kronecker
+from orthinst import kronecker, moduli
 from orthinst.moduli import random_unimodular
+from orthinst.monad import MAX_SAMPLES
 
 import random
 
@@ -83,3 +84,9 @@ class TestOrbitProbe:
         a = orbit_probe(F5, trials=4, seed=3)
         b = orbit_probe(F5, trials=4, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("trials, bound", [(-3, ">= 1"), (0, ">= 1"), (MAX_SAMPLES + 1, f"<= {MAX_SAMPLES}")])
+    def test_trial_count_outside_1_to_max_refused_before_any_draw(self, F5, monkeypatch, trials, bound):
+        monkeypatch.setattr(moduli, "_seeded_panel", lambda *a: pytest.fail("drew the panel"))
+        with pytest.raises(ValueError, match=f"^trials must be {bound}, got {trials}$"):
+            orbit_probe(F5, trials=trials)

@@ -260,6 +260,44 @@ class TestGenerate:
         b, _ = generate(6, 3, mode="pure", seed=9)
         assert a == b
 
+    # golden outputs: the bytes, attempt count and name of each path through
+    # the attempt loop (paired single term, the even-n fallback that rejects a
+    # 2-term sum, a sum, a sum verified on its second attempt) stay fixed
+    @pytest.mark.parametrize(
+        "c, n, mode, terms, seed, attempts, name, sha",
+        [
+            (6, 3, "pure", 3, 0, 1, "pure-c6n3-seed0", "48db7c77a71cbde83299fcaf92a97ba506b671dcf8928a8f29ca83ef7a0cb155"),
+            (4, 4, "pure", 3, 0, 1, "pure-fallback-sum3-c4n4-seed0", "5c5b5208bcc56c9e8abd921643b8de8544b79126fef3551cd64befc76523b416"),
+            (5, 3, "sum", 4, 0, 1, "sum4-c5n3-seed0", "aa0d95b4ef0eb4825f029d6f85cb15aee0088d7bfa7135b8ce17cacc60ca965a"),
+            (3, 4, "sum", 3, 1, 2, "sum3-c3n4-seed1", "24d0cfd87f61d584cd6610d36d31595fa9bf2e4e41b7a3ccfbb741b81e996fe9"),
+        ],
+    )
+    def test_golden(self, c, n, mode, terms, seed, attempts, name, sha):
+        sf, got = generate(c, n, mode=mode, seed=seed, num_terms=terms)
+        assert (got, sf.name) == (attempts, name)
+        assert hashlib.sha256(serialize_spec(sf).encode()).hexdigest() == sha
+
+    def test_golden_errors(self, monkeypatch):
+        with pytest.raises(GenerationExhausted) as e:
+            generate(3, 3, mode="pure")
+        assert e.value.attempts == 0
+        assert str(e.value) == (
+            "pure mode needs even charge: a 3x3 skew matrix is singular, so a single-term form cannot reach "
+            "full rank; use sum mode"
+        )
+        with pytest.raises(ValueError, match="^unknown mode 'mixed'; expected 'pure' or 'sum'$"):
+            generate(4, 3, mode="mixed")
+        # no candidate verifies: each mode runs out after GENERATE_ATTEMPTS
+        monkeypatch.setattr(specfile, "rank", lambda M: -1)
+        for c, n, mode, message in [
+            (4, 3, "pure", "no verified pure spec found"),
+            (4, 4, "pure", "no verified pure spec found"),
+            (4, 3, "sum", "no verified sum spec found in 100 attempts"),
+        ]:
+            with pytest.raises(GenerationExhausted) as e:
+                generate(c, n, mode=mode)
+            assert (str(e.value), e.value.attempts) == (message, specfile.GENERATE_ATTEMPTS)
+
     def test_paired_skew_rejects_odd_size(self):
         with pytest.raises(OddOrder):
             _paired_skew(5, random.Random(0))
