@@ -197,6 +197,32 @@ class TestUsage:
             assert (rep.exit_code, rep.results["error"]) == (1, "UsageError")
             assert rep.human == f"error: unrecognized arguments: --r {value}"
 
+    @staticmethod
+    def _c6p3_with_r(tmp_path, r):
+        doc = json.loads(Path(C6).read_bytes())
+        doc["r"] = r
+        path = tmp_path / f"c6p3-r{r}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("cmd", ["verify", "monad", "kronecker", "cohomology"])
+    def test_negative_r_is_refused(self, cmd, monkeypatch, tmp_path):
+        # "r": -1 in the spec file, the only source of r, is a usage error
+        # refused by the schema before the form is flattened
+        path = self._c6p3_with_r(tmp_path, -1)
+        monkeypatch.setattr(SpecFile, "flatten", lambda sf: pytest.fail("flattened before r was checked"))
+        rep = run_command([cmd, path])
+        assert (rep.exit_code, rep.results["error"]) == (1, "SchemaError")
+        assert rep.human == "error: /r: must be >= 0"
+
+    @pytest.mark.parametrize("cmd", ["verify", "monad", "kronecker", "cohomology"])
+    def test_r_zero_is_accepted(self, cmd, tmp_path):
+        # c6p3 has r = 12, so "r": 0 in its file is a mathematical failure,
+        # not a usage one
+        rep = run_command([cmd, self._c6p3_with_r(tmp_path, 0)])
+        assert rep.exit_code == 2
+        assert rep.results.get("error") not in ("UsageError", "SchemaError")
+
     @pytest.mark.parametrize(
         "argv",
         [
