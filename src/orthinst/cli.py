@@ -220,11 +220,12 @@ def _dispatch(args, argv) -> Report:
         if 2 * sf.c + r == F.size:
             alpha = build_alpha(sf.c, sf.n)
             identity_ok = verify_monad_identity(alpha, beta)
+            checked = "beta.alpha"
         else:
             alpha = build_alpha(sf.c, sf.n, S=principal_rank_subset(F.M))
-            # the vanishing statement lives on the unrestricted pair; the
-            # displayed restricted maps are only a basis presentation
+            # the displayed restricted maps are only a basis presentation
             identity_ok = verify_monad_identity(build_alpha(sf.c, sf.n), build_beta_full(F))
+            checked = "of the unrestricted maps beta.alpha"
         results = {
             "alpha": jsonio.linform_matrix_json(alpha),
             "beta_t": [list(col) for col in zip(*jsonio.linform_matrix_json(beta))],
@@ -233,7 +234,7 @@ def _dispatch(args, argv) -> Report:
         human = (
             "alpha =\n" + _grid(results["alpha"]) + "\n\n"
             "beta^t =\n" + _grid(results["beta_t"]) + "\n\n"
-            + ("composition beta.alpha = 0: ok" if identity_ok else "composition beta.alpha != 0: FAIL")
+            + (f"composition {checked} = 0: ok" if identity_ok else f"composition {checked} != 0: FAIL")
         )
         return Report(tuple(argv), digest, results, (), 0.0, 0 if identity_ok else MATH_EXIT, human)
 

@@ -149,7 +149,7 @@ class CohomTable:
 
 
 class _DirectEngine:
-    """Caches section-map ranks/kernels per twist for one (F, r).
+    """Caches section-map ranks/kernels per twist for one (F, r), reading c and n off F.
 
     The second monad map is built on first use, so creating an engine does
     no work and raises nothing; ``h_table`` and ``verify_instanton`` can
@@ -159,8 +159,6 @@ class _DirectEngine:
     def __init__(self, F: FlatForm, r: int):
         self.F = F
         self.r = r
-        self.c = F.c
-        self.n = F.n
         self._cache: dict[int, tuple[int, int, int]] = {}
 
     @cached_property
@@ -175,7 +173,7 @@ class _DirectEngine:
 
     def h0(self, k: int) -> int:
         rows, cols, rk = self._sigma(k)
-        return (cols - rk) - self.c * bott_h(0, k - 1, self.n)
+        return (cols - rk) - self.F.c * bott_h(0, k - 1, self.F.n)
 
     def h1(self, k: int) -> int:
         rows, cols, rk = self._sigma(k)
@@ -183,7 +181,7 @@ class _DirectEngine:
 
     def entry(self, i: int, k: int) -> CohomEntry:
         """h^i(E(k)) and its provenance, by the display and duality above."""
-        n = self.n
+        n = self.F.n
         if i == 0:
             return CohomEntry(self.h0(k), "Direct")
         if i == 1:

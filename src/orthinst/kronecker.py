@@ -70,10 +70,9 @@ class SplitVerdict:
 def gamma_eval(F: FlatForm, P: Sequence, Q: Sequence) -> GammaEval:
     """Evaluate the pencil at a point pair spanning a line: entry (i,k) is
     the bilinear form of the block M(i,k) at (P, Q).  Scaling P or Q
-    rescales G but never changes the Trivial/Jumping verdict.  P and Q are
-    parsed once into integer tuples, which the span check and
-    ``FlatForm.pencil`` take; the pencil's ``exact_vector`` returns these
-    all-int tuples unchanged, so no Fraction is built.
+    rescales G but never changes the Trivial/Jumping verdict.  The span
+    check reads P and Q as integers over their denominators; the pencil
+    reads the points itself, denominators included.
     """
     w = F.n + 1
     for X in (P, Q):
@@ -82,8 +81,7 @@ def gamma_eval(F: FlatForm, P: Sequence, Q: Sequence) -> GammaEval:
     (dp, p), (dq, q) = exact_vector(P, w), exact_vector(Q, w)
     if rank(RatMatrix.from_ints([p, q])) != 2:
         raise DegenerateLine("points are proportional and span no line")
-    G = F.pencil(p, q)  # dp*dq times the value at (P, Q)
-    return GammaEval(_unscaled(dp, p), _unscaled(dq, q), G if dp * dq == 1 else G.scale(Fraction(1, dp * dq)))
+    return GammaEval(_unscaled(dp, p), _unscaled(dq, q), F.pencil(P, Q))
 
 
 def _unscaled(d: int, v: tuple[int, ...]) -> tuple[int | Fraction, ...]:

@@ -119,7 +119,7 @@ class LinFormMatrix:
 
 def build_alpha(c: int, n: int, S: Optional[Sequence[int]] = None) -> LinFormMatrix:
     """First monad map: column i' carries x_0..x_n in its i'-th block, so
-    its part A_l selects the rows (i', l).
+    row s of its part A_l is 1 in column i' when s = i'(n+1) + l, else 0.
 
     With ``S`` the rows are restricted to that index set (a choice of basis
     for the middle space in the non-maximal case).
@@ -131,8 +131,8 @@ def build_alpha(c: int, n: int, S: Optional[Sequence[int]] = None) -> LinFormMat
         row_idx = sorted(set(S))
         if any(s < 0 or s >= size for s in row_idx):
             raise BadSubset(f"subset entries must lie in [0, {size})")
-    eye = RatMatrix.identity(size)
-    return LinFormMatrix(tuple(eye.submatrix(row_idx, point_indices(c, n, l)) for l in range(n + 1)))
+    parts = [[[int(s == p) for p in point_indices(c, n, l)] for s in row_idx] for l in range(n + 1)]
+    return LinFormMatrix(tuple(RatMatrix.from_ints(rows, cols=c) for rows in parts))
 
 
 def _beta_rows(F: FlatForm, col_idx: Sequence[int]) -> LinFormMatrix:
@@ -267,9 +267,11 @@ def nondegeneracy_witness_search(
     Gram matrix A^T A, which is ker A since x^T A^T A x = |Ax|^2; the basis
     ``kernel_basis`` returns depends only on the kernel, so the witness is
     the first vector of the basis of ker A.  Every kernel is exact, so a hit
-    is a witness; the stream is drawn only as far as the first hit.  ``None``
-    is *not* a certificate of nondegeneracy.
+    is a witness; the stream is drawn only as far as the first hit, and not
+    at all for a budget outside ``check_sampling``, which raises
+    ``ValueError``.  ``None`` is *not* a certificate of nondegeneracy.
     """
+    check_sampling("budget", budget)
     for side, d in _directions(F, budget, seed):
         if not any(d):
             continue

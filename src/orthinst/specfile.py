@@ -24,7 +24,6 @@ from typing import Optional
 from .errors import GenerationExhausted, OddOrder, SchemaError
 from .forms import FlatForm, TensorSpec, flatten
 from .linalg import check_cells, rank
-from .monad import check_conditions
 
 
 @dataclass(frozen=True)
@@ -177,19 +176,21 @@ def generate(c: int, n: int, mode: str = "pure", seed: int = 0, num_terms: int =
     """Generate a verified spec with maximal rank r = (n-1)c.
 
     ``pure`` emits one block pair with random nonzero block parameters when
-    both factors have even size (c even, n odd).  An odd charge is rejected
-    outright: the c x c skew factor is singular, so no single term can reach
-    full rank.  For even charge on an even-n space (odd point-space
-    dimension) the single-term construction is equally impossible, so the
-    mode falls back to the multi-term style of the odd-size worked example,
-    growing the term count from 2 until the flattening verifies; the spec
-    name records the fallback.  ``sum`` draws ``num_terms`` random skew
-    pairs per attempt; ``num_terms`` must lie in 2..C(c,2)*C(n+1,2), the
-    dimension of the space of forms (every form is a sum of at most that
-    many pure tensors), and a count outside raises ``ValueError`` before
-    any draw.  At most ``GENERATE_ATTEMPTS`` attempts are made; each one
-    tries its candidates in order, all drawn from one stream seeded by
-    (seed, attempt).  Returns the spec and the attempt count.
+    both factors have even size (c even, n odd).  An odd charge is rejected:
+    its c x c skew factor is singular, so no single term reaches full rank.
+    For even charge and even n (odd point-space dimension) a single term is
+    equally impossible, so the mode falls back to sums of 2, 3 and 4 terms;
+    the spec name records the fallback.  ``sum`` draws ``num_terms`` random
+    skew pairs per attempt; ``num_terms`` must lie in 2..C(c,2)*C(n+1,2),
+    the dimension of the space of forms, or ``ValueError`` is raised before
+    any draw.  At most ``GENERATE_ATTEMPTS`` attempts are made; each tries
+    its candidates in order, from one stream seeded by (seed, attempt).
+    Returns the spec and the attempt count.
+
+    A draw is kept by one test, rank(M) = c(n+1), which proves it verified:
+    c(n+1) = 2c + r, so full rank is A1; it certifies A2 (an injective M
+    kills no decomposable tensor) and A3, which equals A1; and c >= 3 with
+    r = (n-1)c passes the prechecks.
     """
     if c < 3 or n < 3:
         raise ValueError(f"generation needs c >= 3 and n >= 3, got c={c}, n={n}")
@@ -228,7 +229,6 @@ def generate(c: int, n: int, mode: str = "pure", seed: int = 0, num_terms: int =
         rng = random.Random(f"{seed}:gen:{attempt}")
         for name, draw in candidates:
             sf = SpecFile(spec=TensorSpec(c, n, draw(rng)), r=r, name=name)
-            F = sf.flatten()
-            if rank(F.M) == size and check_conditions(F, r, budget=0).passed:
+            if rank(sf.flatten().M) == size:
                 return sf, attempt
     raise GenerationExhausted(exhausted, attempts=GENERATE_ATTEMPTS)

@@ -93,7 +93,10 @@ class TestMonad:
         rep = run_command(["monad", str(path), "--json"])
         assert rep.exit_code == 0
         assert json.loads(json.dumps(rep.results))["beta_t"] == expected
-        assert "\nbeta^t =\n" + cli._grid(expected) + "\n\ncomposition beta.alpha = 0: ok" in rep.human
+        # below full rank the identity is checked on the unrestricted pair,
+        # and the line says so: the displayed restricted pair is no monad
+        checked = "of the unrestricted maps beta.alpha" if which == "deficient" else "beta.alpha"
+        assert "\nbeta^t =\n" + cli._grid(expected) + f"\n\ncomposition {checked} = 0: ok" in rep.human
 
 
 class TestSplitting:
@@ -298,6 +301,13 @@ class TestReadme:
             argv = [{"SPEC.json": C6, "out.json": str(tmp_path / "out.json")}.get(a, a) for a in argv]
             rep = run_command(argv)
             assert rep.exit_code in (0, 2), (line, rep.human)
+
+    def test_layout_names_every_module(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^## Layout\n.*?^```\n(.*?)^```", text, re.S | re.M).group(1)
+        named = re.findall(r"^  (\w+\.py) ", block, re.M)
+        modules = [p.name for p in sorted((Path(cli.__file__).parent).glob("*.py")) if p.name != "__init__.py"]
+        assert sorted(named) == modules
 
 
 class TestOptimizedInterpreter:

@@ -24,6 +24,7 @@ from orthinst import (
 from orthinst import kronecker
 from orthinst.moduli import random_unimodular
 from orthinst.forms import act
+from orthinst.linalg import exact_vector
 from orthinst.specfile import generate
 
 from conftest import random_spec
@@ -195,6 +196,36 @@ class TestGammaEval:
             gamma_eval(F6, [1, 0.5, 0, 3], [0, 0, 1, 0])
         with pytest.raises(TypeError):
             splitting_type(F6, [1, 0, 0, 3], [0, 0, 1.0, 0])
+
+    @pytest.mark.parametrize("which", ["c6p3", "c5p3", "fixture", "rational"])
+    def test_pencil_reads_the_points_scale(self, which, F6, F5, F_deficient):
+        # reference: the pencil at the points' integer numerators, rescaled
+        # by their denominators; "rational" is c6p3 acted on by a rational
+        # diagonal, so the form's own denominator is not 1 either
+        if which == "rational":
+            F = act(RatMatrix.diagonal([Fraction(1, 2), Fraction(2, 3), 3, 1, Fraction(-1, 5), 1]), F6)
+        else:
+            F = {"c6p3": F6, "c5p3": F5, "fixture": F_deficient}[which]
+        assert (F.M.den > 1) == (which == "rational")
+        rng = random.Random(306)
+        spell = {
+            "int": lambda a, b: a,
+            "Fraction": lambda a, b: Fraction(a, b),
+            "p/q": lambda a, b: f"{a}/{b}",
+        }
+        checked = 0
+        for kind, form in spell.items():
+            for _ in range(10):
+                top = 1 if kind == "int" else 4
+                P, Q = ([form(rng.randint(-6, 6), rng.randint(1, top)) for _ in range(4)] for _ in range(2))
+                try:
+                    g = gamma_eval(F, P, Q)
+                except DegenerateLine:
+                    continue
+                (dp, p), (dq, q) = exact_vector(P, 4), exact_vector(Q, 4)
+                assert g.M == F.pencil(p, q).scale(Fraction(1, dp * dq))
+                checked += 1
+        assert checked >= 25
 
     def test_degenerate_line_rejected(self, F6):
         with pytest.raises(DegenerateLine):

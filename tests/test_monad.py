@@ -6,6 +6,8 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 
 from orthinst import monad
+from orthinst.forms import point_indices
+from orthinst.monad import MAX_SAMPLES
 from orthinst import (
     BadSubset,
     FlatForm,
@@ -100,6 +102,26 @@ class TestBuildAlpha:
     def test_bad_subset(self):
         with pytest.raises(BadSubset):
             build_alpha(3, 3, S=[99])
+
+    def test_parts_match_the_identity_slices(self, monkeypatch):
+        # reference: part l sliced out of the size x size identity, at the
+        # rows S (all rows for None; sorted, without repeats)
+        rng = random.Random(106)
+        cases = []
+        for c in range(1, 6):
+            for n in range(1, 5):
+                size = c * (n + 1)
+                S = rng.sample(range(size), rng.randint(1, size))
+                cases += [(c, n, None), (c, n, []), (c, n, S), (c, n, S + S[:2])]
+        expected = []
+        for c, n, S in cases:
+            size = c * (n + 1)
+            rows = range(size) if S is None else sorted(set(S))
+            eye = RatMatrix.identity(size)
+            expected.append(tuple(eye.submatrix(rows, point_indices(c, n, l)) for l in range(n + 1)))
+        monkeypatch.setattr(RatMatrix, "identity", lambda size: pytest.fail("built an identity"))
+        for (c, n, S), parts in zip(cases, expected):
+            assert build_alpha(c, n, S).parts == parts
 
 
 class TestBuildBeta:
@@ -410,6 +432,13 @@ class TestCheckConditions:
 
 
 class TestWitnessSearch:
+    @pytest.mark.parametrize("budget", [-5, MAX_SAMPLES + 1])
+    def test_budget_outside_0_to_max_refused_before_any_draw(self, budget, F6, F_deficient, monkeypatch):
+        monkeypatch.setattr(monad, "_directions", lambda *a: pytest.fail("drew a direction"))
+        for F in (F6, F_deficient):
+            with pytest.raises(ValueError, match=f"^budget must be [<>]= .*, got {budget}$"):
+                nondegeneracy_witness_search(F, budget=budget)
+
     def test_full_rank_has_no_witness(self, F6):
         assert nondegeneracy_witness_search(F6, budget=30, seed=3) is None
 

@@ -188,3 +188,21 @@ def test_no_matrix_products():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 found.append(f"{path.name}:{node.lineno}: @")
     assert found == []
+
+
+# the module layers, lowest first: a module imports only modules before it
+LAYERS = ("errors", "linalg", "forms", "specfile", "monad", "kronecker", "cohomology", "moduli", "jsonio", "cli")
+
+
+def test_modules_import_only_lower_layers():
+    # generation decides by rank alone, so specfile sits below monad
+    modules = [path for path in SOURCES if path.name != "__init__.py"]
+    assert sorted(path.stem for path in modules) == sorted(LAYERS)
+    found = []
+    for path in modules:
+        lower = LAYERS[: LAYERS.index(path.stem)]
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                found += [f"{path.name}:{node.lineno}: .{name}" for name in names if name.split(".")[0] not in lower]
+    assert found == []

@@ -17,6 +17,8 @@ from orthinst import (
     ShapeMismatch,
     TensorSpec,
     UsageError,
+    check_conditions,
+    monad,
     rank,
     specfile,
 )
@@ -297,6 +299,36 @@ class TestGenerate:
             with pytest.raises(GenerationExhausted) as e:
                 generate(c, n, mode=mode)
             assert (str(e.value), e.value.attempts) == (message, specfile.GENERATE_ATTEMPTS)
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        # c in 3..6, n in 3..5, sum of 4 terms at every shape (3 terms find
+        # no full-rank form at c = 5, n = 4 for these seeds) and pure at even
+        # charge, seeds 0-2
+        cases = [
+            (c, n, mode, seed)
+            for c in range(3, 7)
+            for n in range(3, 6)
+            for mode in ("sum", "pure")
+            if mode == "sum" or c % 2 == 0
+            for seed in range(3)
+        ]
+        return {case: generate(case[0], case[1], mode=case[2], seed=case[3], num_terms=4) for case in cases}
+
+    def test_every_generated_spec_passes_its_conditions(self, generated):
+        # the one rank test accepts only verified specs
+        for sf, _ in generated.values():
+            assert check_conditions(sf.flatten(), sf.r).passed
+
+    def test_generation_runs_no_condition_check(self, generated, monkeypatch):
+        # the full-rank test alone decides: no condition check runs, by
+        # either name, and every spec and attempt count stays the same
+        fail = lambda *a, **k: pytest.fail("ran check_conditions")
+        monkeypatch.setattr(monad, "check_conditions", fail)
+        monkeypatch.setattr(specfile, "check_conditions", fail, raising=False)
+        for (c, n, mode, seed), (sf, attempts) in generated.items():
+            again, got = generate(c, n, mode=mode, seed=seed, num_terms=4)
+            assert (serialize_spec(again), got) == (serialize_spec(sf), attempts)
 
     def test_paired_skew_rejects_odd_size(self):
         with pytest.raises(OddOrder):
