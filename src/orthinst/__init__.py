@@ -62,7 +62,6 @@ from .moduli import ModuliInfo, OrbitProbeReport, moduli_dim, orbit_probe, rando
 from .monad import (
     A2Status,
     ConditionReport,
-    LinForm,
     LinFormMatrix,
     build_alpha,
     build_beta,

@@ -23,7 +23,16 @@ def matrix_json(M: RatMatrix) -> list[list[str]]:
 
 
 def linform_matrix_json(L: LinFormMatrix) -> list[list[str]]:
-    return [[str(e) for e in row] for row in L.entries]
+    """Each entry sum_l x_l * parts[l][i, j] as text, written from the
+    nonzero coefficients: its terms in variable order, "0" if it has none."""
+    grid = [["0"] * L.cols for _ in range(L.rows)]
+    for l, i, j, x in L.coefficients:
+        term = f"x{l}" if x == 1 else f"-x{l}" if x == -1 else f"{rat_str(x)}x{l}"
+        if grid[i][j] == "0":
+            grid[i][j] = term
+        else:
+            grid[i][j] += term if term[0] == "-" else "+" + term
+    return grid
 
 
 def a2_json(a2: A2Status) -> dict:

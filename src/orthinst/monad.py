@@ -12,9 +12,8 @@ columns indexed by S, alpha the rows indexed by S.
 
 A map is stored as its coefficient matrices, beta = sum_l x_l B_l with
 constant ``RatMatrix`` parts B_l (the Kronecker module of the map), so the
-composition identity is one sum over the two maps' nonzero coefficients and
-no entry is ever a Fraction form; the grid of ``LinForm`` entries is a view
-built on first use, for display.
+composition identity, the section maps of ``cohomology`` and the display of
+``jsonio`` all read one view of a map, its nonzero coefficients.
 
 ``check_conditions`` evaluates the three defining conditions of a verified
 form (rank equals 2c+r, no decomposable kernel vector, symmetric invertible
@@ -40,30 +39,6 @@ from typing import Iterator, Optional, Sequence
 from .errors import BadSubset, RankMismatch, ShapeMismatch
 from .forms import FlatForm, point_indices
 from .linalg import RatMatrix, exact_vector, kernel_basis, principal_rank_subset, rank
-
-
-@dataclass(frozen=True)
-class LinForm:
-    """A homogeneous linear form sum_j coeffs[j] * x_j."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __str__(self) -> str:
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if c == 1:
-                term = f"x{j}"
-            elif c == -1:
-                term = f"-x{j}"
-            else:
-                term = f"{c}x{j}"
-            if parts and not term.startswith("-"):
-                parts.append("+" + term)
-            else:
-                parts.append(term)
-        return "".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -93,19 +68,6 @@ class LinFormMatrix:
     def coefficients(self) -> tuple[tuple[int, int, int, Fraction], ...]:
         """(l, i, j, x) for each nonzero coefficient x of x_l in entry (i, j)."""
         return tuple((l, i, j, x) for l, P in enumerate(self.parts) for i, j, x in P.nonzeros())
-
-    @cached_property
-    def entries(self) -> tuple[tuple[LinForm, ...], ...]:
-        """The grid of linear forms, read off the nonzero coefficients (a
-        zero coefficient is the int 0)."""
-        grid = [[[0] * self.nvars for _ in range(self.cols)] for _ in range(self.rows)]
-        for l, i, j, x in self.coefficients:
-            grid[i][j][l] = x
-        return tuple(tuple(LinForm(tuple(e)) for e in row) for row in grid)
-
-    def __getitem__(self, ij) -> LinForm:
-        i, j = ij
-        return self.entries[i][j]
 
     def transpose(self) -> "LinFormMatrix":
         return LinFormMatrix(tuple(P.transpose() for P in self.parts))

@@ -222,7 +222,7 @@ def generate(c: int, n: int, mode: str = "pure", seed: int = 0, num_terms: int =
         if not 2 <= num_terms <= cap:
             raise ValueError(f"sum mode needs 2 <= terms <= C(c,2)*C(n+1,2) = {cap}, got {num_terms}")
         candidates = [(f"sum{num_terms}-c{c}n{n}-seed{seed}", partial(random_sum, num_terms))]
-        exhausted = f"no verified sum spec found in {GENERATE_ATTEMPTS} attempts"
+        exhausted = f"no verified sum spec of {num_terms} terms found in {GENERATE_ATTEMPTS} attempts"
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'pure' or 'sum'")
     for attempt in range(1, GENERATE_ATTEMPTS + 1):

@@ -11,11 +11,12 @@ from fractions import Fraction
 
 from orthinst import LinFormMatrix, RatMatrix
 
-_TERM = re.compile(r"([+-]?\d*)x(\d+)")
+_TERM = re.compile(r"([+-]?(?:\d+(?:/\d+)?)?)x(\d+)")
 
 
 def lf(text: str, nvars: int = 4) -> list[Fraction]:
-    """The coefficients of x_0..x_{nvars-1} in a displayed linear form."""
+    """The coefficients of x_0..x_{nvars-1} in a displayed linear form,
+    each an optional integer or p/q before its variable."""
     coeffs = [Fraction(0)] * nvars
     if text.strip() != "0":
         for m in _TERM.finditer(text):

@@ -187,6 +187,16 @@ class TestGenerate:
         rep = run_command(["generate", "--c", "5", "--n", "3", "--mode", "pure"])
         assert rep.exit_code == 2
 
+    def test_sum_exhaustion_names_the_term_count(self):
+        # the default 3 terms reach no full-rank form at c = 5, n = 4 for
+        # seed 0 (4 terms do at once), so the message names the count to change
+        rep = run_command(["generate", "--c", "5", "--n", "4", "--mode", "sum", "--seed", "0"])
+        assert rep.exit_code == 2
+        assert rep.results == {
+            "error": "GenerationExhausted",
+            "message": "no verified sum spec of 3 terms found in 100 attempts",
+        }
+
 
 class TestUsage:
     @pytest.mark.parametrize("cmd", ["verify", "monad", "kronecker", "cohomology"])
@@ -313,11 +323,13 @@ class TestReadme:
 class TestOptimizedInterpreter:
     # python -O drops every assert; the mathematical guards are explicit
     # checks, so the reports must not change
-    @pytest.mark.parametrize("cmd", ["verify", "kronecker", "cohomology", "splitting"])
+    EXTRA = {"splitting": ["--P", "1,2,3,4", "--Q", "2,-1,0,3"], "scan-lines": ["--samples", "40"]}
+
+    @pytest.mark.parametrize("cmd", ["verify", "kronecker", "cohomology", "splitting", "monad", "scan-lines"])
     @pytest.mark.parametrize("which", ["c5p3", "fixture"])
     def test_reports_match_under_python_o(self, cmd, which, fixture_path):
         spec = C5 if which == "c5p3" else fixture_path
-        argv = [cmd, spec, "--json", *(["--P", "1,2,3,4", "--Q", "2,-1,0,3"] if cmd == "splitting" else [])]
+        argv = [cmd, spec, "--json", *self.EXTRA.get(cmd, [])]
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         env.pop("PYTHONOPTIMIZE", None)

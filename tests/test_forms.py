@@ -174,7 +174,7 @@ class TestContractions:
                 assert beta.nvars == w and (beta.rows, beta.cols) == (F.c, len(col_idx))
                 for l, B in enumerate(beta.parts):
                     assert B.to_rows() == [[F.M[s, k * w + l] for s in col_idx] for k in range(F.c)]
-                assert beta[F.c - 1, 0].coeffs == tuple(F.M[col_idx[0], (F.c - 1) * w + l] for l in range(w))
+                assert tuple(P[F.c - 1, 0] for P in beta.parts) == tuple(F.M[col_idx[0], (F.c - 1) * w + l] for l in range(w))
 
     def test_string_coordinates_read_exactly_and_floats_raise(self, F6):
         assert F6.gram_along_point(["1/2", 0, "3", Fraction(-1, 3)]) == F6.gram_along_point(

@@ -7,6 +7,7 @@ from hypothesis import find, given, settings, strategies as st
 
 from orthinst import monad
 from orthinst.forms import point_indices
+from orthinst.jsonio import linform_matrix_json
 from orthinst.monad import MAX_SAMPLES
 from orthinst import (
     BadSubset,
@@ -34,6 +35,7 @@ from display import (
     BETA_T_C6P3,
     BETA_T_C6P3_SIGN_VARIANT,
     grid_to_linform_matrix,
+    lf,
 )
 
 
@@ -45,7 +47,7 @@ def reference_identity(alpha, beta):
         for i in range(alpha.cols):
             acc = [[Fraction(0)] * w for _ in range(w)]
             for t in range(beta.cols):
-                b, a = beta[k, t].coeffs, alpha[t, i].coeffs
+                b, a = [P[k, t] for P in beta.parts], [P[t, i] for P in alpha.parts]
                 for j in range(w):
                     for l in range(w):
                         acc[j][l] += b[j] * a[l]
@@ -82,22 +84,23 @@ def one_cross_term_pair(rng, c, w, mid):
 class TestBuildAlpha:
     def test_c2_n1_pattern(self):
         a = build_alpha(2, 1)
-        grid = [[str(a[i, j]) for j in range(2)] for i in range(4)]
+        grid = linform_matrix_json(a)
         assert grid == [["x0", "0"], ["x1", "0"], ["0", "x0"], ["0", "x1"]]
 
     def test_c6_block_pattern(self):
         a = build_alpha(6, 3)
         assert a.rows == 24 and a.cols == 6
+        grid = linform_matrix_json(a)
         for s in range(24):
             i, j = divmod(s, 4)
             for ip in range(6):
                 want = f"x{j}" if ip == i else "0"
-                assert str(a[s, ip]) == want
+                assert grid[s][ip] == want
 
     def test_subset_restriction(self):
         a = build_alpha(3, 3, S=[0, 5, 7])
         assert a.rows == 3 and a.cols == 3
-        assert str(a[1, 1]) == "x1"  # row 5 = (1,1)
+        assert linform_matrix_json(a)[1][1] == "x1"  # row 5 = (1,1)
 
     def test_bad_subset(self):
         with pytest.raises(BadSubset):
@@ -126,10 +129,10 @@ class TestBuildAlpha:
 
 class TestBuildBeta:
     def test_c6p3_matches_frozen_display(self, F6):
-        bt = build_beta(F6, 12).transpose()
+        bt = linform_matrix_json(build_beta(F6, 12).transpose())
         for i in range(24):
             for k in range(6):
-                assert str(bt[i, k]) == BETA_T_C6P3[i][k], (i, k)
+                assert bt[i][k] == BETA_T_C6P3[i][k], (i, k)
 
     def test_display_signs_are_rigid(self):
         # flipping three entries breaks the composition identity, so the
@@ -142,9 +145,9 @@ class TestBuildBeta:
         assert verify_monad_identity(alpha, beta_expected)
 
     def test_c5p3_spot_entries(self, F5):
-        bt = build_beta(F5, 10).transpose()
+        bt = linform_matrix_json(build_beta(F5, 10).transpose())
         for (i, k), want in BETA_T_C5P3_SPOT_ENTRIES.items():
-            assert str(bt[i, k]) == want, (i, k)
+            assert bt[i][k] == want, (i, k)
         # remaining entries are pinned by the coefficient audit below
 
     def test_coefficient_audit(self, F5):
@@ -154,7 +157,7 @@ class TestBuildBeta:
         for k in range(5):
             for s in range(20):
                 for l in range(w):
-                    assert beta[k, s].coeffs[l] == F5.M[s, k * w + l]
+                    assert beta.parts[l][k, s] == F5.M[s, k * w + l]
 
     def test_rank_mismatch_rejected(self):
         zero = FlatForm(3, 3, RatMatrix.zeros(12, 12))
@@ -166,6 +169,24 @@ class TestBuildBeta:
     def test_deficient_rank_restricts_columns(self, F_deficient):
         beta = build_beta(F_deficient, 2)
         assert beta.rows == 3 and beta.cols == 8
+
+
+class TestDisplay:
+    def test_entries_read_back_to_their_coefficients(self):
+        # the display is written from the nonzero coefficients alone; an
+        # independent parser reads every cell back to the parts' entries
+        rng = random.Random(2001)
+        values = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), "7/4"]
+        for _ in range(300):
+            rows, cols, w = rng.randint(0, 5), rng.randint(1, 5), rng.randint(1, 4)
+            L = LinFormMatrix(
+                tuple(RatMatrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)], cols=cols) for _ in range(w))
+            )
+            grid = linform_matrix_json(L)
+            assert [len(row) for row in grid] == [cols] * rows
+            for i in range(rows):
+                for j in range(cols):
+                    assert lf(grid[i][j], w) == [P[i, j] for P in L.parts], grid[i][j]
 
 
 class TestMonadIdentity:

@@ -67,22 +67,52 @@ def _callers(name, skip=()):
     return callers
 
 
-def test_slices_read_only_by_the_pencil():
-    # which slices fold into a Pluecker coordinate is decided in
-    # FlatForm._slices, and one method mixes them
+def _readers(attr):
+    # "module.py:Class.function" for each load of the attribute `attr`, by the definitions enclosing it
     readers = set()
 
     def visit(node, where):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{where}.{node.name}" if ":" in where else f"{where}:{node.name}"
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == "_slices":
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == attr:
             readers.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     for path in SOURCES:
         visit(ast.parse(path.read_text(), str(path)), path.name)
-    assert readers == {"forms.py:FlatForm.pencil"}
+    return readers
+
+
+def test_slices_read_only_by_the_pencil():
+    # which slices fold into a Pluecker coordinate is decided in
+    # FlatForm._slices, and one method mixes them
+    assert _readers("_slices") == {"forms.py:FlatForm.pencil"}
+
+
+def test_map_entries_read_through_one_view():
+    # a monad map's entries are read only as its nonzero coefficients: by
+    # the composition identity, the section maps and the display
+    assert _readers("coefficients") == {
+        "monad.py:verify_monad_identity",
+        "cohomology.py:_section_shape",
+        "cohomology.py:_section_rows",
+        "jsonio.py:linform_matrix_json",
+    }
+
+
+def test_no_str_methods():
+    # values are formatted for output only in jsonio and the CLI text, so
+    # no class carries a text form of its own
+    found = [
+        f"{path.name}:{node.lineno}: {cls.name}.__str__"
+        for path in SOURCES
+        for cls in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__str__"
+    ]
+    assert found == []
 
 
 def test_bareiss_only_where_its_echelon_is_read():

@@ -294,7 +294,7 @@ class TestGenerate:
         for c, n, mode, message in [
             (4, 3, "pure", "no verified pure spec found"),
             (4, 4, "pure", "no verified pure spec found"),
-            (4, 3, "sum", "no verified sum spec found in 100 attempts"),
+            (4, 3, "sum", "no verified sum spec of 3 terms found in 100 attempts"),
         ]:
             with pytest.raises(GenerationExhausted) as e:
                 generate(c, n, mode=mode)
