@@ -42,7 +42,7 @@ def walkthrough(name: str, samples: int, seed: int, box: int) -> None:
     beta = build_beta(F, r)
     print(f"monad identity beta.alpha = 0: {verify_monad_identity(alpha, beta)}")
     print("beta^t =")
-    print(_grid(linform_matrix_json(beta.transpose())))
+    print(_grid([list(col) for col in zip(*linform_matrix_json(beta))]))
 
     P, Q = [1, 2, 3, 4], [5, 6, 7, 8]
     print(f"\npencil at P={P}, Q={Q}:")

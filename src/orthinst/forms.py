@@ -21,7 +21,7 @@ the contractions A: h -> M(h (x) v) along a point v and A: v -> M(h (x) v)
 along a charge vector h (``gram_along_point(v)``, c x c, and
 ``gram_along_charge(h)``, (n+1) x (n+1)), ``pencil(P, Q)``, and
 ``point_indices``, the flat indices of one point coordinate, from which the
-monad maps take their coefficient matrices.  M is the integer view: the Gram
+monad maps take their coefficients.  M is the integer view: the Gram
 matrices, the pencil and ``act`` read the integer rows ``M.num`` over
 ``M.den`` and return integer rows over a denominator, with no Fraction
 arithmetic.

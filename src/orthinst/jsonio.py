@@ -23,8 +23,8 @@ def matrix_json(M: RatMatrix) -> list[list[str]]:
 
 
 def linform_matrix_json(L: LinFormMatrix) -> list[list[str]]:
-    """Each entry sum_l x_l * parts[l][i, j] as text, written from the
-    nonzero coefficients: its terms in variable order, "0" if it has none."""
+    """Each entry (i, j), the sum of x * x_l over the nonzero coefficients
+    (l, i, j, x), as text: its terms in variable order, "0" if it has none."""
     grid = [["0"] * L.cols for _ in range(L.rows)]
     for l, i, j, x in L.coefficients:
         term = f"x{l}" if x == 1 else f"-x{l}" if x == -1 else f"{rat_str(x)}x{l}"

@@ -10,8 +10,8 @@ realization for symmetric matrices.
 
 Every elimination runs on the stored integer rows, with no conversion and no
 Fraction arithmetic; a Fraction appears only in a result, as an integer over
-a power of the denominator.  ``nonzeros`` reads a sparse matrix, such as a
-coefficient matrix of a monad map, without touching its zero entries.
+a power of the denominator.  ``nonzeros`` reads a sparse matrix, such as
+the slice of a flat form a monad map is read from, skipping its zeros.
 ``rank`` is memoised on the matrix, so the callers that all ask for the
 rank of one form share one elimination.  It runs one rule on either
 representation: a pivot row clears its pivot column from every row with a

@@ -10,10 +10,10 @@ is a wedge member.  When the rank 2c+r is smaller than c(n+1) the middle
 space is realized on a rank-carrying principal index set S: beta keeps the
 columns indexed by S, alpha the rows indexed by S.
 
-A map is stored as its coefficient matrices, beta = sum_l x_l B_l with
-constant ``RatMatrix`` parts B_l (the Kronecker module of the map), so the
+A map beta = sum_l x_l B_l (the Kronecker module of the map) is stored as
+its nonzero coefficients alone, (l, i, j, x) for x = B_l[i, j], so the
 composition identity, the section maps of ``cohomology`` and the display of
-``jsonio`` all read one view of a map, its nonzero coefficients.
+``jsonio`` all read the one stored view of a map.
 
 ``check_conditions`` evaluates the three defining conditions of a verified
 form (rank equals 2c+r, no decomposable kernel vector, symmetric invertible
@@ -33,55 +33,28 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadSubset, RankMismatch, ShapeMismatch
 from .forms import FlatForm, point_indices
-from .linalg import RatMatrix, exact_vector, kernel_basis, principal_rank_subset, rank
+from .linalg import kernel_basis, principal_rank_subset, rank
 
 
 @dataclass(frozen=True)
 class LinFormMatrix:
-    """Matrix of linear forms sum_l x_l * parts[l] in n+1 variables, one
-    constant coefficient matrix per variable, all of one shape."""
+    """A rows x cols matrix of linear forms in nvars variables, stored as
+    its nonzero coefficients: (l, i, j, x) for each nonzero coefficient x of
+    x_l in entry (i, j), ordered by variable and then row-major."""
 
-    parts: tuple[RatMatrix, ...]
-
-    def __post_init__(self):
-        if len({(P.rows, P.cols) for P in self.parts}) != 1:
-            raise ShapeMismatch("a linear-form matrix needs coefficient matrices of one shape")
-
-    @property
-    def nvars(self) -> int:
-        return len(self.parts)
-
-    @property
-    def rows(self) -> int:
-        return self.parts[0].rows
-
-    @property
-    def cols(self) -> int:
-        return self.parts[0].cols
-
-    @cached_property
-    def coefficients(self) -> tuple[tuple[int, int, int, Fraction], ...]:
-        """(l, i, j, x) for each nonzero coefficient x of x_l in entry (i, j)."""
-        return tuple((l, i, j, x) for l, P in enumerate(self.parts) for i, j, x in P.nonzeros())
-
-    def transpose(self) -> "LinFormMatrix":
-        return LinFormMatrix(tuple(P.transpose() for P in self.parts))
-
-    def evaluate(self, point: Sequence) -> RatMatrix:
-        """The constant matrix sum_l point[l] * parts[l]."""
-        d, p = exact_vector(point, self.nvars)
-        total = sum((P.scale(x) for P, x in zip(self.parts, p)), RatMatrix.zeros(self.rows, self.cols))
-        return total.scale(Fraction(1, d))
+    rows: int
+    cols: int
+    nvars: int
+    coefficients: tuple[tuple[int, int, int, Fraction], ...]
 
 
 def build_alpha(c: int, n: int, S: Optional[Sequence[int]] = None) -> LinFormMatrix:
     """First monad map: column i' carries x_0..x_n in its i'-th block, so
-    row s of its part A_l is 1 in column i' when s = i'(n+1) + l, else 0.
+    the coefficient of x_l in row s is 1 in column i' when s = i'(n+1) + l.
 
     With ``S`` the rows are restricted to that index set (a choice of basis
     for the middle space in the non-maximal case).
@@ -93,15 +66,25 @@ def build_alpha(c: int, n: int, S: Optional[Sequence[int]] = None) -> LinFormMat
         row_idx = sorted(set(S))
         if any(s < 0 or s >= size for s in row_idx):
             raise BadSubset(f"subset entries must lie in [0, {size})")
-    parts = [[[int(s == p) for p in point_indices(c, n, l)] for s in row_idx] for l in range(n + 1)]
-    return LinFormMatrix(tuple(RatMatrix.from_ints(rows, cols=c) for rows in parts))
+    row_of = {s: t for t, s in enumerate(row_idx)}
+    coefficients = tuple(
+        (l, row_of[s], i, Fraction(1))
+        for l in range(n + 1)
+        for i, s in enumerate(point_indices(c, n, l))
+        if s in row_of
+    )
+    return LinFormMatrix(len(row_idx), c, n + 1, coefficients)
 
 
 def _beta_rows(F: FlatForm, col_idx: Sequence[int]) -> LinFormMatrix:
-    # part B_l[k][t] = M[col_idx[t], (k, l)]
-    return LinFormMatrix(
-        tuple(F.M.submatrix(col_idx, point_indices(F.c, F.n, l)).transpose() for l in range(F.n + 1))
+    # the coefficient of x_l in entry (k, t) is M[col_idx[t], (k, l)]; the
+    # submatrix lists them by t, so they are sorted to row-major per variable
+    coefficients = sorted(
+        (l, k, t, x)
+        for l in range(F.n + 1)
+        for t, k, x in F.M.submatrix(col_idx, point_indices(F.c, F.n, l)).nonzeros()
     )
+    return LinFormMatrix(F.c, len(col_idx), F.n + 1, tuple(coefficients))
 
 
 def build_beta(F: FlatForm, r: int) -> LinFormMatrix:

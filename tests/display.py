@@ -1,4 +1,5 @@
-"""Frozen monad-map displays and a tiny linear-form string parser.
+"""Frozen monad-map displays, a tiny linear-form string parser, and the
+conversions between a map's coefficients and its per-variable matrices.
 
 BETA_T_C6P3 is the expected 24x6 second-map display for the bundled
 charge-6 example.  Its signs are fully rigid: BETA_T_C6P3_SIGN_VARIANT
@@ -11,30 +12,59 @@ from fractions import Fraction
 
 from orthinst import LinFormMatrix, RatMatrix
 
-_TERM = re.compile(r"([+-]?(?:\d+(?:/\d+)?)?)x(\d+)")
+_COEF = r"\d+(?:/\d+)?"
+_TERM = re.compile(rf"([+-]?)({_COEF})?x(\d+)")
+# signed terms with no gaps; only the first may omit its sign
+_FORM = re.compile(rf"[+-]?(?:{_COEF})?x\d+(?:[+-](?:{_COEF})?x\d+)*")
 
 
 def lf(text: str, nvars: int = 4) -> list[Fraction]:
-    """The coefficients of x_0..x_{nvars-1} in a displayed linear form,
-    each an optional integer or p/q before its variable."""
+    """The coefficients of x_0..x_{nvars-1} in a displayed linear form: "0",
+    or terms [+-](p|p/q)x<l>, each variable at most once and below nvars;
+    ``ValueError`` for any other text."""
     coeffs = [Fraction(0)] * nvars
-    if text.strip() != "0":
-        for m in _TERM.finditer(text):
-            c = m.group(1)
-            if c in ("", "+"):
-                val = Fraction(1)
-            elif c == "-":
-                val = Fraction(-1)
-            else:
-                val = Fraction(c)
-            coeffs[int(m.group(2))] += val
+    if text == "0":
+        return coeffs
+    if not _FORM.fullmatch(text):
+        raise ValueError(f"not a linear form: {text!r}")
+    seen = set()
+    for sign, p, l in _TERM.findall(text):
+        l = int(l)
+        if l >= nvars or l in seen:
+            raise ValueError(f"variable x{l} repeated or not below {nvars} in {text!r}")
+        seen.add(l)
+        coeffs[l] = Fraction(p or 1) * (-1 if sign == "-" else 1)
     return coeffs
 
 
+def from_parts(parts) -> LinFormMatrix:
+    """The map sum_l x_l * parts[l] of one-shape ``RatMatrix`` parts, as its
+    nonzero coefficients."""
+    P0 = parts[0]
+    coeffs = tuple((l, i, j, x) for l, P in enumerate(parts) for i, j, x in P.nonzeros())
+    return LinFormMatrix(P0.rows, P0.cols, len(parts), coeffs)
+
+
+def to_parts(L: LinFormMatrix) -> list[RatMatrix]:
+    """The coefficient matrix of each variable of ``L``, zeros included."""
+    grids = [[[0] * L.cols for _ in range(L.rows)] for _ in range(L.nvars)]
+    for l, i, j, x in L.coefficients:
+        grids[l][i][j] = x
+    return [RatMatrix(g, cols=L.cols) for g in grids]
+
+
+def transposed(L: LinFormMatrix) -> LinFormMatrix:
+    """``L`` with i and j swapped in every coefficient, back in row-major order."""
+    return LinFormMatrix(L.cols, L.rows, L.nvars, tuple(sorted((l, j, i, x) for l, i, j, x in L.coefficients)))
+
+
 def grid_to_linform_matrix(grid, nvars: int = 4) -> LinFormMatrix:
-    """The displayed grid as its coefficient matrices, one per variable."""
-    coeffs = [[lf(cell, nvars) for cell in row] for row in grid]
-    return LinFormMatrix(tuple(RatMatrix([[e[l] for e in row] for row in coeffs]) for l in range(nvars)))
+    """The displayed grid as a map, read cell by cell through ``lf``."""
+    cells = [[lf(cell, nvars) for cell in row] for row in grid]
+    coeffs = tuple(
+        (l, i, j, e[l]) for l in range(nvars) for i, row in enumerate(cells) for j, e in enumerate(row) if e[l]
+    )
+    return LinFormMatrix(len(grid), len(grid[0]), nvars, coeffs)
 
 
 BETA_T_C6P3 = [

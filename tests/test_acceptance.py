@@ -38,7 +38,7 @@ from orthinst.moduli import random_unimodular
 from orthinst.specfile import generate
 
 from conftest import random_skew, random_spec
-from display import BETA_T_C6P3
+from display import BETA_T_C6P3, transposed
 
 
 def _report(tag, detail=""):
@@ -54,7 +54,7 @@ def test_criterion_1_charge6_end_to_end(c6p3, F6):
     assert rep.a2.kind == "CertifiedFullRank"
     assert rep.a3_ok and rep.precheck == "Ok" and rep.passed
 
-    bt = linform_matrix_json(build_beta(F6, 12).transpose())
+    bt = linform_matrix_json(transposed(build_beta(F6, 12)))
     for i in range(24):
         for k in range(6):
             assert bt[i][k] == BETA_T_C6P3[i][k], f"beta^t entry ({i},{k})"

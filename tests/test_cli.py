@@ -13,6 +13,7 @@ from orthinst.cli import run_command
 from orthinst.specfile import SpecFile, bundled_spec_path, parse_spec, serialize_spec
 
 from conftest import DEFICIENT_TERMS
+from display import transposed
 
 C6 = str(bundled_spec_path("c6p3"))
 C5 = str(bundled_spec_path("c5p3"))
@@ -89,7 +90,7 @@ class TestMonad:
         else:
             path = bundled_spec_path(which)
         sf = parse_spec(path)
-        expected = jsonio.linform_matrix_json(build_beta(sf.flatten(), sf.r).transpose())
+        expected = jsonio.linform_matrix_json(transposed(build_beta(sf.flatten(), sf.r)))
         rep = run_command(["monad", str(path), "--json"])
         assert rep.exit_code == 0
         assert json.loads(json.dumps(rep.results))["beta_t"] == expected

@@ -15,7 +15,6 @@ from orthinst import (
     DegenerateLine,
     RatMatrix,
     ShapeMismatch,
-    build_beta,
     evaluate_bilinear,
     gamma_coefficients,
     gamma_eval,
@@ -45,7 +44,6 @@ def _cases(F):
     c, w = F.c, F.n + 1
     P0, Q0 = (1, 2, 3, 4), (5, -6, 7, 8)
     G = gamma_coefficients(F)[0][1]
-    beta = build_beta(F, 12)
 
     def det_scaled(r, d):  # the determinant of a c x c pencil has degree c
         return r[0], r[1] / d**c
@@ -57,7 +55,6 @@ def _cases(F):
         "pencil:P": (w, lambda v: F.pencil(v, Q0), _linear, ShapeMismatch),
         "pencil:Q": (w, lambda v: F.pencil(P0, v), _linear, ShapeMismatch),
         "mul_vector": (F.size, F.M.mul_vector, lambda r, d: tuple(x / d for x in r), ShapeMismatch),
-        "LinFormMatrix.evaluate": (w, beta.evaluate, _linear, ShapeMismatch),
         "evaluate_bilinear:P": (w, lambda v: evaluate_bilinear(G, v, Q0), lambda r, d: r / d, ShapeMismatch),
         "evaluate_bilinear:Q": (w, lambda v: evaluate_bilinear(G, P0, v), lambda r, d: r / d, ShapeMismatch),
         "line_span_ok:P": (w, lambda v: line_span_ok(v, Q0), lambda r, d: r, ShapeMismatch),
@@ -76,7 +73,6 @@ NAMES = (
     "pencil:P",
     "pencil:Q",
     "mul_vector",
-    "LinFormMatrix.evaluate",
     "evaluate_bilinear:P",
     "evaluate_bilinear:Q",
     "line_span_ok:P",
@@ -181,15 +177,6 @@ def test_short_point_message(F6):
         gamma_eval(F6, [1, 2, 3], [5, 6, 7, 8])
     with pytest.raises(DegenerateLine, match="point must have 4 coordinates, got 5"):
         splitting_type(F6, [1, 2, 3, 4], [5, 6, 7, 8, 9])
-
-
-def test_evaluate_reads_every_coordinate(F6):
-    # a short point used to be read as padded with zeros, a long one truncated
-    beta = build_beta(F6, 12)
-    with pytest.raises(ShapeMismatch):
-        beta.evaluate([1, 2, 3])
-    with pytest.raises(ShapeMismatch):
-        beta.evaluate([1, 2, 3, 4, 5])
 
 
 def test_evaluate_bilinear_rejects_floats_and_bad_lengths(F6):

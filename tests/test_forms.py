@@ -24,6 +24,7 @@ from orthinst.forms import point_indices
 from orthinst.moduli import random_unimodular
 
 from conftest import DEFICIENT_TERMS, random_skew, random_spec, reference_along_charge, reference_along_point
+from display import to_parts
 
 
 def unit(j, length):
@@ -172,9 +173,10 @@ class TestContractions:
                 maps.append((list(principal_rank_subset(F.M)), build_beta(F, r)))
             for col_idx, beta in maps:
                 assert beta.nvars == w and (beta.rows, beta.cols) == (F.c, len(col_idx))
-                for l, B in enumerate(beta.parts):
+                parts = to_parts(beta)
+                for l, B in enumerate(parts):
                     assert B.to_rows() == [[F.M[s, k * w + l] for s in col_idx] for k in range(F.c)]
-                assert tuple(P[F.c - 1, 0] for P in beta.parts) == tuple(F.M[col_idx[0], (F.c - 1) * w + l] for l in range(w))
+                assert tuple(P[F.c - 1, 0] for P in parts) == tuple(F.M[col_idx[0], (F.c - 1) * w + l] for l in range(w))
 
     def test_string_coordinates_read_exactly_and_floats_raise(self, F6):
         assert F6.gram_along_point(["1/2", 0, "3", Fraction(-1, 3)]) == F6.gram_along_point(

@@ -8,6 +8,7 @@ from hypothesis import find, given, settings, strategies as st
 from orthinst import monad
 from orthinst.forms import point_indices
 from orthinst.jsonio import linform_matrix_json
+from orthinst.moduli import random_unimodular
 from orthinst.monad import MAX_SAMPLES
 from orthinst import (
     BadSubset,
@@ -17,6 +18,7 @@ from orthinst import (
     RatMatrix,
     ShapeMismatch,
     TensorSpec,
+    act,
     build_alpha,
     build_beta,
     build_beta_full,
@@ -34,8 +36,11 @@ from display import (
     BETA_T_C5P3_SPOT_ENTRIES,
     BETA_T_C6P3,
     BETA_T_C6P3_SIGN_VARIANT,
+    from_parts,
     grid_to_linform_matrix,
     lf,
+    to_parts,
+    transposed,
 )
 
 
@@ -43,11 +48,12 @@ def reference_identity(alpha, beta):
     """beta . alpha = 0 by the per-entry Fraction loop: accumulate the
     coefficient of x_j x_l in every entry of the product."""
     w = beta.nvars
+    B, A = to_parts(beta), to_parts(alpha)
     for k in range(beta.rows):
         for i in range(alpha.cols):
             acc = [[Fraction(0)] * w for _ in range(w)]
             for t in range(beta.cols):
-                b, a = [P[k, t] for P in beta.parts], [P[t, i] for P in alpha.parts]
+                b, a = [P[k, t] for P in B], [P[t, i] for P in A]
                 for j in range(w):
                     for l in range(w):
                         acc[j][l] += b[j] * a[l]
@@ -57,7 +63,7 @@ def reference_identity(alpha, beta):
 
 
 def restrict_columns(beta, S):
-    return LinFormMatrix(tuple(B.submatrix(range(B.rows), S) for B in beta.parts))
+    return from_parts([B.submatrix(range(B.rows), S) for B in to_parts(beta)])
 
 
 def rational_matrix(rng, rows, cols):
@@ -78,7 +84,27 @@ def one_cross_term_pair(rng, c, w, mid):
         B0 = RatMatrix([[sum(a * v[t] for a, v in zip(m, left)) for t in range(mid)] for m in mix], cols=mid)
         if (B0 @ A[l0]).nonzeros():
             B = [B0 if l == j0 else RatMatrix.zeros(c, mid) for l in range(w)]
-            return LinFormMatrix(tuple(A)), LinFormMatrix(tuple(B))
+            return from_parts(A), from_parts(B)
+
+
+def parts_route_beta(F, col_idx):
+    """beta's coefficients as the per-variable route built them: part l is
+    M[col_idx, (., l)] transposed, read part by part, row-major."""
+    return tuple(
+        (l, k, t, x)
+        for l in range(F.n + 1)
+        for k, t, x in F.M.submatrix(col_idx, point_indices(F.c, F.n, l)).transpose().nonzeros()
+    )
+
+
+def parts_route_alpha(c, n, S):
+    """alpha's coefficients read off slices of the identity, at the rows S."""
+    size = c * (n + 1)
+    rows = range(size) if S is None else sorted(set(S))
+    eye = RatMatrix.identity(size)
+    return tuple(
+        (l, s, i, x) for l in range(n + 1) for s, i, x in eye.submatrix(rows, point_indices(c, n, l)).nonzeros()
+    )
 
 
 class TestBuildAlpha:
@@ -116,20 +142,18 @@ class TestBuildAlpha:
                 size = c * (n + 1)
                 S = rng.sample(range(size), rng.randint(1, size))
                 cases += [(c, n, None), (c, n, []), (c, n, S), (c, n, S + S[:2])]
-        expected = []
-        for c, n, S in cases:
-            size = c * (n + 1)
-            rows = range(size) if S is None else sorted(set(S))
-            eye = RatMatrix.identity(size)
-            expected.append(tuple(eye.submatrix(rows, point_indices(c, n, l)) for l in range(n + 1)))
+        expected = [
+            LinFormMatrix(c * (n + 1) if S is None else len(set(S)), c, n + 1, parts_route_alpha(c, n, S))
+            for c, n, S in cases
+        ]
         monkeypatch.setattr(RatMatrix, "identity", lambda size: pytest.fail("built an identity"))
-        for (c, n, S), parts in zip(cases, expected):
-            assert build_alpha(c, n, S).parts == parts
+        for (c, n, S), alpha in zip(cases, expected):
+            assert build_alpha(c, n, S) == alpha
 
 
 class TestBuildBeta:
     def test_c6p3_matches_frozen_display(self, F6):
-        bt = linform_matrix_json(build_beta(F6, 12).transpose())
+        bt = linform_matrix_json(transposed(build_beta(F6, 12)))
         for i in range(24):
             for k in range(6):
                 assert bt[i][k] == BETA_T_C6P3[i][k], (i, k)
@@ -139,25 +163,25 @@ class TestBuildBeta:
         # frozen display is pinned sign-by-sign; no convention (global sign,
         # transposition) could produce the variant
         alpha = build_alpha(6, 3)
-        beta_variant = grid_to_linform_matrix(BETA_T_C6P3_SIGN_VARIANT).transpose()
+        beta_variant = transposed(grid_to_linform_matrix(BETA_T_C6P3_SIGN_VARIANT))
         assert not verify_monad_identity(alpha, beta_variant)
-        beta_expected = grid_to_linform_matrix(BETA_T_C6P3).transpose()
+        beta_expected = transposed(grid_to_linform_matrix(BETA_T_C6P3))
         assert verify_monad_identity(alpha, beta_expected)
 
     def test_c5p3_spot_entries(self, F5):
-        bt = linform_matrix_json(build_beta(F5, 10).transpose())
+        bt = linform_matrix_json(transposed(build_beta(F5, 10)))
         for (i, k), want in BETA_T_C5P3_SPOT_ENTRIES.items():
             assert bt[i][k] == want, (i, k)
         # remaining entries are pinned by the coefficient audit below
 
     def test_coefficient_audit(self, F5):
         # entry (k, (i,j)) must carry coefficient M[(i,j),(k,l)] on x_l
-        beta = build_beta(F5, 10)
+        parts = to_parts(build_beta(F5, 10))
         w = F5.n + 1
         for k in range(5):
             for s in range(20):
                 for l in range(w):
-                    assert beta.parts[l][k, s] == F5.M[s, k * w + l]
+                    assert parts[l][k, s] == F5.M[s, k * w + l]
 
     def test_rank_mismatch_rejected(self):
         zero = FlatForm(3, 3, RatMatrix.zeros(12, 12))
@@ -174,19 +198,46 @@ class TestBuildBeta:
 class TestDisplay:
     def test_entries_read_back_to_their_coefficients(self):
         # the display is written from the nonzero coefficients alone; an
-        # independent parser reads every cell back to the parts' entries
+        # independent parser reads every cell back to the drawn entries
         rng = random.Random(2001)
         values = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), "7/4"]
         for _ in range(300):
             rows, cols, w = rng.randint(0, 5), rng.randint(1, 5), rng.randint(1, 4)
-            L = LinFormMatrix(
-                tuple(RatMatrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)], cols=cols) for _ in range(w))
-            )
-            grid = linform_matrix_json(L)
+            parts = [RatMatrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)], cols=cols) for _ in range(w)]
+            grid = linform_matrix_json(from_parts(parts))
             assert [len(row) for row in grid] == [cols] * rows
             for i in range(rows):
                 for j in range(cols):
-                    assert lf(grid[i][j], w) == [P[i, j] for P in L.parts], grid[i][j]
+                    assert lf(grid[i][j], w) == [P[i, j] for P in parts], grid[i][j]
+
+    @pytest.mark.parametrize("text", ["x0x2", "x0 junk +x2", "x0+x0", "+", "x9"])
+    def test_lf_refuses_text_that_is_no_form(self, text):
+        # gaps, stray text, a repeated variable, a bare sign and a variable
+        # out of range would let a broken renderer still read back
+        with pytest.raises(ValueError):
+            lf(text, 4)
+
+
+class TestBuildersAgainstPartsRoute:
+    def test_builders_equal_the_parts_route(self, F6, F5, F_deficient):
+        rng = random.Random(107)
+        forms = [F6, F5, F_deficient] + [flatten(random_spec(rng)) for _ in range(50)]
+        for _ in range(6):
+            F = flatten(random_spec(rng))
+            h = RatMatrix.diagonal([Fraction(1, 2), Fraction(-2, 3)] + [1] * (F.c - 2)) @ random_unimodular(F.c, rng)
+            forms.append(act(h, F))
+        assert sum(F.M.den > 1 for F in forms) == 6
+        restricted = 0
+        for F in forms:
+            c, n, w = F.c, F.n, F.n + 1
+            S = principal_rank_subset(F.M)
+            assert build_alpha(c, n) == LinFormMatrix(F.size, c, w, parts_route_alpha(c, n, None))
+            assert build_alpha(c, n, S) == LinFormMatrix(len(S), c, w, parts_route_alpha(c, n, S))
+            assert build_beta_full(F) == LinFormMatrix(c, F.size, w, parts_route_beta(F, range(F.size)))
+            if len(S) >= 2 * c:
+                assert build_beta(F, len(S) - 2 * c) == LinFormMatrix(c, len(S), w, parts_route_beta(F, S))
+                restricted += len(S) < F.size
+        assert restricted >= 2
 
 
 class TestMonadIdentity:
@@ -268,7 +319,7 @@ def monad_pairs(draw, kinds=("integer", "rational", "across j", "across orders")
         u, v = random_parts(rng, 1, rows, 1, True)[0], random_parts(rng, 1, 1, cols, True)[0]
         B = [stacked([[u.scale(x) for x in bl.row(0) + al.row(0)]], 2 * mid) for bl, al in zip(b, a)]
         A = [stacked([[v.scale(x)] for x in al.row(0) + (-bl).row(0)], cols) for bl, al in zip(b, a)]
-    return LinFormMatrix(tuple(A)), LinFormMatrix(tuple(B))
+    return from_parts(A), from_parts(B)
 
 
 def meets(alpha, beta):
@@ -301,8 +352,8 @@ class TestIdentityAgainstFractionLoop:
         "kind, case",
         [
             ("integer", lambda A, B: not reference_identity(A, B)),
-            ("rational", lambda A, B: not reference_identity(A, B) and any(P.den > 1 for P in A.parts + B.parts)),
-            ("rational", lambda A, B: not reference_identity(A, B) and any(not P.nonzeros() for P in A.parts)),
+            ("rational", lambda A, B: not reference_identity(A, B) and any(P.den > 1 for P in to_parts(A) + to_parts(B))),
+            ("rational", lambda A, B: not reference_identity(A, B) and any(not P.nonzeros() for P in to_parts(A))),
             ("integer", lambda A, B: reference_identity(A, B) and A.coefficients and B.coefficients),
             ("rational", lambda A, B: not reference_identity(A, B) and A.nvars == 1),
             ("across j", meets),
@@ -357,21 +408,17 @@ class TestIdentityAgainstFractionLoop:
             alpha, beta = one_cross_term_pair(rng, c, w, c * (w - 1) + 2)
             assert not reference_identity(alpha, beta)
             assert not verify_monad_identity(alpha, beta)
-            for e in range(alpha.nvars):
-                point = [int(t == e) for t in range(alpha.nvars)]
-                assert not (beta.evaluate(point) @ alpha.evaluate(point)).nonzeros()
+            # at the coordinate point e_j the product is B_j A_j
+            for B, A in zip(to_parts(beta), to_parts(alpha)):
+                assert not (B @ A).nonzeros()
 
     def test_display_sign_variant(self):
         alpha = build_alpha(6, 3)
         for grid in (BETA_T_C6P3, BETA_T_C6P3_SIGN_VARIANT):
-            beta = grid_to_linform_matrix(grid).transpose()
+            beta = transposed(grid_to_linform_matrix(grid))
             assert verify_monad_identity(alpha, beta) == reference_identity(alpha, beta) == (grid is BETA_T_C6P3)
 
     def test_mixed_shapes_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            LinFormMatrix((RatMatrix.zeros(2, 3), RatMatrix.zeros(3, 2)))
-        with pytest.raises(ShapeMismatch):
-            LinFormMatrix(())
         with pytest.raises(ShapeMismatch):
             verify_monad_identity(build_alpha(3, 3), build_beta_full(FlatForm(3, 2, RatMatrix.zeros(9, 9))))
 

@@ -101,6 +101,18 @@ def test_map_entries_read_through_one_view():
     }
 
 
+def test_maps_built_only_by_their_builders():
+    # a monad map is built in one place per map, straight into its nonzero
+    # coefficients
+    assert _callers("LinFormMatrix") == {"monad.py:build_alpha", "monad.py:_beta_rows"}
+
+
+def test_no_per_variable_parts():
+    # a map is stored once, as its coefficients, with no coefficient
+    # matrix per variable beside them
+    assert _readers("parts") == set()
+
+
 def test_no_str_methods():
     # values are formatted for output only in jsonio and the CLI text, so
     # no class carries a text form of its own
