@@ -16,31 +16,33 @@ shape ``FlatForm`` has already checked.
 
 A flat form is its matrix M and nothing else.  Only this module maps flat
 indices to (charge, point) pairs; other modules use the blocks M(i,k)
-(``FlatForm.block``, the pencil's coefficients), the Gram matrices A^T A of
-the contractions A: h -> M(h (x) v) along a point v and A: v -> M(h (x) v)
-along a charge vector h (``gram_along_point(v)``, c x c, and
-``gram_along_charge(h)``, (n+1) x (n+1)), ``pencil(P, Q)``, and
+(``FlatForm.block``, the pencil's coefficients), the kernels of the
+contractions A: h -> M(h (x) v) along a point v and A: v -> M(h (x) v)
+along a charge vector h (``kernel_along_point(v)``, vectors of length c,
+and ``kernel_along_charge(h)``, of length n+1), ``pencil(P, Q)``, and
 ``point_indices``, the flat indices of one point coordinate, from which the
-monad maps take their coefficients.  M is the integer view: the Gram
-matrices, the pencil and ``act`` read the integer rows ``M.num`` over
-``M.den`` and return integer rows over a denominator, with no Fraction
-arithmetic.
+monad maps take their coefficients.  M is the integer view: the kernels,
+the pencil and ``act`` read the integer rows ``M.num`` and return integers
+or integer rows over a denominator, with no Fraction arithmetic.
 
-Over Q a Gram matrix has the kernel of its contraction (x^T A^T A x =
-|Ax|^2), so it answers every kernel question about A without building A.
-Its coefficients are cached on the form at first use, per side, from the
+Over Q the Gram matrix A^T A has the kernel of A (x^T A^T A x = |Ax|^2),
+so a kernel is read off its upper triangle by ``linalg.gram_kernel``,
+without building A or a matrix.  Neither the denominator of M nor the scale
+of the direction changes a kernel, so both are dropped.  The Gram
+coefficients are cached on the form at first use, per side, from the
 column groups P_a of ``M.num`` (point group l: the columns (k, l) for k =
 0..c-1; charge group k: the columns (k, l) for l = 0..n) as G_aa = P_a^T P_a
-and G_ab = P_a^T P_b + P_b^T P_a (a < b), entry-major: for each entry (p, q)
-with p <= q, its coefficient in every G_ab.  A Gram matrix takes the weights
-d_a d_b, sums each upper entry's coefficients by them and mirrors it into
-its integer rows.  ``pencil`` mixes the nonzero c x c slices S_jl[i][k] =
-M[(i,j),(k,l)] of ``M.num``.  On a wedge member S_lj = S_jl^T = -S_jl (by
-symmetry, then by first-factor antisymmetry), so each pair j < l is kept
-once and mixed by the line's Pluecker coordinate Q_j P_l - Q_l P_j.  On any
-other symmetric form the same code keeps a pair that does not fold, and a
-nonzero diagonal slice, as they are, each mixed by Q_j P_l.
-``act`` mixes the charge groups and then row groups by the rows of h.
+and G_ab = P_a^T P_b + P_b^T P_a (a < b), row by row: for each row p and
+each entry (p, q) with q >= p, its coefficient in every G_ab.  A direction
+d sums each upper entry's coefficients by the weights d_a d_b.
+
+``pencil`` mixes the nonzero c x c slices S_jl[i][k] = M[(i,j),(k,l)] of
+``M.num``.  On a wedge member S_lj = S_jl^T = -S_jl (by symmetry, then by
+first-factor antisymmetry), so each pair j < l is kept once and mixed by
+the line's Pluecker coordinate Q_j P_l - Q_l P_j.  On any other symmetric
+form the same code keeps a pair that does not fold, and a nonzero diagonal
+slice, as they are, each mixed by Q_j P_l.  ``act`` mixes the charge
+groups and then row groups by the rows of h.
 """
 
 from __future__ import annotations
@@ -51,13 +53,12 @@ from operator import mul
 from typing import Sequence
 
 from .errors import NotSkew, ShapeMismatch, Singular
-from .linalg import RatMatrix, check_cells, det, exact_vector
+from .linalg import RatMatrix, check_cells, det, exact_vector, gram_kernel
 
 IntRows = tuple[tuple[int, ...], ...]
-# the pairs a <= b; for each upper entry (p, q), p <= q row-major, its
-# coefficient in every G_ab, in pair order; and for each row p the positions
-# of its entries (p, q), q = 0..k-1, in that entry list
-GramCoefficients = tuple[list[tuple[int, int]], list[tuple[int, ...]], list[tuple[int, ...]]]
+# the pairs a <= b, and for each row p and each upper entry (p, q), q >= p,
+# its coefficient in every G_ab, in pair order
+GramCoefficients = tuple[list[tuple[int, int]], list[list[tuple[int, ...]]]]
 
 
 def _check_int_skew(mat, size: int, pointer: str) -> IntRows:
@@ -186,17 +187,18 @@ class FlatForm:
     def _charge_gram(self) -> GramCoefficients:
         return _gram_coefficients(self._charge_groups, self.n + 1)
 
-    def gram_along_point(self, v: Sequence) -> RatMatrix:
-        """The c x c Gram matrix A^T A of the c(n+1) x c contraction A: h ->
-        M(h (x) v); it has the kernel of A."""
-        e, v = exact_vector(v, self.n + 1)
-        return _gram(self._point_gram, v, self.c, (self.M.den * e) ** 2)
+    def kernel_along_point(self, v: Sequence) -> list[tuple[int, ...]]:
+        """``kernel_basis`` of the c(n+1) x c contraction A: h -> M(h (x) v),
+        taken from the upper triangle of its c x c Gram matrix A^T A."""
+        _, v = exact_vector(v, self.n + 1)
+        return gram_kernel(_gram_rows(self._point_gram, v), self.c)
 
-    def gram_along_charge(self, h: Sequence) -> RatMatrix:
-        """The (n+1) x (n+1) Gram matrix A^T A of the c(n+1) x (n+1)
-        contraction A: v -> M(h (x) v); it has the kernel of A."""
-        e, h = exact_vector(h, self.c)
-        return _gram(self._charge_gram, h, self.n + 1, (self.M.den * e) ** 2)
+    def kernel_along_charge(self, h: Sequence) -> list[tuple[int, ...]]:
+        """``kernel_basis`` of the c(n+1) x (n+1) contraction A: v -> M(h (x)
+        v), taken from the upper triangle of its (n+1) x (n+1) Gram matrix
+        A^T A."""
+        _, h = exact_vector(h, self.c)
+        return gram_kernel(_gram_rows(self._charge_gram, h), self.n + 1)
 
     def pencil(self, P: Sequence, Q: Sequence) -> RatMatrix:
         """The c x c pencil value G[i][k] = sum_{j,l} M[(i,j),(k,l)] Q_j P_l,
@@ -228,11 +230,12 @@ def _from_flat(flat: list[int], width: int, den: int) -> RatMatrix:
 
 
 def _gram_coefficients(groups: list[list[int]], k: int) -> GramCoefficients:
-    """The pairs a <= b and, entry-major, the coefficients of the k x k
-    matrices G_ab, so that for A(d) = sum_a d_a P_a the Gram matrix is
-    A(d)^T A(d) = sum_{a<=b} d_a d_b G_ab: G_aa = P_a^T P_a and G_ab = P_a^T
-    P_b + P_b^T P_a.  P_a is the flat rows x k group ``groups[a]``; G_ab[p][q]
-    is a dot product of columns p and q of P_a and P_b."""
+    """The pairs a <= b and, for each row p, the coefficients of the upper
+    entries (p, q), q >= p, of the k x k matrices G_ab, so that for A(d) =
+    sum_a d_a P_a the Gram matrix is A(d)^T A(d) = sum_{a<=b} d_a d_b G_ab:
+    G_aa = P_a^T P_a and G_ab = P_a^T P_b + P_b^T P_a.  P_a is the flat rows x
+    k group ``groups[a]``; G_ab[p][q] is a dot product of columns p and q of
+    P_a and P_b."""
     cols = [[g[p::k] for p in range(k)] for g in groups]
     pairs = [(a, b) for a in range(len(cols)) for b in range(a, len(cols))]
 
@@ -240,18 +243,16 @@ def _gram_coefficients(groups: list[list[int]], k: int) -> GramCoefficients:
         x = sum(map(mul, cols[a][p], cols[b][q]))
         return x if a == b else x + sum(map(mul, cols[b][p], cols[a][q]))
 
-    upper = [(p, q) for p in range(k) for q in range(p, k)]
-    entries = [tuple(coefficient(a, b, p, q) for a, b in pairs) for p, q in upper]
-    position = {pq: i for i, pq in enumerate(upper)}
-    mirror = [tuple(position[min(p, q), max(p, q)] for q in range(k)) for p in range(k)]
-    return pairs, entries, mirror
+    rows = [[tuple(coefficient(a, b, p, q) for a, b in pairs) for q in range(p, k)] for p in range(k)]
+    return pairs, rows
 
 
-def _gram(coefficients: GramCoefficients, d: Sequence[int], k: int, den: int) -> RatMatrix:
-    pairs, entries, mirror = coefficients
+def _gram_rows(coefficients: GramCoefficients, d: Sequence[int]) -> list[list[int]]:
+    """The upper rows of the integer Gram matrix along the direction d: each
+    entry's coefficients summed by the weights d_a d_b."""
+    pairs, rows = coefficients
     w = [d[a] * d[b] for a, b in pairs]
-    upper = [sum(map(mul, w, col)) for col in entries]
-    return RatMatrix.from_ints([tuple(map(upper.__getitem__, where)) for where in mirror], den, cols=k)
+    return [[sum(map(mul, w, entry)) for entry in row] for row in rows]
 
 
 def point_indices(c: int, n: int, l: int) -> range:

@@ -20,7 +20,10 @@ a zero there is left untouched, which Bareiss cannot do.  A ``RatMatrix``
 is eliminated on its dense integer rows, column by column; a
 ``SparseIntMatrix``, such as a cohomology section map, touching only its
 nonzero entries.  Bareiss is kept where its last pivot (``det``) or its
-echelon form (``kernel_basis``) is read.
+echelon form (``kernel_basis``) is read.  ``gram_kernel`` takes the same
+kernel basis of a Gram matrix A^T A from its integer upper triangle, by a
+symmetric fraction-free elimination with no pivot search; both kernels end
+in one back-substitution.
 ``principal_rank_subset`` returns the whole index set at full rank and
 otherwise runs its greedy in one fraction-free pass over the Schur
 complement of the chosen block, instead of a rank call per candidate.
@@ -459,11 +462,53 @@ def kernel_basis(M: RatMatrix) -> list[tuple[int, ...]]:
     the vector of a free column is the unique kernel vector with 1 there and
     0 at the other free columns, made primitive.
     """
-    ncols = M.cols
-    if ncols == 0:
-        return []
     rows = [list(row) for row in M.num]
-    _, pivots, _, _ = _bareiss(rows, ncols)
+    _, pivots, _, _ = _bareiss(rows, M.cols)
+    return _back_substitute(rows, pivots, M.cols)
+
+
+def gram_kernel(rows: Sequence[Sequence[int]], k: int) -> list[tuple[int, ...]]:
+    """``kernel_basis(G)`` of a k x k integer Gram matrix G = A^T A, given
+    by its upper triangle: row p of ``rows`` holds the entries (p, p..k-1).
+
+    Fraction-free symmetric elimination with no pivot search, exact because
+    G is positive semidefinite.  For any set S of columns, rank G[:,S] =
+    rank A[:,S] = rank G[S,S].  So with P the pivot columns found before
+    column j, column j lies in the span of the columns before it exactly
+    when det G[P+j, P+j] = 0.  After the pivots P, entry (i, j) holds
+    det G[P+i, P+j] (Sylvester's identity), so each division by the
+    previous pivot is exact.  That entry is det G[P,P] > 0 times the Schur
+    complement G/G[P,P], which is positive semidefinite too, so a zero
+    diagonal entry has a zero row: nothing is eliminated and the column is
+    free.  These are the free columns of ``kernel_basis``, and the pivot
+    rows are in echelon form, so the back-substitution gives its primitive
+    vectors, each positive at its free column.
+    """
+    # full-width rows, the lower triangle zero and never read
+    U = [[0] * p + list(row) for p, row in enumerate(rows)]
+    pivots: list[int] = []
+    prev = 1
+    for i in range(k):
+        Ui = U[i]
+        piv = Ui[i]
+        if not piv:
+            continue
+        for a in range(i + 1, k):
+            Ua, f = U[a], Ui[a]
+            for b in range(a, k):
+                Ua[b] = (piv * Ua[b] - f * Ui[b]) // prev
+        prev = piv
+        pivots.append(i)
+    return _back_substitute([U[p] for p in pivots], pivots, k)
+
+
+def _back_substitute(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int) -> list[tuple[int, ...]]:
+    """The kernel basis of integer rows in echelon form: ``rows[r]`` has its
+    pivot at column ``pivots[r]`` and zeros before it.  One primitive vector
+    per free column, in ascending order, 1 scaled up at its free column and
+    0 at the others."""
+    if len(pivots) == ncols:
+        return []
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):

@@ -22,9 +22,10 @@ prechecks.  The second, A2, is decided once, by ``nondegeneracy``, which
 ``kronecker`` also reads for K1 and K2 (the same statement): full rank
 certifies it, and below full rank one search for h (x) v in ker M runs along
 a seeded stream of directions in [-10, 10]: a hit is exact, a clean run is
-no proof.  Each direction's contraction A is asked for its kernel once,
-through its small Gram matrix A^T A (``FlatForm.gram_along_point`` and
-``gram_along_charge``), which has the kernel of A; A itself is never built.
+no proof.  Each direction's contraction A is asked for its kernel once
+(``FlatForm.kernel_along_point`` and ``kernel_along_charge``), which is
+read off the integer upper triangle of its small Gram matrix A^T A; A
+itself is never built.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import BadSubset, RankMismatch, ShapeMismatch
 from .forms import FlatForm, point_indices
-from .linalg import kernel_basis, principal_rank_subset, rank
+from .linalg import principal_rank_subset, rank
 
 
 @dataclass(frozen=True)
@@ -208,9 +209,10 @@ def nondegeneracy_witness_search(
 
     A direction ("h", h) looks for v in the kernel of the contraction A: v ->
     M(h (x) v), ("v", v) for h in the kernel of A: h -> M(h (x) v); zero
-    directions are skipped.  Each direction takes one kernel, of its k x k
-    Gram matrix A^T A, which is ker A since x^T A^T A x = |Ax|^2; the basis
-    ``kernel_basis`` returns depends only on the kernel, so the witness is
+    directions are skipped.  Each direction takes one kernel, through the
+    upper triangle of its k x k Gram matrix A^T A, which has the kernel of A
+    since x^T A^T A x = |Ax|^2; the basis is the canonical one of
+    ``kernel_basis``, which depends only on the kernel, so the witness is
     the first vector of the basis of ker A.  Every kernel is exact, so a hit
     is a witness; the stream is drawn only as far as the first hit, and not
     at all for a budget outside ``check_sampling``, which raises
@@ -220,7 +222,7 @@ def nondegeneracy_witness_search(
     for side, d in _directions(F, budget, seed):
         if not any(d):
             continue
-        ker = kernel_basis(F.gram_along_charge(d) if side == "h" else F.gram_along_point(d))
+        ker = F.kernel_along_charge(d) if side == "h" else F.kernel_along_point(d)
         if ker:
             return (tuple(d), ker[0]) if side == "h" else (ker[0], tuple(d))
     return None

@@ -325,12 +325,15 @@ class TestOptimizedInterpreter:
     # python -O drops every assert; the mathematical guards are explicit
     # checks, so the reports must not change
     EXTRA = {"splitting": ["--P", "1,2,3,4", "--Q", "2,-1,0,3"], "scan-lines": ["--samples", "40"]}
+    # a deficient (3, 3) form with r = 2 whose first decomposable kernel
+    # vector is found along a drawn direction, after the 7 basis directions
+    DRAWN_HIT_TERMS = (
+        (((0, 1, 2), (-1, 0, -1), (-2, 1, 0)), ((0, 1, -1, -1), (-1, 0, -1, 1), (1, 1, 0, -3), (1, -1, 3, 0))),
+        (((0, 2, 2), (-2, 0, -2), (-2, 2, 0)), ((0, 0, 0, -3), (0, 0, -2, 2), (0, 2, 0, -2), (3, -2, 2, 0))),
+    )
 
-    @pytest.mark.parametrize("cmd", ["verify", "kronecker", "cohomology", "splitting", "monad", "scan-lines"])
-    @pytest.mark.parametrize("which", ["c5p3", "fixture"])
-    def test_reports_match_under_python_o(self, cmd, which, fixture_path):
-        spec = C5 if which == "c5p3" else fixture_path
-        argv = [cmd, spec, "--json", *self.EXTRA.get(cmd, [])]
+    def reports(self, argv):
+        """The JSON reports of argv under plain python and python -O, without timing."""
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         env.pop("PYTHONOPTIMIZE", None)
@@ -344,5 +347,25 @@ class TestOptimizedInterpreter:
             report = json.loads(proc.stdout)
             assert proc.returncode == report["exit_code"]
             reports.append(strip_timing(report))
+        return reports
+
+    @pytest.mark.parametrize("cmd", ["verify", "kronecker", "cohomology", "splitting", "monad", "scan-lines"])
+    @pytest.mark.parametrize("which", ["c5p3", "fixture"])
+    def test_reports_match_under_python_o(self, cmd, which, fixture_path):
+        spec = C5 if which == "c5p3" else fixture_path
+        reports = self.reports([cmd, spec, "--json", *self.EXTRA.get(cmd, [])])
         assert reports[0] == reports[1]
         assert "error" not in reports[0]["results"]
+
+    @pytest.mark.parametrize("cmd", ["verify", "kronecker"])
+    def test_drawn_hit_matches_under_python_o(self, cmd, tmp_path):
+        # the search's hit path: a witness from the random phase, with
+        # neither h nor v a basis vector
+        path = tmp_path / "drawn_hit.json"
+        path.write_text(serialize_spec(SpecFile(TensorSpec(3, 3, self.DRAWN_HIT_TERMS), 2)))
+        reports = self.reports([cmd, str(path), "--json"])
+        assert reports[0] == reports[1]
+        results = reports[0]["results"]
+        status = results["conditions"]["a2"] if cmd == "verify" else results["kronecker"]["k1"]
+        assert status == {"kind": "CounterexampleFound", "h": [3, 4, -3], "v": [1, 1, 1, 0]}
+        assert reports[0]["exit_code"] == 2

@@ -12,6 +12,7 @@ from orthinst import A2Status, FlatForm, RatMatrix, TensorSpec, check_conditions
 from orthinst import forms, monad
 from orthinst.cli import run_command
 from orthinst.kronecker import kronecker_conditions, scan_lines
+from orthinst.linalg import gram_kernel
 from orthinst.monad import MAX_SAMPLES
 from orthinst.specfile import SpecFile, bundled_spec_path, load_bundled, serialize_spec
 
@@ -120,27 +121,26 @@ def test_search_matches_the_replaced_sampler_on_wider_shapes(seed, wide_deficien
 def test_search_takes_one_gram_kernel_per_direction(deficient_forms, monkeypatch):
     # every nonzero direction drawn, up to and including the hit, asks once
     # for the kernel of its k x k Gram matrix: k = n+1 along h, c along v
-    shapes = []
+    sizes = []
 
-    def counting(A):
-        shapes.append((A.rows, A.cols))
-        return kernel_basis(A)
+    def counting(rows, k):
+        sizes.append(k)
+        return gram_kernel(rows, k)
 
-    monkeypatch.setattr(monad, "kernel_basis", counting)
+    monkeypatch.setattr(forms, "gram_kernel", counting)
     hits = []
     for F in deficient_forms:
-        shapes.clear()
+        sizes.clear()
         hit = monad.nondegeneracy_witness_search(F, budget=1000)
         want = []
         for side, d in reference_directions(F, 1000, 0):
             if any(d):
-                k = F.n + 1 if side == "h" else F.c
-                want.append((k, k))
+                want.append(F.n + 1 if side == "h" else F.c)
                 # a direction equal to the witness's has a kernel: the first is the hit
                 if hit is not None and tuple(d) == hit[0 if side == "h" else 1]:
                     break
-        assert shapes == want
-        hits.append((hit, len(shapes)))
+        assert sizes == want
+        hits.append((hit, len(sizes)))
     # the fixture's clean run: 7 basis and 2000 drawn directions
     assert hits[0] == (None, 2007)
     assert 0 < sum(hit is not None for hit, _ in hits) < len(hits)
@@ -148,11 +148,14 @@ def test_search_takes_one_gram_kernel_per_direction(deficient_forms, monkeypatch
 
 def test_search_sums_each_gram_entry_from_the_cached_table(monkeypatch):
     # a Gram matrix is summed entry by entry from its side's coefficient
-    # table; the flat mix that pencil and act use is off the search's path
+    # table into integer rows; the flat mix that pencil and act use is off
+    # the search's path, and no direction builds a matrix
     F = flatten(TensorSpec(3, 3, DEFICIENT_TERMS))
     monkeypatch.setattr(forms, "_mix", lambda *a: pytest.fail("the search mixed flat Gram matrices"))
+    monkeypatch.setattr(RatMatrix, "from_ints", lambda *a, **k: pytest.fail("the search built a matrix"))
+    monkeypatch.setattr(RatMatrix, "__init__", lambda *a, **k: pytest.fail("the search built a matrix"))
     calls = []
-    monkeypatch.setattr(monad, "kernel_basis", lambda A: calls.append(A) or kernel_basis(A))
+    monkeypatch.setattr(forms, "gram_kernel", lambda rows, k: calls.append(k) or gram_kernel(rows, k))
     assert monad.nondegeneracy_witness_search(F, budget=1000) is None
     assert len(calls) == 2007
 

@@ -15,7 +15,9 @@ from orthinst import (
     DegenerateLine,
     RatMatrix,
     ShapeMismatch,
+    TensorSpec,
     evaluate_bilinear,
+    flatten,
     gamma_coefficients,
     gamma_eval,
     kernel_basis,
@@ -30,8 +32,16 @@ def _linear(M, d):
     return M.scale(Fraction(1, d))
 
 
-def _quadratic(M, d):  # a Gram matrix A^T A scales by d^2 with its direction
-    return M.scale(Fraction(1, d * d))
+def _invariant(r, d):  # a kernel does not change with the scale of its direction
+    return r
+
+
+def _pairing(size, starts):
+    """The skew matrix pairing i with i + 1 for each i in ``starts``."""
+    rows = [[0] * size for _ in range(size)]
+    for i in starts:
+        rows[i][i + 1], rows[i + 1][i] = 1, -1
+    return rows
 
 
 def _split(s):
@@ -40,18 +50,22 @@ def _split(s):
 
 def _cases(F):
     """name -> (length, f, how f(d*v) relates to f(v), the wrong-length error),
-    on the c6p3 form (c = 6, n = 3, r = 12)."""
+    on the c6p3 form (c = 6, n = 3, r = 12), the kernels on a singular form
+    of its shape."""
     c, w = F.c, F.n + 1
     P0, Q0 = (1, 2, 3, 4), (5, -6, 7, 8)
     G = gamma_coefficients(F)[0][1]
+    # F has full rank, so every kernel along it is empty; along a direction
+    # off ker B and ker C, B (x) C has the kernels ker B (h) and ker C (v)
+    S = flatten(TensorSpec(c, F.n, ((_pairing(c, (0, 2)), _pairing(w, (0,))),)))
 
     def det_scaled(r, d):  # the determinant of a c x c pencil has degree c
         return r[0], r[1] / d**c
 
     return {
         "exact_vector": (w, lambda v: exact_vector(v, w), lambda r, d: (d, r[1]), ShapeMismatch),
-        "gram_along_point": (w, F.gram_along_point, _quadratic, ShapeMismatch),
-        "gram_along_charge": (c, F.gram_along_charge, _quadratic, ShapeMismatch),
+        "kernel_along_point": (w, S.kernel_along_point, _invariant, ShapeMismatch),
+        "kernel_along_charge": (c, S.kernel_along_charge, _invariant, ShapeMismatch),
         "pencil:P": (w, lambda v: F.pencil(v, Q0), _linear, ShapeMismatch),
         "pencil:Q": (w, lambda v: F.pencil(P0, v), _linear, ShapeMismatch),
         "mul_vector": (F.size, F.M.mul_vector, lambda r, d: tuple(x / d for x in r), ShapeMismatch),
@@ -68,8 +82,8 @@ def _cases(F):
 
 NAMES = (
     "exact_vector",
-    "gram_along_point",
-    "gram_along_charge",
+    "kernel_along_point",
+    "kernel_along_charge",
     "pencil:P",
     "pencil:Q",
     "mul_vector",

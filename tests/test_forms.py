@@ -128,8 +128,8 @@ class TestContractions:
             vs.append(fraction_vector(w))
             vs += [[0] * w, [Fraction(0)] * w]
             for v in vs:
-                A = reference_along_point(F, v)
-                assert F.gram_along_point(v) == A.transpose() @ A
+                # the kernel read off the Gram matrix is the contraction's
+                assert F.kernel_along_point(v) == kernel_basis(reference_along_point(F, v))
 
     def test_gram_along_charge_matches_tensor_products(self, F_deficient):
         rng = random.Random(112)
@@ -139,19 +139,19 @@ class TestContractions:
             hs.append(fraction_vector(F.c))
             hs += [[0] * F.c, [Fraction(0)] * F.c]
             for h in hs:
-                A = reference_along_charge(F, h)
-                assert F.gram_along_charge(h) == A.transpose() @ A
+                assert F.kernel_along_charge(h) == kernel_basis(reference_along_charge(F, h))
 
     def test_zero_vector_gives_zero_slice(self, F6):
-        assert F6.gram_along_point([0] * 4) == RatMatrix.zeros(6, 6)
-        assert F6.gram_along_charge([0] * 6) == RatMatrix.zeros(4, 4)
+        # the contraction along a zero vector is zero: its kernel is everything
+        assert F6.kernel_along_point([0] * 4) == [tuple(unit(i, 6)) for i in range(6)]
+        assert F6.kernel_along_charge([0] * 6) == [tuple(unit(j, 4)) for j in range(4)]
 
     def test_filled_caches_keep_equality_and_hash(self):
         # the charge groups, Gram coefficients and slices are computed on
         # first use and are not part of the value
         F, G = (flatten(TensorSpec(3, 3, DEFICIENT_TERMS)) for _ in range(2))
-        F.gram_along_point([1, 2, 0, -1])
-        F.gram_along_charge([Fraction(1, 2), 0, 3])
+        F.kernel_along_point([1, 2, 0, -1])
+        F.kernel_along_charge([Fraction(1, 2), 0, 3])
         F.pencil([1, 0, 0, 0], [0, 1, 0, 0])
         act(RatMatrix.identity(3), F)
         caches = {"_charge_groups", "_point_gram", "_charge_gram", "_slices"}
@@ -179,20 +179,23 @@ class TestContractions:
                 assert tuple(P[F.c - 1, 0] for P in parts) == tuple(F.M[col_idx[0], (F.c - 1) * w + l] for l in range(w))
 
     def test_string_coordinates_read_exactly_and_floats_raise(self, F6):
-        assert F6.gram_along_point(["1/2", 0, "3", Fraction(-1, 3)]) == F6.gram_along_point(
-            [Fraction(1, 2), 0, 3, Fraction(-1, 3)]
-        )
+        # one term with a singular 3 x 3 B: along a point v with Cv != 0 the
+        # kernel is ker B, so the strings are read into a nonzero kernel
+        rng = random.Random(113)
+        F = flatten(TensorSpec(3, 3, ((random_skew(3, rng), random_skew(4, rng)),)))
+        want = F.kernel_along_point([Fraction(1, 2), 0, 3, Fraction(-1, 3)])
+        assert want and F.kernel_along_point(["1/2", 0, "3", Fraction(-1, 3)]) == want
         with pytest.raises(TypeError):
-            F6.gram_along_point([0.5, 0, 0, 0])
+            F6.kernel_along_point([0.5, 0, 0, 0])
         with pytest.raises(TypeError):
             F6.pencil([1, 0, 0, 0], [0, 1.0, 0, 0])
 
     def test_wrong_length_rejected(self, F6):
         # too long; TestGram checks too short
         with pytest.raises(ShapeMismatch):
-            F6.gram_along_point([1, 2, 3, 4, 5])
+            F6.kernel_along_point([1, 2, 3, 4, 5])
         with pytest.raises(ShapeMismatch):
-            F6.gram_along_charge([1] * 7)
+            F6.kernel_along_charge([1] * 7)
 
 
 def gram_forms():
@@ -209,10 +212,10 @@ def gram_forms():
 
 
 def contraction_sides(F):
-    """(side, Gram, reference contraction, k = its column count, direction length)."""
+    """(side, kernel, reference contraction, k = its column count, direction length)."""
     return (
-        ("h", F.gram_along_charge, lambda h: reference_along_charge(F, h), F.n + 1, F.c),
-        ("v", F.gram_along_point, lambda v: reference_along_point(F, v), F.c, F.n + 1),
+        ("h", F.kernel_along_charge, lambda h: reference_along_charge(F, h), F.n + 1, F.c),
+        ("v", F.kernel_along_point, lambda v: reference_along_point(F, v), F.c, F.n + 1),
     )
 
 
@@ -283,13 +286,14 @@ class TestGram:
         mutant_kernels = Counter()
         for F in gram_forms():
             directions = gram_directions(F, rng)
-            for side, gram, along, k, length in contraction_sides(F):
+            for side, kernel, along, k, length in contraction_sides(F):
                 broken = one_sided_gram(along, k, length)
                 mutants = gram_mutants(along, k, length)
                 for d in directions[side]:
-                    A, G = along(d), gram(d)
-                    assert G == A.transpose() @ A
+                    A = along(d)
+                    G = A.transpose() @ A
                     ker = kernel_basis(A)
+                    assert kernel(d) == ker
                     assert kernel_basis(G) == ker
                     assert (rank(G) < k) == bool(ker)
                     B = broken(d)
@@ -308,14 +312,15 @@ class TestGram:
         assert len(mutant_kernels) == 3 and all(mutant_kernels.values()), mutant_kernels
 
     def test_zero_direction_gives_zero_gram(self, F_deficient):
-        assert F_deficient.gram_along_point([0] * 4) == RatMatrix.zeros(3, 3)
-        assert F_deficient.gram_along_charge([Fraction(0)] * 3) == RatMatrix.zeros(4, 4)
+        # a zero Gram matrix: every column is free
+        assert F_deficient.kernel_along_point([0] * 4) == [tuple(unit(i, 3)) for i in range(3)]
+        assert F_deficient.kernel_along_charge([Fraction(0)] * 3) == [tuple(unit(j, 4)) for j in range(4)]
 
     def test_wrong_length_rejected(self, F6):
         with pytest.raises(ShapeMismatch):
-            F6.gram_along_point([1, 2, 3])
+            F6.kernel_along_point([1, 2, 3])
         with pytest.raises(ShapeMismatch):
-            F6.gram_along_charge([1, 2, 3])
+            F6.kernel_along_charge([1, 2, 3])
 
 
 class TestWedgeMembership:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, find, given, settings, strategies as st
+from hypothesis import Phase, assume, find, given, settings, strategies as st
 
 from conftest import random_skew, random_spec
 from orthinst import (
@@ -535,6 +535,95 @@ class TestBareissUpdate:
         exec(source.replace(old, new), scope)
         monkeypatch.setattr(linalg, "_bareiss", scope["_bareiss"])
         find(skew_pencils(), bareiss_disagrees, settings=settings(database=None, derandomize=True, max_examples=300))
+
+
+@st.composite
+def gram_matrices(draw):
+    """(A, G = A^T A) for an integer A with 1 to 6 columns, of rank 0 to k,
+    with entries up to about 60 bits.  A is the product of an m x r factor
+    and an r x k echelon factor with its pivots at r drawn columns, so the
+    free columns, each in the span of the pivot columns before it (zero
+    before the first), fall first, in the middle or last."""
+    k = draw(st.integers(1, 6))
+    r = draw(st.integers(0, k))
+    m = draw(st.integers(max(r, 1), k + 1))
+    pivots = sorted(draw(st.sets(st.integers(0, k - 1), min_size=r, max_size=r)))
+    entry = st.one_of(st.sampled_from([0, 1, -1, 2]), st.integers(-(2**30), 2**30))
+    L = [[draw(entry) for _ in range(r)] for _ in range(m)]
+    R = [[0] * k for _ in range(r)]
+    for t, p in enumerate(pivots):
+        R[t][p] = 1
+        for j in range(p + 1, k):
+            if j not in pivots:
+                R[t][j] = draw(entry)
+    A = [[sum(L[i][t] * R[t][j] for t in range(r)) for j in range(k)] for i in range(m)]
+    G = [[sum(A[i][p] * A[i][q] for i in range(m)) for q in range(k)] for p in range(k)]
+    return A, G
+
+
+def gram_kernel_disagrees(AG):
+    """True if ``gram_kernel`` on the upper rows of G differs from
+    ``kernel_basis`` of G or of A, or changes its input rows."""
+    A, G = AG
+    k = len(G)
+    upper = [G[p][p:] for p in range(k)]
+    copy = [list(row) for row in upper]
+    want = kernel_basis(RatMatrix.from_ints(G, cols=k))
+    got = linalg.gram_kernel(upper, k)
+    return got != want or upper != copy or kernel_basis(RatMatrix.from_ints(A, cols=k)) != want
+
+
+def free_columns(AG):
+    """The free columns of A, each in the span of the columns before it."""
+    A, _ = AG
+    k = len(A[0])
+    ranks = [rank(RatMatrix.from_ints([r[:j] for r in A], cols=j)) for j in range(k + 1)]
+    return [j for j in range(k) if ranks[j + 1] == ranks[j]]
+
+
+class TestGramKernel:
+    """``gram_kernel`` of a positive semidefinite A^T A against the general
+    ``kernel_basis``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(gram_matrices())
+    def test_matches_kernel_basis(self, AG):
+        assert not gram_kernel_disagrees(AG)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda AG: not any(map(any, AG[1])),
+            lambda AG: len(AG[1]) == 1,
+            lambda AG: free_columns(AG)[:1] == [0] and any(map(any, AG[1])),
+            lambda AG: any(0 < j < len(AG[1]) - 1 for j in free_columns(AG)) and free_columns(AG)[:1] != [0],
+            lambda AG: free_columns(AG)[-1:] == [len(AG[1]) - 1] and len(free_columns(AG)) < len(AG[1]),
+            lambda AG: len(free_columns(AG)) >= 2 and any(map(any, AG[1])),
+            lambda AG: len(free_columns(AG)) < len(AG[1]) and max(abs(x) for r in AG[0] for x in r).bit_length() >= 58,
+        ],
+        ids=["zero matrix", "k = 1", "free first", "free in the middle", "free last", "wide kernel", "60-bit entries"],
+    )
+    def test_strategy_draws(self, case):
+        # a draw of each kind is enough: no shrinking
+        once = settings(database=None, derandomize=True, max_examples=300, phases=[Phase.generate])
+        find(gram_matrices(), case, settings=once)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("if not piv:\n            continue", "if not piv:\n            break"),
+            ("for b in range(a, k):", "for b in range(a + 1, k):"),
+            ("Ua, f = U[a], Ui[a]", "Ua, f = U[a], U[a][i]"),
+        ],
+        ids=["stop at the first zero pivot", "diagonal not updated", "factor from the lower triangle"],
+    )
+    def test_rejects_a_mutant(self, monkeypatch, old, new):
+        source = inspect.getsource(linalg.gram_kernel)
+        assert source.count(old) == 1
+        scope = dict(vars(linalg))
+        exec(source.replace(old, new), scope)
+        monkeypatch.setattr(linalg, "gram_kernel", scope["gram_kernel"])
+        find(gram_matrices(), gram_kernel_disagrees, settings=settings(database=None, derandomize=True, max_examples=300))
 
 
 class TestStorage:

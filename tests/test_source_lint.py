@@ -136,8 +136,14 @@ def test_bareiss_only_where_its_echelon_is_read():
 
 def test_one_decomposable_kernel_search():
     # A2 and K1 are one statement, sampled by one search: outside the
-    # elimination core exactly one function asks for a kernel basis
-    assert _callers("kernel_basis", skip=("linalg.py",)) == {"monad.py:nondegeneracy_witness_search"}
+    # elimination core only the two contraction kernels the search reads
+    # eliminate, each on the upper triangle of its Gram matrix, and nothing
+    # asks for a general kernel basis
+    assert _callers("gram_kernel", skip=("linalg.py",)) == {
+        "forms.py:kernel_along_point",
+        "forms.py:kernel_along_charge",
+    }
+    assert _callers("kernel_basis", skip=("linalg.py",)) == set()
 
 
 def test_no_slice_contraction():
@@ -156,7 +162,7 @@ def test_no_slice_contraction():
 
 def test_gram_read_only_by_the_search():
     # the one search asks for a contraction's kernel through its Gram matrix
-    for name in ("gram_along_point", "gram_along_charge"):
+    for name in ("kernel_along_point", "kernel_along_charge"):
         assert _callers(name) == {"monad.py:nondegeneracy_witness_search"}
 
 
