@@ -11,7 +11,10 @@ so G = sum_{j<l} S_jl (Q_j P_l - Q_l P_j) depends on the line only through
 its Pluecker coordinates: another point pair on the same line rescales G by
 the determinant of the change of basis.  The restriction of the associated
 bundle to the line is trivial exactly when G is invertible, so odd charge
-forces every line to jump (odd skew matrices are singular).  The
+forces every line to jump (odd skew matrices are singular), and
+``GammaEval.verdict`` reads that off the pencil's skewness with no
+elimination.  ``scan_lines`` draws its points from a stream seeded per
+sample, through ``monad.randints``, randint's exact replica.  The
 pencil-module condition K1 is A2 of the form, and ``kronecker_conditions``
 reads it off A2's decision, ``monad.nondegeneracy``.
 """
@@ -26,7 +29,7 @@ from typing import Optional, Sequence
 from .errors import DegenerateLine, NotSkew, OrthinstError
 from .forms import FlatForm
 from .linalg import RatMatrix, det, exact_vector, pfaffian, rank
-from .monad import A2Status, check_sampling, nondegeneracy
+from .monad import A2Status, check_sampling, nondegeneracy, randints
 
 
 def line_span_ok(P: Sequence, Q: Sequence) -> bool:
@@ -44,11 +47,18 @@ class GammaEval:
     M: RatMatrix
 
     def verdict(self) -> "SplitVerdict":
-        """Trivial iff the pencil value is invertible; for even charge the
-        Pfaffian is reported as well, and Pf^2 = det is checked."""
-        d = det(self.M)
-        try:  # pfaffian tests skewness; a pencil of a form outside the wedge is not skew
-            pf = pfaffian(self.M) if self.M.rows % 2 == 0 else None
+        """Trivial iff the pencil value is invertible.  A skew pencil of odd
+        order is singular, det G = det(-G^T) = -det G, so it is Jumping with
+        no elimination.  For even order the Pfaffian is reported as well,
+        and Pf^2 = det is checked.  The pencil of a form outside the wedge
+        need not be skew; then its determinant alone decides."""
+        G = self.M
+        odd = G.rows % 2 == 1
+        if odd and G.is_skew():
+            return SplitVerdict("Jumping", Fraction(0))
+        d = det(G)
+        try:  # pfaffian tests skewness itself
+            pf = None if odd else pfaffian(G)
         except NotSkew:
             pf = None
         if pf is not None and pf * pf != d:
@@ -128,8 +138,8 @@ def scan_lines(F: FlatForm, samples: int, seed: int = 0, box: int = 10) -> ScanR
     witnesses: list[LineWitness] = []
     for s in range(samples):
         rng = random.Random(f"{seed}:line:{s}")
-        P = [rng.randint(-box, box) for _ in range(w)]
-        Q = [rng.randint(-box, box) for _ in range(w)]
+        P = randints(rng, -box, box, w)
+        Q = randints(rng, -box, box, w)
         try:
             verdict = splitting_type(F, P, Q)
         except DegenerateLine:

@@ -23,7 +23,7 @@ from .errors import HypothesisViolation
 from .forms import FlatForm, act, wedge_membership
 from .kronecker import GammaEval, line_span_ok
 from .linalg import RatMatrix, rank
-from .monad import check_sampling
+from .monad import check_sampling, randints
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ def _seeded_panel(n: int, seed: int) -> list[tuple[tuple[int, ...], tuple[int, .
     w = n + 1
     panel = []
     while len(panel) < PANEL_SIZE:
-        P = [rng.randint(-PANEL_BOX, PANEL_BOX) for _ in range(w)]
-        Q = [rng.randint(-PANEL_BOX, PANEL_BOX) for _ in range(w)]
+        P = randints(rng, -PANEL_BOX, PANEL_BOX, w)
+        Q = randints(rng, -PANEL_BOX, PANEL_BOX, w)
         if line_span_ok(P, Q):
             panel.append((tuple(P), tuple(Q)))
     return panel

@@ -21,11 +21,11 @@ principal block of order 2c+r) together with the charge and rank-bound
 prechecks.  The second, A2, is decided once, by ``nondegeneracy``, which
 ``kronecker`` also reads for K1 and K2 (the same statement): full rank
 certifies it, and below full rank one search for h (x) v in ker M runs along
-a seeded stream of directions in [-10, 10]: a hit is exact, a clean run is
-no proof.  Each direction's contraction A is asked for its kernel once
-(``FlatForm.kernel_along_point`` and ``kernel_along_charge``), which is
-read off the integer upper triangle of its small Gram matrix A^T A; A
-itself is never built.
+a seeded stream of directions in [-10, 10], drawn by ``randints``: a hit is
+exact, a clean run is no proof.  Each direction's contraction A is asked for
+its kernel once (``FlatForm.kernel_along_point`` and
+``kernel_along_charge``), which is read off the integer upper triangle of
+its small Gram matrix A^T A; A itself is never built.
 """
 
 from __future__ import annotations
@@ -187,6 +187,34 @@ def check_sampling(name: str, count: int, least: int = 0) -> None:
         raise ValueError(f"{name} must be <= {MAX_SAMPLES}, got {count}")
 
 
+def randints(rng: random.Random, a: int, b: int, size: int) -> list[int]:
+    """``[rng.randint(a, b) for _ in range(size)]``, with ``rng`` left in the
+    same state, drawn without randint's call layers; an empty range raises
+    ``ValueError``, as randint does.
+
+    This is the rule of CPython's ``Random._randbelow_with_getrandbits``,
+    which ``randint`` runs: with width = b - a + 1 and k = width.bit_length(),
+    draw ``rng.getrandbits(k)`` until the value is below width, and add a.
+    The seeded streams of the line scan, the witness search and the orbit
+    panel are pinned by their reports; ``tests/test_monad.py::TestRandints``
+    compares the replica with ``randint``, draws and the state after them,
+    over 1000 seeds on their boxes and on widths of 1, a power of two and
+    more than 32 bits.
+    """
+    width = b - a + 1
+    if width < 1:
+        raise ValueError(f"empty range [{a}, {b}]")
+    k = width.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(size):
+        x = bits(k)
+        while x >= width:
+            x = bits(k)
+        out.append(a + x)
+    return out
+
+
 def _directions(F: FlatForm, budget: int, seed: int) -> Iterator[tuple[str, list[int]]]:
     """Lazy search directions: the h basis, the v basis, then for each
     sample s one h in [-10, 10]^c and one v in [-10, 10]^(n+1), drawn in
@@ -198,7 +226,7 @@ def _directions(F: FlatForm, budget: int, seed: int) -> Iterator[tuple[str, list
     for s in range(budget):
         rng = random.Random(f"{seed}:wit:{s}")
         for side, size in sides:
-            yield side, [rng.randint(-WITNESS_BOX, WITNESS_BOX) for _ in range(size)]
+            yield side, randints(rng, -WITNESS_BOX, WITNESS_BOX, size)
 
 
 def nondegeneracy_witness_search(

@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +11,7 @@ from orthinst import (
     FlatForm,
     OrthinstError,
     RatMatrix,
+    SplitVerdict,
     build_alpha,
     build_beta,
     det,
@@ -17,11 +20,14 @@ from orthinst import (
     gamma_coefficients,
     gamma_eval,
     kronecker_conditions,
+    pfaffian,
+    rank,
     scan_lines,
     splitting_type,
     wedge_membership,
 )
 from orthinst import kronecker
+from orthinst.kronecker import GammaEval, LineWitness
 from orthinst.moduli import random_unimodular
 from orthinst.forms import act
 from orthinst.linalg import exact_vector
@@ -354,6 +360,57 @@ class TestSplitting:
             assert splitting_type(G, P, Q).verdict == splitting_type(F6, P, Q).verdict
 
 
+def bareiss_verdict(G):
+    """The verdict by elimination alone: det, and the Pfaffian of an even
+    skew pencil."""
+    d = det(G)
+    pf = pfaffian(G) if G.rows % 2 == 0 and G.is_skew() else None
+    return SplitVerdict("Trivial" if d else "Jumping", d, pf)
+
+
+def verdict_pencils(F6, F5, F_deficient):
+    """(kind, pencil) on lines of the bundled forms, the fixture, the (8, 5)
+    spec and the ``pencil_cases``: the odd ones are skew for every wedge
+    member, and not skew for a form outside the wedge on most lines."""
+    rng = random.Random(320)
+    forms = [F6, F5, F_deficient, generate(8, 5, mode="pure", seed=1)[0].flatten()]
+    forms += [F for F, _ in pencil_cases()]
+    out = []
+    for F in forms:
+        for P, Q in pencil_points(F.n + 1, rng):
+            try:
+                G = gamma_eval(F, P, Q).M
+            except DegenerateLine:
+                continue
+            out.append(("even" if F.c % 2 == 0 else "odd skew" if G.is_skew() else "odd non-skew", G))
+    return out
+
+
+class TestOddSkewVerdict:
+    def test_det_runs_except_on_odd_skew_pencils(self, F6, F5, F_deficient, monkeypatch):
+        # det G = det(-G^T) = -det G for odd order, so an odd skew pencil is
+        # Jumping with no elimination; every other pencil runs det once
+        calls = []
+        monkeypatch.setattr(kronecker, "det", lambda M: calls.append(M.rows) or det(M))
+        seen = {}
+        for kind, G in verdict_pencils(F6, F5, F_deficient):
+            calls.clear()
+            assert GammaEval((), (), G).verdict() == bareiss_verdict(G)
+            assert len(calls) == (0 if kind == "odd skew" else 1)
+            seen[kind] = seen.get(kind, 0) + 1
+        assert seen.keys() == {"even", "odd skew", "odd non-skew"} and min(seen.values()) >= 5
+
+    def test_rejects_a_mutant_that_skips_det_for_every_odd_pencil(self, F6, F5, F_deficient, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(GammaEval.verdict))
+        old = "if odd and G.is_skew():"
+        assert source.count(old) == 1
+        scope = dict(vars(kronecker))
+        exec(source.replace(old, "if odd:"), scope)
+        monkeypatch.setattr(GammaEval, "verdict", scope["verdict"])
+        pencils = verdict_pencils(F6, F5, F_deficient)
+        assert any(GammaEval((), (), G).verdict() != bareiss_verdict(G) for _, G in pencils)
+
+
 class TestScanLines:
     def test_deterministic(self, F6):
         a = scan_lines(F6, 100, seed=5, box=10)
@@ -384,6 +441,34 @@ class TestScanLines:
             want += all(P[j] * Q[l] == P[l] * Q[j] for j in range(4) for l in range(4))
         assert rep.degenerate == want
         assert rep.trivial + rep.jumping + rep.degenerate == 200
+
+    @pytest.mark.parametrize("box", [1, 10, 1000])
+    @pytest.mark.parametrize("which", ["c6p3", "c5p3", "fixture"])
+    def test_tallies_and_witnesses_match_the_randint_stream(self, which, box, F6, F5, F_deficient):
+        # the scan against a loop that draws each line by randint from
+        # f"{seed}:line:{s}", tells a line by an exact rank of the pair and
+        # decides it by det of the pencil
+        F, seed = {"c6p3": (F6, 11), "c5p3": (F5, 12), "fixture": (F_deficient, 13)}[which]
+        samples, w = 300, F.n + 1
+        trivial = jumping = degenerate = 0
+        witnesses = []
+        for s in range(samples):
+            rng = random.Random(f"{seed}:line:{s}")
+            P = [rng.randint(-box, box) for _ in range(w)]
+            Q = [rng.randint(-box, box) for _ in range(w)]
+            if rank(RatMatrix([P, Q])) < 2:
+                degenerate += 1
+                continue
+            d = det(F.pencil(P, Q))
+            if d:
+                trivial += 1
+            else:
+                jumping += 1
+                if len(witnesses) < 10:
+                    witnesses.append(LineWitness(tuple(P), tuple(Q), d))
+        rep = scan_lines(F, samples, seed=seed, box=box)
+        assert (rep.trivial, rep.jumping, rep.degenerate) == (trivial, jumping, degenerate)
+        assert rep.witnesses == tuple(witnesses)
 
     def test_each_line_tests_skewness_once(self, F6, monkeypatch):
         # the pfaffian's own skewness test is the only one per pencil

@@ -9,7 +9,7 @@ from orthinst import monad
 from orthinst.forms import point_indices
 from orthinst.jsonio import linform_matrix_json
 from orthinst.moduli import random_unimodular
-from orthinst.monad import MAX_SAMPLES
+from orthinst.monad import MAX_SAMPLES, randints
 from orthinst import (
     BadSubset,
     FlatForm,
@@ -497,6 +497,52 @@ class TestCheckConditions:
             assert rep.a2.kind == base.a2.kind
             assert rep.a3_ok == base.a3_ok
             assert rep.precheck == base.precheck
+
+
+# the bounds of the three box streams, a width of one, a power-of-two
+# width, one just above it, and a width of more than 32 bits
+RANDINT_BOUNDS = [(-10, 10), (-1000, 1000), (-1, 1), (0, 0), (0, 7), (-8, 8), (-(2**40), 2**40)]
+
+
+def randint_mismatch(draw, a, b, seeds=1000):
+    """The first seed at which ``draw(rng, a, b, size)`` differs from the
+    randint list or leaves the stream elsewhere, or None."""
+    for seed in range(seeds):
+        size = seed % 9
+        ref, rng = random.Random(seed), random.Random(seed)
+        want = [ref.randint(a, b) for _ in range(size)]
+        if draw(rng, a, b, size) != want or rng.random() != ref.random():
+            return seed
+    return None
+
+
+class TestRandints:
+    @pytest.mark.parametrize("a, b", RANDINT_BOUNDS)
+    def test_equals_the_randint_list_and_leaves_the_same_state(self, a, b):
+        assert randint_mismatch(randints, a, b) is None
+
+    def test_empty_range_refused_like_randint(self):
+        rng = random.Random(0)
+        with pytest.raises(ValueError):
+            rng.randint(1, 0)
+        with pytest.raises(ValueError, match="empty range"):
+            randints(rng, 1, 0, 3)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("x = bits(k)\n        while x >= width:\n            x = bits(k)\n", "x = bits(k) % width\n"),
+            ("while x >= width:", "while not x <= width:"),
+        ],
+        ids=["modulo", "accepts width"],
+    )
+    def test_rejects_a_mutant(self, old, new):
+        source = inspect.getsource(monad.randints)
+        assert source.count(old) == 1
+        scope = dict(vars(monad))
+        exec(source.replace(old, new), scope)
+        mutant = scope["randints"]
+        assert any(randint_mismatch(mutant, a, b) is not None for a, b in RANDINT_BOUNDS)
 
 
 class TestWitnessSearch:

@@ -184,6 +184,15 @@ def test_only_the_line_scan_takes_a_box():
     assert takers == {"kronecker.py:scan_lines"}
 
 
+def test_box_streams_draw_through_the_randint_replica():
+    # the line scan, the witness search and the orbit panel draw their
+    # pinned streams through monad.randints, which replicates randint by
+    # getrandbits; specfile sits below monad and keeps its own entry draws
+    streams = ("monad.py", "kronecker.py", "moduli.py")
+    assert {where for where in _callers("randint") if where.split(":")[0] in streams} == set()
+    assert _callers("randints") == {"kronecker.py:scan_lines", "monad.py:_directions", "moduli.py:_seeded_panel"}
+
+
 def test_kronecker_imports_no_private_monad_name():
     # K1 reads A2's decision and runs no search or policy of its own
     tree = ast.parse((Path(orthinst.__file__).parent / "kronecker.py").read_text())
