@@ -46,7 +46,7 @@ def walkthrough(name: str, samples: int, seed: int, box: int) -> None:
 
     P, Q = [1, 2, 3, 4], [5, 6, 7, 8]
     print(f"\npencil at P={P}, Q={Q}:")
-    print(_grid(matrix_json(gamma_eval(F, P, Q).M)))
+    print(_grid(matrix_json(gamma_eval(F, P, Q))))
     print("verdict:", splitting_type(F, P, Q).verdict)
     P0, Q0 = [1, 0, 0, 0], [0, 0, 0, 1]
     print(f"verdict on the line through {P0} and {Q0}:", splitting_type(F, P0, Q0).verdict)

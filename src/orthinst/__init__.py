@@ -37,7 +37,6 @@ from .errors import (
 )
 from .forms import FlatForm, TensorSpec, act, flatten, wedge_membership
 from .kronecker import (
-    GammaEval,
     KroneckerReport,
     LineWitness,
     ScanReport,
@@ -47,6 +46,7 @@ from .kronecker import (
     gamma_eval,
     kronecker_conditions,
     line_span_ok,
+    pencil_verdict,
     scan_lines,
     splitting_type,
 )

@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
     UsageError,
 )
-from .kronecker import gamma_eval, kronecker_conditions, scan_lines
+from .kronecker import gamma_eval, kronecker_conditions, pencil_verdict, scan_lines
 from .linalg import principal_rank_subset
 from .moduli import moduli_dim
 from .monad import (
@@ -239,9 +239,9 @@ def _dispatch(args, argv) -> Report:
         return Report(tuple(argv), digest, results, (), 0.0, 0 if identity_ok else MATH_EXIT, human)
 
     if cmd == "splitting":
-        g = gamma_eval(F, args.P, args.Q)
-        v = g.verdict()
-        results = {"gamma": jsonio.gamma_json(g), "split": jsonio.verdict_json(v)}
+        G = gamma_eval(F, args.P, args.Q)
+        v = pencil_verdict(G)
+        results = {"gamma": jsonio.gamma_json(args.P, args.Q, G), "split": jsonio.verdict_json(v)}
         human = (
             f"gamma(P={args.P}, Q={args.Q}) =\n" + _grid(results["gamma"]["matrix"])
             + f"\ndet = {jsonio.rat_str(v.determinant)}"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cohomology import CohomTable, InstantonReport
-from .kronecker import GammaEval, KroneckerReport, ScanReport, SplitVerdict
+from .kronecker import KroneckerReport, ScanReport, SplitVerdict
 from .linalg import RatMatrix
 from .moduli import ModuliInfo, OrbitProbeReport
 from .monad import A2Status, ConditionReport, LinFormMatrix
@@ -58,11 +58,11 @@ def condition_report_json(rep: ConditionReport) -> dict:
     }
 
 
-def gamma_json(g: GammaEval) -> dict:
+def gamma_json(P: list[int], Q: list[int], G: RatMatrix) -> dict:
     return {
-        "P": [rat_str(x) for x in g.P],
-        "Q": [rat_str(x) for x in g.Q],
-        "matrix": matrix_json(g.M),
+        "P": [rat_str(x) for x in P],
+        "Q": [rat_str(x) for x in Q],
+        "matrix": matrix_json(G),
     }
 
 

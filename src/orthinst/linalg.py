@@ -49,7 +49,7 @@ MAX_CELLS = 10**6
 
 
 def _as_exact(x) -> int | Fraction:
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
         return Fraction(x)
@@ -65,7 +65,7 @@ def check_cells(rows: int, cols: int, what: str) -> None:
 def exact_vector(vec: Sequence, length: int) -> tuple[int, tuple[int, ...]]:
     """A point, direction or contraction vector of ``length`` ints, Fractions
     or "p/q" strings as (d, d*v) over its least common denominator d: the one
-    reader of exact vectors.  A float raises ``TypeError``."""
+    reader of exact vectors.  A float or a bool raises ``TypeError``."""
     if len(vec) != length:
         raise ShapeMismatch(f"vector must have {length} entries, got {len(vec)}")
     if all(type(x) is int for x in vec):

@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import HypothesisViolation
 from .forms import FlatForm, act, wedge_membership
-from .kronecker import GammaEval, line_span_ok
+from .kronecker import line_span_ok, pencil_verdict
 from .linalg import RatMatrix, rank
 from .monad import check_sampling, randints
 
@@ -110,7 +110,7 @@ def orbit_probe(F: FlatForm, trials: int = 25, seed: int = 0) -> OrbitProbeRepor
     base_rank = rank(F.M)
     base_wedge = wedge_membership(F)
     # the panel lines span, so each verdict is read off the pencil with no span check
-    base_verdicts = [GammaEval(P, Q, F.pencil(P, Q)).verdict().verdict for P, Q in panel]
+    base_verdicts = [pencil_verdict(F.pencil(P, Q)).verdict for P, Q in panel]
 
     violations: list[str] = []
     for t in range(trials):
@@ -122,7 +122,7 @@ def orbit_probe(F: FlatForm, trials: int = 25, seed: int = 0) -> OrbitProbeRepor
         if wedge_membership(G) != base_wedge:
             violations.append(f"trial {t}: wedge membership changed under the action")
         for p, (P, Q) in enumerate(panel):
-            if GammaEval(P, Q, G.pencil(P, Q)).verdict().verdict != base_verdicts[p]:
+            if pencil_verdict(G.pencil(P, Q)).verdict != base_verdicts[p]:
                 violations.append(f"trial {t}: verdict changed on panel line {p}")
 
     eye = RatMatrix.identity(c)

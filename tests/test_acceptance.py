@@ -65,7 +65,7 @@ def test_criterion_1_charge6_end_to_end(c6p3, F6):
     assert G[0][1] == RatMatrix([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, -6], [0, 0, 6, 0]])
 
     special = gamma_eval(F6, [1, 0, 0, 0], [0, 0, 0, 1])
-    assert all(x == 0 for row in special.M.to_rows() for x in row)
+    assert all(x == 0 for row in special.to_rows() for x in row)
     assert splitting_type(F6, [1, 0, 0, 0], [0, 0, 0, 1]).verdict == "Jumping"
 
     scan = scan_lines(F6, 1000, seed=0, box=1000)
@@ -102,8 +102,8 @@ def test_criterion_2_charge5_end_to_end(c5p3, F5):
             g = gamma_eval(F5, P, Q)
         except DegenerateLine:
             continue
-        assert g.M.is_skew() and g.M.rows == 5
-        assert det(g.M) == 0
+        assert g.is_skew() and g.rows == 5
+        assert det(g) == 0
         checked += 1
 
     elapsed = time.perf_counter() - t0
@@ -190,8 +190,8 @@ class TestCriterion6Properties:
                 gc = gamma_eval(F, combo, Q)
             except DegenerateLine:
                 continue
-            assert g.M.is_skew()
-            assert gc.M == g.M.scale(a) + g2.M.scale(b)
+            assert g.is_skew()
+            assert gc == g.scale(a) + g2.scale(b)
             done += 1
         _report("6c", f"({self.N} pencil values skew + bilinear)")
 
@@ -232,7 +232,7 @@ class TestCriterion6Properties:
                 g = gamma_eval(F, P, Q)
             except DegenerateLine:
                 continue
-            assert pfaffian(g.M) ** 2 == det(g.M)
+            assert pfaffian(g) ** 2 == det(g)
             done += 1
         _report("6e", f"({self.N} even-order pencil values satisfy pf^2 = det)")
 

@@ -20,6 +20,8 @@ from orthinst import (
     gamma_coefficients,
     gamma_eval,
     kronecker_conditions,
+    line_span_ok,
+    pencil_verdict,
     pfaffian,
     rank,
     scan_lines,
@@ -27,7 +29,7 @@ from orthinst import (
     wedge_membership,
 )
 from orthinst import kronecker
-from orthinst.kronecker import GammaEval, LineWitness
+from orthinst.kronecker import LineWitness
 from orthinst.moduli import random_unimodular
 from orthinst.forms import act
 from orthinst.linalg import exact_vector
@@ -145,7 +147,7 @@ class TestPencilReferences:
             for P, Q in pencil_points(F.n + 1, rng):
                 want = term_pencil(F.c, terms, P, Q)
                 assert F.pencil(P, Q) == want
-                assert gamma_eval(F, P, Q).M == want
+                assert gamma_eval(F, P, Q) == want
 
     def test_pencil_matches_block_contraction(self):
         rng = random.Random(312)
@@ -153,7 +155,7 @@ class TestPencilReferences:
             for P, Q in pencil_points(F.n + 1, rng):
                 want = block_pencil(F, P, Q)
                 assert F.pencil(P, Q) == want
-                assert gamma_eval(F, P, Q).M == want
+                assert gamma_eval(F, P, Q) == want
 
     def test_cases_fold_some_slices_and_keep_others(self):
         # the references above see forms whose pencil mixes folded and
@@ -184,15 +186,15 @@ class TestGammaEval:
             except DegenerateLine:
                 continue
             lam1, lam2, lam3 = lam_values(P, Q)
-            assert g.M[0, 1] == lam1
-            assert g.M[1, 0] == -lam1
-            assert g.M[2, 3] == lam2
-            assert g.M[4, 5] == lam3
+            assert g[0, 1] == lam1
+            assert g[1, 0] == -lam1
+            assert g[2, 3] == lam2
+            assert g[4, 5] == lam3
             checked += 1
 
     def test_special_line_vanishes(self, F6):
         g = gamma_eval(F6, [1, 0, 0, 0], [0, 0, 0, 1])
-        assert all(x == 0 for row in g.M.to_rows() for x in row)
+        assert all(x == 0 for row in g.to_rows() for x in row)
 
     def test_c5p3_odd_skew(self, F5):
         rng = random.Random(302)
@@ -203,13 +205,12 @@ class TestGammaEval:
                 g = gamma_eval(F5, P, Q)
             except DegenerateLine:
                 continue
-            assert g.M.rows == 5
-            assert g.M.is_skew()
+            assert g.rows == 5
+            assert g.is_skew()
 
     def test_exact_coordinates_only(self, F6):
         g = gamma_eval(F6, [1, "1/2", 0, 3], [Fraction(2, 3), 0, 1, 0])
-        assert g.P == (1, Fraction(1, 2), 0, 3)
-        assert g.M == gamma_eval(F6, [2, 1, 0, 6], [2, 0, 3, 0]).M.scale(Fraction(1, 6))
+        assert g == gamma_eval(F6, [2, 1, 0, 6], [2, 0, 3, 0]).scale(Fraction(1, 6))
         with pytest.raises(TypeError):
             gamma_eval(F6, [1, 0.5, 0, 3], [0, 0, 1, 0])
         with pytest.raises(TypeError):
@@ -241,7 +242,7 @@ class TestGammaEval:
                 except DegenerateLine:
                     continue
                 (dp, p), (dq, q) = exact_vector(P, 4), exact_vector(Q, 4)
-                assert g.M == F.pencil(p, q).scale(Fraction(1, dp * dq))
+                assert g == F.pencil(p, q).scale(Fraction(1, dp * dq))
                 checked += 1
         assert checked >= 25
 
@@ -264,7 +265,7 @@ class TestGammaEval:
                     g = gamma_eval(F, P, Q)
                 except DegenerateLine:
                     continue
-                assert composed_at(beta, alpha, Q, P) == g.M
+                assert composed_at(beta, alpha, Q, P) == g
 
     def test_sourceless_block_contraction_agrees(self, F6):
         rng = random.Random(304)
@@ -272,7 +273,7 @@ class TestGammaEval:
             P = [rng.randint(-5, 5) for _ in range(4)]
             Q = [rng.randint(-5, 5) for _ in range(4)]
             try:
-                assert gamma_eval(F6, P, Q).M == block_pencil(F6, P, Q)
+                assert gamma_eval(F6, P, Q) == block_pencil(F6, P, Q)
             except DegenerateLine:
                 continue
 
@@ -284,19 +285,19 @@ class TestGammaEval:
             P = [rng.randint(-6, 6) for _ in range(w)]
             Q = [rng.randint(-6, 6) for _ in range(w)]
             try:
-                assert gamma_eval(F, P, Q).M.is_skew()
+                assert gamma_eval(F, P, Q).is_skew()
             except DegenerateLine:
                 continue
 
     def test_antisymmetry_and_bilinearity(self, F6):
         P, Q, P2 = [1, 2, 3, 4], [5, 6, 7, 8], [2, 0, -1, 3]
-        g_pq = gamma_eval(F6, P, Q).M
-        g_qp = gamma_eval(F6, Q, P).M
+        g_pq = gamma_eval(F6, P, Q)
+        g_qp = gamma_eval(F6, Q, P)
         assert g_qp == -g_pq
         a, b = 3, -2
         combo = [a * x + b * y for x, y in zip(P, P2)]
-        lhs = gamma_eval(F6, combo, Q).M
-        rhs = gamma_eval(F6, P, Q).M.scale(a) + gamma_eval(F6, P2, Q).M.scale(b)
+        lhs = gamma_eval(F6, combo, Q)
+        rhs = gamma_eval(F6, P, Q).scale(a) + gamma_eval(F6, P2, Q).scale(b)
         assert lhs == rhs
 
 
@@ -354,8 +355,8 @@ class TestSplitting:
         h = random_unimodular(6, rng)
         G = act(h, F6)
         for P, Q in ([1, 2, 3, 4], [5, 6, 7, 8]), ([1, 0, 0, 0], [0, 0, 0, 1]):
-            gF = gamma_eval(F6, P, Q).M
-            gG = gamma_eval(G, P, Q).M
+            gF = gamma_eval(F6, P, Q)
+            gG = gamma_eval(G, P, Q)
             assert gG == h @ gF @ h.transpose()
             assert splitting_type(G, P, Q).verdict == splitting_type(F6, P, Q).verdict
 
@@ -379,7 +380,7 @@ def verdict_pencils(F6, F5, F_deficient):
     for F in forms:
         for P, Q in pencil_points(F.n + 1, rng):
             try:
-                G = gamma_eval(F, P, Q).M
+                G = gamma_eval(F, P, Q)
             except DegenerateLine:
                 continue
             out.append(("even" if F.c % 2 == 0 else "odd skew" if G.is_skew() else "odd non-skew", G))
@@ -395,20 +396,75 @@ class TestOddSkewVerdict:
         seen = {}
         for kind, G in verdict_pencils(F6, F5, F_deficient):
             calls.clear()
-            assert GammaEval((), (), G).verdict() == bareiss_verdict(G)
+            assert pencil_verdict(G) == bareiss_verdict(G)
             assert len(calls) == (0 if kind == "odd skew" else 1)
             seen[kind] = seen.get(kind, 0) + 1
         assert seen.keys() == {"even", "odd skew", "odd non-skew"} and min(seen.values()) >= 5
 
     def test_rejects_a_mutant_that_skips_det_for_every_odd_pencil(self, F6, F5, F_deficient, monkeypatch):
-        source = textwrap.dedent(inspect.getsource(GammaEval.verdict))
+        source = textwrap.dedent(inspect.getsource(pencil_verdict))
         old = "if odd and G.is_skew():"
         assert source.count(old) == 1
         scope = dict(vars(kronecker))
         exec(source.replace(old, "if odd:"), scope)
-        monkeypatch.setattr(GammaEval, "verdict", scope["verdict"])
+        monkeypatch.setattr(kronecker, "pencil_verdict", scope["pencil_verdict"])
         pencils = verdict_pencils(F6, F5, F_deficient)
-        assert any(GammaEval((), (), G).verdict() != bareiss_verdict(G) for _, G in pencils)
+        assert any(kronecker.pencil_verdict(G) != bareiss_verdict(G) for _, G in pencils)
+
+
+def spans_by_minors(P, Q):
+    """P and Q span a line iff some 2x2 minor of the pair is nonzero."""
+    p, q = [Fraction(x) for x in P], [Fraction(x) for x in Q]
+    return any(p[j] * q[l] != p[l] * q[j] for j in range(len(p)) for l in range(j + 1, len(p)))
+
+
+def span_cases(F6, F5, F_deficient):
+    """(form, P, Q) on c6p3, c5p3, the fixture, the (8, 5) spec and both
+    bundled forms acted on by a rational h.  Per form: integer pairs from
+    the box [-1, 1], where proportional pairs and zero points are common;
+    pairs made proportional on purpose, by the factor 1, 0, an integer,
+    a Fraction or a "p/q" string; and spanning Fraction and "p/q" points."""
+    rng = random.Random(330)
+    forms = [F6, F5, F_deficient, generate(8, 5, mode="pure", seed=1)[0].flatten()]
+    for F in (F6, F5):
+        h = RatMatrix.diagonal([Fraction(1, 2), Fraction(-3, 5)] + [1] * (F.c - 2)) @ random_unimodular(F.c, rng)
+        forms.append(act(h, F))
+    cases = []
+    for F in forms:
+        w = F.n + 1
+        for _ in range(12):
+            cases.append((F, [rng.randint(-1, 1) for _ in range(w)], [rng.randint(-1, 1) for _ in range(w)]))
+        for spell in (lambda x: x, lambda x: 0, lambda x: 3 * x, lambda x: Fraction(-2, 7) * x, lambda x: f"{5 * x}/3"):
+            P = [rng.randint(-4, 4) for _ in range(w)]
+            cases.append((F, P, [spell(x) for x in P]))
+        for spell in (Fraction, str):
+            for _ in range(3):
+                P, Q = ([spell(Fraction(rng.randint(-6, 6), rng.randint(1, 5))) for _ in range(w)] for _ in range(2))
+                cases.append((F, P, Q))
+    return cases
+
+
+class TestSpanRule:
+    def test_one_span_rule_and_one_verdict(self, F6, F5, F_deficient):
+        # gamma_eval refuses a pair exactly when line_span_ok does, and every
+        # route to a line's verdict ends in pencil_verdict of the same pencil
+        seen, verdicts = {True: 0, False: 0}, set()
+        for F, P, Q in span_cases(F6, F5, F_deficient):
+            span = line_span_ok(P, Q)
+            assert span == spans_by_minors(P, Q)
+            seen[span] += 1
+            if not span:
+                with pytest.raises(DegenerateLine, match="proportional"):
+                    gamma_eval(F, P, Q)
+                with pytest.raises(DegenerateLine, match="proportional"):
+                    splitting_type(F, P, Q)
+                continue
+            G = gamma_eval(F, P, Q)
+            assert G == F.pencil(P, Q)
+            v = pencil_verdict(G)
+            assert v == splitting_type(F, P, Q) == bareiss_verdict(F.pencil(P, Q))
+            verdicts.add(v.verdict)
+        assert min(seen.values()) >= 30 and verdicts == {"Trivial", "Jumping"}
 
 
 class TestScanLines:
@@ -484,9 +540,9 @@ class TestScanLines:
         rng = random.Random(41)
         F = FlatForm(4, 3, RatMatrix(random_symmetric(16, rng)))
         g = gamma_eval(F, [1, 2, 0, -1], [0, 1, 3, 1])
-        assert not g.M.is_skew()
-        v = g.verdict()
-        assert v.pfaffian is None and v.determinant == det(g.M)
+        assert not g.is_skew()
+        v = pencil_verdict(g)
+        assert v.pfaffian is None and v.determinant == det(g)
 
     def test_c5p3_no_trivial(self, F5):
         rep = scan_lines(F5, 300, seed=1, box=10)
@@ -516,7 +572,7 @@ class TestGammaCoefficients:
                 continue
             for i in range(5):
                 for k in range(5):
-                    assert evaluate_bilinear(G[i][k], P, Q) == g.M[i, k]
+                    assert evaluate_bilinear(G[i][k], P, Q) == g[i, k]
 
     def test_c5p3_entry_2_4_carries_the_third_block_pattern(self, F5, c5p3):
         # slot (2,4) is fed only by the third block pair, so its bilinear

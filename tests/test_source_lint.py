@@ -166,6 +166,22 @@ def test_gram_read_only_by_the_search():
         assert _callers(name) == {"monad.py:nondegeneracy_witness_search"}
 
 
+def test_pfaffian_taken_only_by_the_verdict():
+    # a line's verdict is a function of its pencil alone, decided in one place
+    assert _callers("pfaffian", skip=("linalg.py",)) == {"kronecker.py:pencil_verdict"}
+
+
+def test_det_taken_only_by_the_verdict_and_the_action():
+    # besides the line verdict, a determinant only tests a base change for
+    # invertibility
+    assert _callers("det") == {"kronecker.py:pencil_verdict", "forms.py:act"}
+
+
+def test_one_span_rule():
+    # a point pair spans a line by one rule, in the pencil and the orbit panel
+    assert _callers("line_span_ok") == {"kronecker.py:gamma_eval", "moduli.py:_seeded_panel"}
+
+
 def test_a2_status_built_only_by_the_decision():
     # every A2, K1 and K2 status is the one decision's
     assert _callers("A2Status") == {"monad.py:nondegeneracy"}
