@@ -81,6 +81,17 @@ def _int_list(text: str) -> list[int]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _joined_points(argv: list[str]) -> list[str]:
+    """argv with each ``--P``/``--Q`` joined to the token after it, as
+    ``--P=-1,2,0,0``: argparse takes a separate value that starts with "-"
+    for an option."""
+    out, rest = [], iter(argv)
+    for a in rest:
+        value = next(rest, None) if a in ("--P", "--Q") else None
+        out.append(a if value is None else f"{a}={value}")
+    return out
+
+
 def _grid(cells: list[list[str]]) -> str:
     if not cells:
         return "(empty)"
@@ -153,7 +164,7 @@ def run_command(argv: list[str]) -> Report:
     usage or mathematical failures; those set the exit code)."""
     t0 = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_joined_points(argv))
         report = _dispatch(args, argv)
     except (UsageError, SchemaError, OSError, ValueError, OrthinstError) as e:
         code = USAGE_EXIT

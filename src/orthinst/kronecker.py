@@ -54,8 +54,11 @@ def pencil_verdict(G: RatMatrix) -> SplitVerdict:
     """Trivial iff the pencil value is invertible.  A skew pencil of odd
     order is singular, det G = det(-G^T) = -det G, so it is Jumping with no
     elimination.  For even order the Pfaffian is reported as well, and
-    Pf^2 = det is checked.  The pencil of a form outside the wedge need not
-    be skew; then its determinant alone decides."""
+    Pf^2 = det is checked on the lowest terms of both: a square of a
+    fraction in lowest terms is in lowest terms, so the check compares
+    numerators and denominators.  The check cannot see the sign of Pf, so
+    it passes -Pf too.  The pencil of a form outside the wedge need not be
+    skew; then its determinant alone decides."""
     odd = G.rows % 2 == 1
     if odd and G.is_skew():
         return SplitVerdict("Jumping", Fraction(0))
@@ -64,7 +67,7 @@ def pencil_verdict(G: RatMatrix) -> SplitVerdict:
         pf = None if odd else pfaffian(G)
     except NotSkew:
         pf = None
-    if pf is not None and pf * pf != d:
+    if pf is not None and (pf.numerator**2 != d.numerator or pf.denominator**2 != d.denominator):
         raise OrthinstError(f"pfaffian {pf} does not square to the determinant {d}")
     return SplitVerdict("Trivial" if d != 0 else "Jumping", d, pf)
 

@@ -16,14 +16,18 @@ the slice of a flat form a monad map is read from, skipping its zeros.
 rank of one form share one elimination.  It runs one rule on either
 representation: a pivot row clears its pivot column from every row with a
 nonzero there, each updated row is divided by its content, and a row with
-a zero there is left untouched, which Bareiss cannot do.  A ``RatMatrix``
+a zero there is left untouched, which Bareiss cannot do: there a row whose
+multiplier is 0 is still scaled by pivot / previous pivot, though with no
+product by the pivot row.  A ``RatMatrix``
 is eliminated on its dense integer rows, column by column; a
 ``SparseIntMatrix``, such as a cohomology section map, touching only its
 nonzero entries.  Bareiss is kept where its last pivot (``det``) or its
 echelon form (``kernel_basis``) is read.  ``gram_kernel`` takes the same
 kernel basis of a Gram matrix A^T A from its integer upper triangle, by a
 symmetric fraction-free elimination with no pivot search; both kernels end
-in one back-substitution.
+in one back-substitution.  ``pfaffian`` eliminates on the strict upper
+triangle of a skew matrix and rebuilds the lower one only before a pivot
+swap, which reads it.
 ``principal_rank_subset`` returns the whole index set at full rank and
 otherwise runs its greedy in one fraction-free pass over the Schur
 complement of the chosen block, instead of a rank call per candidate.
@@ -280,6 +284,9 @@ def _bareiss(rows: list[list[int]], ncols: int):
     Mutates ``rows`` into an integer echelon form.  Returns
     (rank, pivot_columns, swap_sign, last_pivot).  All divisions are exact
     by the Sylvester determinant identity; no floating point, no tolerance.
+    Each row below the pivot becomes (piv * row - factor * pivot_row) / prev.
+    For a row whose factor is 0 that is piv * row / prev, which keeps the
+    Sylvester invariant for it with no product by the pivot row.
     """
     m = len(rows)
     prev = 1
@@ -289,12 +296,10 @@ def _bareiss(rows: list[list[int]], ncols: int):
     for col in range(ncols):
         if r == m:
             break
-        p = None
-        for i in range(r, m):
-            if rows[i][col] != 0:
-                p = i
+        for p in range(r, m):
+            if rows[p][col]:
                 break
-        if p is None:
+        else:
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
@@ -302,12 +307,15 @@ def _bareiss(rows: list[list[int]], ncols: int):
         Rr = rows[r]
         piv = Rr[col]
         right = range(col + 1, ncols)
-        for i in range(r + 1, m):
-            Ri = rows[i]
+        for Ri in rows[r + 1:]:
             factor = Ri[col]
-            Ri[col] = 0
-            for j in right:
-                Ri[j] = (piv * Ri[j] - factor * Rr[j]) // prev
+            if factor:
+                Ri[col] = 0
+                for j in right:
+                    Ri[j] = (piv * Ri[j] - factor * Rr[j]) // prev
+            else:
+                for j in right:
+                    Ri[j] = piv * Ri[j] // prev
         prev = piv
         pivots.append(col)
         r += 1
@@ -540,6 +548,11 @@ def pfaffian(M: RatMatrix) -> Fraction:
     overlapping-Pfaffian identity each division by the previous pivot is
     exact.  The last pivot is Pf(den * M) = den^(n/2) Pf(M), up to the sign
     of the pair swaps.
+
+    Only the strict upper triangle is updated, since (j, i) = -(i, j).  The
+    lower triangle is read only by a pair swap, which moves lower entries of
+    the trailing block above the diagonal, so it is rebuilt from the upper
+    one just before a swap.
     """
     if not M.is_square():
         raise NonSquare(f"pfaffian needs a square matrix, got {M.rows}x{M.cols}")
@@ -551,21 +564,27 @@ def pfaffian(M: RatMatrix) -> Fraction:
     A = [list(row) for row in M.num]
     prev, sign = 1, 1
     for k in range(0, n, 2):
-        p = next((j for j in range(k + 1, n) if A[k][j]), None)
-        if p is None:
+        Ak = A[k]
+        for p in range(k + 1, n):
+            if Ak[p]:
+                break
+        else:
             return Fraction(0)
         if p != k + 1:
+            for i in range(k, n):
+                Ai = A[i]
+                for j in range(i + 1, n):
+                    A[j][i] = -Ai[j]
             A[k + 1], A[p] = A[p], A[k + 1]
             for row in A:
                 row[k + 1], row[p] = row[p], row[k + 1]
             sign = -sign
-        Ak, Ak1 = A[k], A[k + 1]
+        Ak1 = A[k + 1]
         a = Ak[k + 1]
         for i in range(k + 2, n):
-            Ai = A[i]
+            Ai, ui, vi = A[i], Ak1[i], Ak[i]
             for j in range(i + 1, n):
-                Ai[j] = (a * Ai[j] + Ak[j] * Ak1[i] - Ak[i] * Ak1[j]) // prev
-                A[j][i] = -Ai[j]
+                Ai[j] = (a * Ai[j] + Ak[j] * ui - vi * Ak1[j]) // prev
         prev = a
     return Fraction(sign * prev, M.den ** (n // 2))
 

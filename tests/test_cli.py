@@ -129,6 +129,30 @@ class TestSplitting:
         rep = run_command(["splitting", C6, "--P", "1,a,0,0", "--Q", "0,0,0,1"])
         assert rep.exit_code == 1
 
+    @pytest.mark.parametrize("spec", [C6, C5], ids=["c6p3", "c5p3"])
+    @pytest.mark.parametrize("P,Q", [("-1,2,0,0", "0,0,1,0"), ("1,0,0,0", "-3,0,1,2"), ("-1,0,0,0", "-2,1,0,0")])
+    def test_negative_first_coordinate_in_either_form(self, spec, P, Q):
+        # argparse reads a separate "-1,2,0,0" as an option unless --P is
+        # joined to it; the report echoes the argv as given
+        argv = ["splitting", spec, "--P", P, "--Q", Q]
+        spaced = run_command(argv)
+        joined = run_command(["splitting", spec, f"--P={P}", f"--Q={Q}"])
+        assert spaced.exit_code == joined.exit_code == 0, spaced.human
+        assert spaced.results == joined.results
+        assert spaced.results["gamma"]["P"] == P.split(",")
+        assert spaced.command == tuple(argv)
+
+    @pytest.mark.parametrize("point", ["-1,a,0,0", "-1,,0,0", "-"])
+    def test_malformed_negative_list_names_the_list(self, point):
+        rep = run_command(["splitting", C6, "--P", point, "--Q", "0,0,1,0"])
+        assert rep.exit_code == 1
+        assert rep.results == {"error": "UsageError", "message": f"expected comma-separated integers, got {point!r}"}
+
+    def test_missing_point_still_needs_its_argument(self):
+        rep = run_command(["splitting", C6, "--Q", "0,0,1,0", "--P"])
+        assert rep.exit_code == 1
+        assert rep.results["message"] == "argument --P: expected one argument"
+
 
 class TestScan:
     def test_scan_json_schema(self):

@@ -332,6 +332,32 @@ class TestSplitting:
         with pytest.raises(OrthinstError, match="pfaffian"):
             splitting_type(F6, [1, 2, 3, 4], [5, 6, 7, 8])
 
+    @pytest.mark.parametrize("which", ["integer", "rational"])
+    def test_right_numerator_over_a_wrong_denominator_raises(self, F6, monkeypatch, which):
+        # the guard compares numerators and denominators; a pfaffian whose
+        # numerator squares to det's must still fail on its denominator
+        F = F6
+        if which == "rational":
+            F = act(RatMatrix.diagonal([Fraction(1, 2), Fraction(2, 3), 3, 1, Fraction(-1, 5), 1]), F6)
+        P, Q = [1, 2, 3, 4], [5, 6, 7, 8]
+        pf = pfaffian(gamma_eval(F, P, Q))
+        assert pf != 0 and (pf.denominator > 1) == (which == "rational")
+        k = next(k for k in (2, 3, 5, 7, 11, 13) if pf.numerator % k)
+        wrong = Fraction(pf.numerator, pf.denominator * k)
+        assert wrong.numerator == pf.numerator and wrong.denominator != pf.denominator
+        monkeypatch.setattr(kronecker, "pfaffian", lambda M: wrong)
+        with pytest.raises(OrthinstError, match=f"pfaffian {wrong} does not square to the determinant"):
+            splitting_type(F, P, Q)
+
+    def test_negated_pfaffian_passes(self, F6, monkeypatch):
+        # Pf^2 = det cannot see the sign of Pf
+        P, Q = [1, 2, 3, 4], [5, 6, 7, 8]
+        before = splitting_type(F6, P, Q)
+        assert before.pfaffian != 0
+        monkeypatch.setattr(kronecker, "pfaffian", lambda M: -pfaffian(M))
+        after = splitting_type(F6, P, Q)
+        assert after == SplitVerdict(before.verdict, before.determinant, -before.pfaffian)
+
     def test_verdict_invariant_under_reparametrization(self, F6, F5):
         rng = random.Random(307)
         for F in (F6, F5):

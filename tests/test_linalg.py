@@ -103,8 +103,9 @@ def greedy_by_ranks(M):
     return tuple(sorted(S))
 
 
-def pfaffian_by_fractions(rows):
-    """Reference: the skew pair elimination in Fraction arithmetic."""
+def pfaffian_by_fractions(rows, swaps=None):
+    """Reference: the skew pair elimination in Fraction arithmetic, on the
+    whole matrix.  Each step k that swaps a pair is appended to ``swaps``."""
     A = [[Fraction(x) for x in r] for r in rows]
     n = len(A)
     pf = Fraction(1)
@@ -117,6 +118,8 @@ def pfaffian_by_fractions(rows):
             for row in A:
                 row[k + 1], row[p] = row[p], row[k + 1]
             pf = -pf
+            if swaps is not None:
+                swaps.append(k)
         a = A[k][k + 1]
         pf *= a
         for i in range(k + 2, n):
@@ -266,6 +269,14 @@ def rand_sparse_skew(rng, n, rational):
                 x = Fraction(rng.randint(-4, 4), rng.randint(1, 5) if rational else 1)
                 rows[i][j], rows[j][i] = x, -x
     return RatMatrix(rows, cols=n)
+
+
+def sparse_skew_draws():
+    """1200 seeded sparse skew matrices of even order 0 to 10, every other
+    one rational."""
+    rng = random.Random(35)
+    for t in range(1200):
+        yield rand_sparse_skew(rng, 2 * rng.randint(0, 5), rational=t % 2 == 1)
 
 
 BIG = 2**70
@@ -525,8 +536,9 @@ class TestBareissUpdate:
             ),
             ("Ri[col] = 0", "pass"),
             ("right = range(col + 1, ncols)", "right = range(col, ncols)"),
+            ("Ri[j] = piv * Ri[j] // prev", "pass"),
         ],
-        ids=["pivot row before the swap", "pivot column kept", "range from the pivot column"],
+        ids=["pivot row before the swap", "pivot column kept", "range from the pivot column", "zero-factor row not scaled"],
     )
     def test_rejects_a_mutant(self, monkeypatch, old, new):
         source = inspect.getsource(linalg._bareiss)
@@ -712,17 +724,34 @@ class TestIntegerRoutines:
     Fraction versions they replace."""
 
     def test_pfaffian_matches_fraction_elimination(self):
-        rng = random.Random(35)
-        zero = swaps = 0
-        for t in range(1200):
-            n = 2 * rng.randint(0, 5)
-            M = rand_sparse_skew(rng, n, rational=t % 2 == 1)
+        zero = 0
+        swaps = {k: 0 for k in range(0, 8, 2)}
+        for M in sparse_skew_draws():
+            steps = []
             pf = pfaffian(M)
-            assert pf == pfaffian_by_fractions(M.to_rows())
+            assert pf == pfaffian_by_fractions(M.to_rows(), steps)
             assert pf * pf == det(M)
             zero += pf == 0
-            swaps += n > 2 and M[0, 1] == 0 and pf != 0
-        assert zero >= 100 and swaps >= 50
+            for k in steps:
+                swaps[k] += pf != 0
+        # a swap at k >= 2 reads the lower triangle that pfaffian rebuilds
+        assert zero >= 100 and swaps[0] >= 80 and swaps[2] >= 40 and swaps[4] >= 15 and swaps[6] >= 4
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("A[j][i] = -Ai[j]", "pass"),
+            ("for i in range(k, n):", "for i in range(k + 2, n):"),
+        ],
+        ids=["no rebuild before a swap", "rebuild without the pivot pair"],
+    )
+    def test_pfaffian_rejects_a_mutant(self, monkeypatch, old, new):
+        source = inspect.getsource(linalg.pfaffian)
+        assert source.count(old) == 1
+        scope = dict(vars(linalg))
+        exec(source.replace(old, new), scope)
+        monkeypatch.setattr(linalg, "pfaffian", scope["pfaffian"])
+        assert any(linalg.pfaffian(M) != pfaffian_by_fractions(M.to_rows()) for M in sparse_skew_draws())
 
     def test_kernel_matches_fraction_back_substitution(self):
         rng = random.Random(36)
