@@ -20,7 +20,6 @@ from orthinst import (
     rank,
     scan_lines,
     splitting_type,
-    verify_instanton,
     verify_monad_identity,
 )
 from orthinst.cli import _grid
@@ -68,7 +67,7 @@ def walkthrough(name: str, samples: int, seed: int, box: int) -> None:
     print("cohomology dimensions h^i(E(k)), k = -4..0:")
     for i in range(n, -1, -1):
         print(f"  i={i}:", [table.dim(i, k) for k in range(-4, 1)])
-    inst = verify_instanton(F, r)
+    inst = table.instanton
     print(f"vanishing conditions pass: {inst.passed}; charge recomputed: {inst.charge_computed}")
 
     info = moduli_dim(c, n)

@@ -15,7 +15,6 @@ from .cohomology import (
     chi_line_bundle,
     h_table,
     monomials,
-    section_map,
     verify_instanton,
 )
 from .errors import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import jsonio
-from .cohomology import _DirectEngine, h_table, verify_instanton
+from .cohomology import h_table
 from .errors import (
     GenerationExhausted,
     OrthinstError,
@@ -287,9 +287,8 @@ def _dispatch(args, argv) -> Report:
         return Report(tuple(argv), digest, results, (), 0.0, 0 if rep.passed else MATH_EXIT, human)
 
     if cmd == "cohomology":
-        eng = _DirectEngine(F, r)
-        table = h_table(F, r, args.kmin, args.kmax, engine=eng)
-        inst = verify_instanton(F, r, engine=eng)
+        table = h_table(F, r, args.kmin, args.kmax)
+        inst = table.instanton
         results = {"table": jsonio.cohom_table_json(table), "instanton": jsonio.instanton_report_json(inst)}
         cells = [["h^i \\ k"] + [str(k) for k in range(table.kmin, table.kmax + 1)]]
         for i in range(table.n, -1, -1):

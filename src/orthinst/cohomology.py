@@ -18,8 +18,10 @@ map are scattered straight into ``linalg.SparseIntMatrix`` rows, with at
 most n+1 nonzeros in a column of each block, and its rank is exact sparse
 elimination through ``linalg.rank``.  Its nonzero count is known before
 the build, so that count, not rows x cols, is held to ``linalg.MAX_CELLS``.
-``section_map`` is the dense ``RatMatrix`` view of the same build and keeps
-the cell cap.
+
+``h_table`` is the one cohomology computation: its table carries the
+instanton report, read off the same section ranks over the standard window
+k in [-n-1, 0].  ``verify_instanton`` is that report alone.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from math import comb, factorial, lcm, prod
 
 from .errors import PreconditionN, UsageError
 from .forms import FlatForm
-from .linalg import MAX_CELLS, RatMatrix, SparseIntMatrix, check_cells, rank
+from .linalg import MAX_CELLS, SparseIntMatrix, rank
 from .monad import LinFormMatrix, build_beta
 
 
@@ -64,23 +66,6 @@ def monomials(n: int, d: int) -> tuple[tuple[int, ...], ...]:
         for rest in monomials(n - 1, d - e0):
             out.append((e0,) + rest)
     return tuple(out)
-
-
-def section_map(F: FlatForm, r: int, k: int) -> RatMatrix:
-    """Matrix of the second monad map on degree-k sections.
-
-    Maps (middle space) x (degree-k monomials) to (charge-dual space) x
-    (degree-(k+1) monomials); block (m, w) multiplies by the linear form in
-    entry (m, w) of the second map.  At k = 0 and maximal rank this is the
-    flat matrix itself.  This is the dense view of the sparse build whose
-    rank the cohomology tables take, so it is capped by its cells:
-    ``UsageError`` if it has more than ``linalg.MAX_CELLS``.
-    """
-    beta = build_beta(F, r)
-    rows, cols = _section_shape(beta, k)
-    check_cells(rows, cols, f"the degree-{k} section map")
-    den, sigma = _section_rows(beta, k)
-    return sigma.dense(den)
 
 
 def _section_shape(beta: LinFormMatrix, k: int) -> tuple[int, int]:
@@ -132,6 +117,23 @@ class CohomEntry:
 
 
 @dataclass(frozen=True)
+class InstantonReport:
+    conditions: tuple[tuple[str, bool], ...]
+    charge_computed: int
+    charge_expected: int
+    chi_consistent: bool
+    rank_bundle: int
+
+    @property
+    def passed(self) -> bool:
+        return (
+            all(ok for _, ok in self.conditions)
+            and self.charge_computed == self.charge_expected
+            and self.chi_consistent
+        )
+
+
+@dataclass(frozen=True)
 class CohomTable:
     c: int
     n: int
@@ -140,6 +142,7 @@ class CohomTable:
     kmax: int
     entries: dict  # (i, k) -> CohomEntry
     warnings: tuple[str, ...]
+    instanton: InstantonReport
 
     def dim(self, i: int, k: int) -> int:
         return self.entries[(i, k)].dim
@@ -149,11 +152,11 @@ class CohomTable:
 
 
 class _DirectEngine:
-    """Caches section-map ranks/kernels per twist for one (F, r), reading c and n off F.
+    """Caches the section-map rank per twist for one (F, r), reading c and n off F.
 
     The second monad map is built on first use, so creating an engine does
-    no work and raises nothing; ``h_table`` and ``verify_instanton`` can
-    share one.
+    no work and raises nothing.  One ``h_table`` call ranks each twist of its
+    window and of the standard window once.
     """
 
     def __init__(self, F: FlatForm, r: int):
@@ -195,32 +198,25 @@ class _DirectEngine:
         raise ValueError(i)
 
 
-def _engine_for(F: FlatForm, r: int, engine: _DirectEngine | None) -> _DirectEngine:
-    if engine is None:
-        return _DirectEngine(F, r)
-    if engine.F is not F or engine.r != r:
-        raise ValueError("the engine was built for another form or rank")
-    return engine
-
-
-def h_table(F: FlatForm, r: int, kmin: int, kmax: int, engine: _DirectEngine | None = None) -> CohomTable:
-    """Dimension table h^i(E(k)) for i in [0, n], k in [kmin, kmax].
+def h_table(F: FlatForm, r: int, kmin: int, kmax: int) -> CohomTable:
+    """Dimension table h^i(E(k)) for i in [0, n], k in [kmin, kmax], with
+    the instanton report of ``verify_instanton`` as ``instanton``.
 
     Every entry carries its provenance: Direct (section-map computation),
     ForcedZero (middle row vanishing forced by the display), or SerreDual
     (duality partner computed directly).  Entries inside the standard window
     k in [-n-1, 0] are cross-checked against the expected instanton values
-    and discrepancies are reported as warnings.  ``engine`` shares the
-    section-map ranks with another call on the same (F, r).
+    and discrepancies are reported as warnings.  The report reads that
+    window from the same section ranks, whatever window was asked for.
     """
     c, n = F.c, F.n
     if n < 3:
         raise PreconditionN(f"cohomology tables need n >= 3, got n={n}")
     if kmin > kmax:
         raise ValueError("kmin must be <= kmax")
-    eng = _engine_for(F, r, engine)
-    # the largest twist the window reaches, directly or by duality
-    _section_shape(eng.beta, max(kmax, -kmin - n - 1))
+    eng = _DirectEngine(F, r)
+    # the largest twist the window or the report reaches, directly or by duality
+    _section_shape(eng.beta, max(kmax, -kmin - n - 1, 0))
     entries: dict[tuple[int, int], CohomEntry] = {}
     for k in range(kmin, kmax + 1):
         for i in range(n + 1):
@@ -237,39 +233,28 @@ def h_table(F: FlatForm, r: int, kmin: int, kmax: int, engine: _DirectEngine | N
                 want = 0
             if e.dim != want:
                 warnings.append(f"h^{i}(E({k})) = {e.dim}, expected {want} for charge {c} rank {r}")
-    return CohomTable(c=c, n=n, r=r, kmin=kmin, kmax=kmax, entries=entries, warnings=tuple(warnings))
+    return CohomTable(
+        c=c, n=n, r=r, kmin=kmin, kmax=kmax, entries=entries, warnings=tuple(warnings), instanton=_instanton(eng)
+    )
 
 
-@dataclass(frozen=True)
-class InstantonReport:
-    conditions: tuple[tuple[str, bool], ...]
-    charge_computed: int
-    charge_expected: int
-    chi_consistent: bool
-    rank_bundle: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            all(ok for _, ok in self.conditions)
-            and self.charge_computed == self.charge_expected
-            and self.chi_consistent
-        )
+def verify_instanton(F: FlatForm, r: int) -> InstantonReport:
+    """Check the defining cohomological vanishings and recompute the charge:
+    the ``instanton`` report of ``h_table``, with no table around it."""
+    if F.n < 3:
+        raise PreconditionN(f"instanton verification needs n >= 3, got n={F.n}")
+    return _instanton(_DirectEngine(F, r))
 
 
-def verify_instanton(F: FlatForm, r: int, engine: _DirectEngine | None = None) -> InstantonReport:
-    """Check the defining cohomological vanishings and recompute the charge.
+def _instanton(eng: _DirectEngine) -> InstantonReport:
+    """The instanton report from the section ranks of ``eng``.
 
     The charge is the negated alternating sum of the k = -1 table column;
-    Euler characteristics of every computed column are also compared against
-    the bundle-level bookkeeping (middle space dimension 2c+r minus the two
-    end terms), which pins rank = dim W - 2c.  ``engine`` is as in
-    ``h_table``.
+    Euler characteristics of every column k in [-n-1, 0] are also compared
+    against the bundle-level bookkeeping (middle space dimension 2c+r minus
+    the two end terms), which pins rank = dim W - 2c.
     """
-    c, n = F.c, F.n
-    if n < 3:
-        raise PreconditionN(f"instanton verification needs n >= 3, got n={n}")
-    eng = _engine_for(F, r, engine)
+    c, n, r = eng.F.c, eng.F.n, eng.r
 
     def h(i: int, k: int) -> int:
         return eng.entry(i, k).dim

@@ -145,7 +145,8 @@ class FlatForm:
         folded, and (l, j) is dropped; any other nonzero slice, a diagonal
         S_jj included, is kept as it is.  For a wedge member every pair
         folds: symmetry gives S_lj = S_jl^T and first-factor antisymmetry
-        S_jl^T = -S_jl, so S_lj = -S_jl (and S_jj = 0)."""
+        S_jl^T = -S_jl, so S_lj = -S_jl (and S_jj = 0), and
+        ``wedge_membership`` reads that off the folds."""
         c, w = self.c, self.n + 1
         R = self.M.num
 
@@ -286,18 +287,10 @@ def wedge_membership(F: FlatForm) -> bool:
     """True iff M is symmetric and antisymmetric under swapping the
     first-factor indices, M[(i,j),(k,l)] = -M[(k,j),(i,l)]: the two
     invariants of a flattened sum of skew block pairs, tested on the raw
-    matrix, so a symmetric-square contamination is rejected."""
-    M, c, w = F.M, F.c, F.n + 1
-    if not M.is_symmetric():
-        return False
-    A = M.num
-    for i in range(c):
-        for k in range(i, c):
-            for j in range(w):
-                for l in range(w):
-                    if A[i * w + j][k * w + l] != -A[k * w + j][i * w + l]:
-                        return False
-    return True
+    matrix, so a symmetric-square contamination is rejected.  For a
+    symmetric M, S_lj = S_jl^T, so the second invariant says every slice
+    pair folds and every diagonal slice is 0: every kept slice is folded."""
+    return F.M.is_symmetric() and all(folded for _, _, folded in F._slices[0])
 
 
 def act(h: RatMatrix, F: FlatForm) -> FlatForm:

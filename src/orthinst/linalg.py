@@ -46,9 +46,8 @@ from typing import Iterable, Sequence
 
 from .errors import NonSquare, NotSkew, NotSymmetric, OddOrder, RankMismatch, ShapeMismatch, UsageError
 
-# the budget of every matrix built from a form: the cells of a dense one (its
-# flat matrix, the dense view of a section map) and the nonzeros of a
-# cohomology section map, which is built sparse
+# the budget of every matrix built from a form: the cells of its dense flat
+# matrix and the nonzeros of a cohomology section map, which is built sparse
 MAX_CELLS = 10**6
 
 
@@ -245,8 +244,9 @@ class SparseIntMatrix:
 
     ``entries`` holds one ``{col: nonzero int}`` dict per row, copied from
     the constructor's input with its zeros dropped.  ``rows`` and ``cols``
-    are the shape, so empty shapes stay well-defined.  ``dense`` reads the
-    same matrix back as a ``RatMatrix``.  ``_rank`` memoises ``rank(self)``.
+    are the shape, so empty shapes stay well-defined.  A cohomology section
+    map is built straight into one and is only ranked.  ``_rank`` memoises
+    ``rank(self)``.
     """
 
     __slots__ = ("entries", "rows", "cols", "_rank")
@@ -266,11 +266,6 @@ class SparseIntMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseIntMatrix is immutable")
-
-    def dense(self, den: int = 1) -> RatMatrix:
-        """The matrix over ``den`` as a dense ``RatMatrix``."""
-        width = range(self.cols)
-        return RatMatrix.from_ints([[row.get(j, 0) for j in width] for row in self.entries], den, cols=self.cols)
 
 
 # ----------------------------------------------------------------------

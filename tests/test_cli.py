@@ -337,6 +337,21 @@ class TestReadme:
             rep = run_command(argv)
             assert rep.exit_code in (0, 2), (line, rep.human)
 
+    def test_library_example_runs(self):
+        # the README's library block runs as shown, so a gone function or
+        # parameter fails here, and its comments state what it returns
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^## Library\n.*?^```python\n(.*?)^```", text, re.S | re.M).group(1)
+        names = {}
+        exec(compile(block, "README.md", "exec"), names)
+        report, table = names["report"], names["table"]
+        assert report.rank_a == 24 and report.passed
+        assert names["verdict"].verdict == "Jumping"
+        assert (names["G"].rows, names["G"].cols) == (6, 6)
+        assert names["trivial"] is True
+        assert table.dim(1, -1) == 6
+        assert names["passed"] is True and table.instanton.passed
+
     def test_layout_names_every_module(self):
         text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r"^## Layout\n.*?^```\n(.*?)^```", text, re.S | re.M).group(1)

@@ -1,10 +1,11 @@
-import pytest
-
+import random
 from fractions import Fraction
+
+import pytest
 
 from orthinst import cohomology, linalg
 from orthinst.cli import run_command
-from orthinst.specfile import bundled_spec_path
+from orthinst.specfile import bundled_spec_path, generate
 from orthinst import (
     FlatForm,
     PreconditionN,
@@ -18,9 +19,10 @@ from orthinst import (
     h_table,
     monomials,
     rank,
-    section_map,
     verify_instanton,
 )
+
+from conftest import random_spec
 
 
 class TestBott:
@@ -64,22 +66,29 @@ class TestMonomials:
         assert list(ms) == sorted(ms, reverse=True)
 
 
+def dense_section_map(F, r, k):
+    """The degree-k section map as a dense RatMatrix, read from its sparse
+    build: the reference the tests check the engine against."""
+    den, S = cohomology._section_rows(cohomology.build_beta(F, r), k)
+    return RatMatrix.from_ints([[row.get(j, 0) for j in range(S.cols)] for row in S.entries], den, cols=S.cols)
+
+
 class TestSectionMap:
     def test_k0_is_the_flat_matrix(self, F6):
-        sigma = section_map(F6, 12, 0)
+        sigma = dense_section_map(F6, 12, 0)
         assert (sigma.rows, sigma.cols) == (24, 24)
         assert sigma == F6.M
         assert rank(sigma) == 24
 
     def test_c5p3_k0_rank(self, F5):
-        assert rank(section_map(F5, 10, 0)) == 20
+        assert rank(dense_section_map(F5, 10, 0)) == 20
 
     def test_k_minus_one_has_no_columns(self, F6):
-        sigma = section_map(F6, 12, -1)
+        sigma = dense_section_map(F6, 12, -1)
         assert sigma.cols == 0 and sigma.rows == 6
 
     def test_shapes(self, F6):
-        sigma = section_map(F6, 12, 1)
+        sigma = dense_section_map(F6, 12, 1)
         assert sigma.rows == 6 * 10  # degree-2 monomials
         assert sigma.cols == 24 * 4  # degree-1 monomials
 
@@ -88,21 +97,13 @@ class TestSectionMap:
         q = Fraction(-2, 15)
         scaled = FlatForm(F5.c, F5.n, F5.M.scale(q))
         for k in (0, 1):
-            assert section_map(scaled, 10, k) == section_map(F5, 10, k).scale(q)
+            assert dense_section_map(scaled, 10, k) == dense_section_map(F5, 10, k).scale(q)
 
 
 class TestSectionSizeGuard:
     # on c6p3 (c = 6, 2c + r = 24) the second map has 24 nonzero
     # coefficients, so the degree-k section map has 24 * h^0(O(k)) nonzeros:
-    # the sparse build is refused from twist 62 on.  Its dense view keeps the
-    # cell cap: the degree-5 map has 504 x 1344 = 677 376 cells and the
-    # degree-6 map 720 x 2016 = 1 451 520
-    def test_cap_lies_between_twists_5_and_6(self, F6):
-        sigma = section_map(F6, 12, 5)
-        assert (sigma.rows, sigma.cols) == (504, 1344)
-        with pytest.raises(UsageError, match="720 x 2016 = 1451520 cells"):
-            section_map(F6, 12, 6)
-
+    # the sparse build is refused from twist 62 on, whatever its rows x cols
     def test_nonzero_cap_lies_between_twists_61_and_62(self, F6):
         beta = cohomology.build_beta(F6, 12)
         assert cohomology._section_shape(beta, 61) == (6 * 43680, 24 * 41664)
@@ -116,10 +117,13 @@ class TestSectionSizeGuard:
         with pytest.raises(UsageError, match=f"degree-{max(kmax, -kmin - 4)} section map"):
             h_table(F6, 12, kmin, kmax)
 
-    def test_section_map_over_the_cap(self, monkeypatch, F6):
-        monkeypatch.setattr(cohomology, "monomials", lambda *a: pytest.fail("allocated"))
-        with pytest.raises(UsageError):
-            section_map(F6, 12, 6)
+    def test_twist_0_of_the_report_is_checked_first(self, monkeypatch, F6):
+        # the instanton report reads twist 0 whatever the window, so a cap
+        # below its 24 nonzeros refuses the window (-1, -1) before any build
+        monkeypatch.setattr(cohomology, "MAX_CELLS", 20)
+        monkeypatch.setattr(cohomology, "_section_rows", lambda *a: pytest.fail("allocated"))
+        with pytest.raises(UsageError, match="degree-0 section map would have 24 nonzeros"):
+            h_table(F6, 12, -1, -1)
 
     @pytest.mark.parametrize("flag", [["--kmax", "62"], ["--kmin", "-66"]])
     def test_cli_exits_1(self, flag):
@@ -196,16 +200,42 @@ class TestVerifyInstanton:
         assert rep.exit_code == 0
         assert built == [10]
 
-    def test_shared_engine_gives_the_same_results(self, F5):
-        eng = cohomology._DirectEngine(F5, 10)
-        assert h_table(F5, 10, -4, 0, engine=eng) == h_table(F5, 10, -4, 0)
-        assert verify_instanton(F5, 10, engine=eng) == verify_instanton(F5, 10)
+    @pytest.mark.parametrize("kmin, kmax", [(-4, 0), (-6, 2), (1, 3)])
+    def test_cli_ranks_each_twist_once(self, monkeypatch, kmin, kmax):
+        # the table's window and the report's standard window [-4, 0] share
+        # one rank per twist, the Serre duals -k - 4 included
+        twists = []
+        section_rows = cohomology._section_rows
+        monkeypatch.setattr(cohomology, "_section_rows", lambda beta, k: twists.append(k) or section_rows(beta, k))
+        rep = run_command(["cohomology", str(bundled_spec_path("c6p3")), "--kmin", str(kmin), "--kmax", str(kmax)])
+        assert rep.exit_code == 0
+        window = set(range(kmin, kmax + 1))
+        assert sorted(twists) == sorted(window | {-k - 4 for k in window} | set(range(-4, 1)))
 
-    def test_engine_for_another_form_or_rank_refused(self, F5, F6):
-        with pytest.raises(ValueError):
-            h_table(F6, 12, -1, 0, engine=cohomology._DirectEngine(F5, 10))
-        with pytest.raises(ValueError):
-            verify_instanton(F5, 9, engine=cohomology._DirectEngine(F5, 10))
+    def test_shared_engine_gives_the_same_results(self, F5):
+        # the table's report and its entries are those of fresh engines
+        table = h_table(F5, 10, -4, 0)
+        assert table.instanton == verify_instanton(F5, 10)
+        eng = cohomology._DirectEngine(F5, 10)
+        assert table.entries == {(i, k): eng.entry(i, k) for k in range(-4, 1) for i in range(4)}
+
+    @pytest.mark.parametrize("where", ["inside", "overlapping", "disjoint"])
+    def test_table_carries_the_report(self, F6, F5, F_deficient, where):
+        # the report is read off the standard window [-n-1, 0] whatever
+        # window the table spans
+        gen = generate(8, 5, "pure", seed=1)[0]
+        forms = [(F6, 12), (F5, 10), (F_deficient, 2), (gen.flatten(), gen.r)]
+        rng = random.Random(5)
+        while len(forms) < 7:
+            F = flatten(random_spec(rng, cs=(3, 4), ns=(3,), max_terms=1))
+            if 2 * F.c <= rank(F.M) < F.size:
+                forms.append((F, rank(F.M) - 2 * F.c))
+        for F, r in forms:
+            n = F.n
+            kmin, kmax = {"inside": (-n, -1), "overlapping": (-2, 3), "disjoint": (1, 2)}[where]
+            table = h_table(F, r, kmin, kmax)
+            assert table.instanton == verify_instanton(F, r)
+            assert table.instanton.passed
 
     def test_deficient_rank_form_has_table(self, F_deficient):
         # rank 8 = 2c + r with r = 2: the table machinery still runs and the
@@ -249,7 +279,7 @@ class TestSparseSectionRanks:
     def test_engine_rank_equals_bareiss(self, name, r, k, request):
         F = request.getfixturevalue(name)
         rows, cols, rk = cohomology._DirectEngine(F, r)._sigma(k)
-        sigma = section_map(F, r, k)
+        sigma = dense_section_map(F, r, k)
         assert (rows, cols) == (sigma.rows, sigma.cols)
         assert rk == linalg._bareiss([list(row) for row in sigma.num], cols)[0]
 

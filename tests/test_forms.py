@@ -31,6 +31,32 @@ def unit(j, length):
     return [1 if t == j else 0 for t in range(length)]
 
 
+def reference_wedge(F):
+    """Symmetry and M[(i,j),(k,l)] = -M[(k,j),(i,l)], entry by entry."""
+    M, c, w = F.M, F.c, F.n + 1
+    if not M.is_symmetric():
+        return False
+    A = M.num
+    for i in range(c):
+        for k in range(i, c):
+            for j in range(w):
+                for l in range(w):
+                    if A[i * w + j][k * w + l] != -A[k * w + j][i * w + l]:
+                        return False
+    return True
+
+
+def random_symmetric(size, rng):
+    """A sparse random symmetric integer matrix, zero with some chance."""
+    rows = [[0] * size for _ in range(size)]
+    density = rng.choice([0.0, 0.1, 0.5])
+    for i in range(size):
+        for j in range(i, size):
+            if rng.random() < density:
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+    return rows
+
+
 def reference_act(h, F):
     """(h (x) Id) M (h^T (x) Id) with the Kronecker factor written out."""
     w = F.n + 1
@@ -346,6 +372,35 @@ class TestWedgeMembership:
     def test_flatten_output_true(self, F6, F5):
         assert wedge_membership(F6)
         assert wedge_membership(F5)
+
+    def test_equals_the_entry_loop(self, F6, F5):
+        # the fold test against the entry-by-entry loop it replaced, on
+        # bundled, acted and random symmetric forms and on perturbations of
+        # wedge members: one entry, a symmetric pair, and a skew pair
+        # (i,j),(i,l) inside one charge block, which keeps every slice
+        # folded but breaks symmetry
+        rng = random.Random(107)
+        members = [F6, F5, flatten(TensorSpec(3, 3, DEFICIENT_TERMS))]
+        members += [flatten(random_spec(rng, cs=(2, 3, 4), ns=(1, 2, 3))) for _ in range(12)]
+        members += [act(random_unimodular(F.c, rng), F) for F in members[:8]]
+        forms = list(members)
+        for _ in range(60):
+            c, n = rng.randint(1, 4), rng.randint(1, 3)
+            forms.append(FlatForm(c, n, RatMatrix.from_ints(random_symmetric(c * (n + 1), rng), cols=c * (n + 1))))
+        for F in members:
+            for _ in range(12):
+                rows = [list(r) for r in F.M.num]
+                a, b = rng.randrange(F.size), rng.randrange(F.size)
+                x, kind = rng.choice([-1, 1, 2]), rng.choice(["one", "symmetric", "skew"])
+                if kind == "skew":
+                    b = a - a % (F.n + 1) + (a + rng.randrange(1, F.n + 1)) % (F.n + 1)
+                rows[a][b] += x
+                if kind != "one" and a != b:
+                    rows[b][a] += x if kind == "symmetric" else -x
+                forms.append(FlatForm(F.c, F.n, RatMatrix.from_ints(rows, F.M.den, cols=F.size)))
+        verdicts = Counter(reference_wedge(F) for F in forms)
+        assert verdicts[True] >= len(members) and verdicts[False] >= 300
+        assert [wedge_membership(F) for F in forms] == [reference_wedge(F) for F in forms]
 
 
 class TestAct:

@@ -86,8 +86,9 @@ def _readers(attr):
 
 def test_slices_read_only_by_the_pencil():
     # which slices fold into a Pluecker coordinate is decided in
-    # FlatForm._slices, and one method mixes them
-    assert _readers("_slices") == {"forms.py:FlatForm.pencil"}
+    # FlatForm._slices, and one method mixes them; the wedge test reads
+    # the same folds
+    assert _readers("_slices") == {"forms.py:FlatForm.pencil", "forms.py:wedge_membership"}
 
 
 def test_map_entries_read_through_one_view():
@@ -220,6 +221,17 @@ def test_kronecker_imports_no_private_monad_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_no_private_names_across_modules():
+    # what one module keeps private, such as the cohomology engine, no other
+    # module of the package imports
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "orthinst"):
+                found += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
 
 
 def _outside_linalg():
