@@ -13,9 +13,9 @@ the last line using the symmetric self-duality of the bundle.  Monomials are
 ordered graded-lexicographically with x_0 > x_1 > ... > x_n so every matrix
 layout is reproducible.
 
-Each sigma_k is built once, sparse: the nonzero coefficients of the second
-map are scattered straight into ``linalg.SparseIntMatrix`` rows, with at
-most n+1 nonzeros in a column of each block, and its rank is exact sparse
+Each sigma_k is built once, sparse: the second map's integer coefficients
+are scattered straight into ``linalg.SparseIntMatrix`` rows, with at most
+n+1 nonzeros in a column of each block, and its rank is exact sparse
 elimination through ``linalg.rank``.  Its nonzero count is known before
 the build, so that count, not rows x cols, is held to ``linalg.MAX_CELLS``.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 
 from .errors import PreconditionN, UsageError
 from .forms import FlatForm
@@ -87,27 +87,25 @@ def _section_shape(beta: LinFormMatrix, k: int) -> tuple[int, int]:
     return rows, cols
 
 
-def _section_rows(beta: LinFormMatrix, k: int) -> tuple[int, SparseIntMatrix]:
-    """The degree-k section map of ``beta`` as (den, den * sigma_k), the
-    integer map stored sparsely, on monomials in the ``beta.nvars``
-    variables.  Each nonzero coefficient of x_l in entry (m, w) of the
-    second map is scattered to block (m, w), mapping the source monomial u
-    to u * x_l."""
+def _section_rows(beta: LinFormMatrix, k: int) -> SparseIntMatrix:
+    """The degree-k section map of ``beta``, on monomials in the
+    ``beta.nvars`` variables, times ``beta.denominator``: the integer map,
+    stored sparsely, with the rank of sigma_k.  Each integer coefficient of
+    x_l in entry (m, w) of the second map is scattered to block (m, w),
+    mapping the source monomial u to u * x_l."""
     rows_n, cols_n = _section_shape(beta, k)
     n = beta.nvars - 1
     src = monomials(n, k)
     dst = monomials(n, k + 1)
     dst_index = {m: t for t, m in enumerate(dst)}
     bumped = [[dst_index[u[:l] + (u[l] + 1,) + u[l + 1 :]] for u in src] for l in range(n + 1)]
-    den = lcm(*(x.denominator for *_, x in beta.coefficients))
     rows: list[dict[int, int]] = [{} for _ in range(rows_n)]
     for l, m, w, x in beta.coefficients:
-        coef = x.numerator * (den // x.denominator)
         for s, t in enumerate(bumped[l]):
             # each cell is written once: its column fixes w and u, its row
             # m and u * x_l, hence l
-            rows[m * len(dst) + t][w * len(src) + s] = coef
-    return den, SparseIntMatrix(rows, cols_n)
+            rows[m * len(dst) + t][w * len(src) + s] = x
+    return SparseIntMatrix(rows, cols_n)
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,7 @@ class _DirectEngine:
 
     def _sigma(self, k: int) -> tuple[int, int, int]:
         if k not in self._cache:
-            _, m = _section_rows(self.beta, k)
+            m = _section_rows(self.beta, k)
             self._cache[k] = (m.rows, m.cols, rank(m))
         return self._cache[k]
 

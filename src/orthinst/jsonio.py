@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .cohomology import CohomTable, InstantonReport
 from .kronecker import KroneckerReport, ScanReport, SplitVerdict
@@ -11,11 +12,11 @@ from .moduli import ModuliInfo, OrbitProbeReport
 from .monad import A2Status, ConditionReport, LinFormMatrix
 
 
-def rat_str(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def rat_str(x: int | Fraction) -> str:
+    if type(x) is int:
+        return str(x)
+    p, q = x.numerator, x.denominator
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def matrix_json(M: RatMatrix) -> list[list[str]]:
@@ -23,11 +24,13 @@ def matrix_json(M: RatMatrix) -> list[list[str]]:
 
 
 def linform_matrix_json(L: LinFormMatrix) -> list[list[str]]:
-    """Each entry (i, j), the sum of x * x_l over the nonzero coefficients
-    (l, i, j, x), as text: its terms in variable order, "0" if it has none."""
+    """Each entry (i, j), the sum of x / d * x_l over the nonzero coefficients
+    (l, i, j, x) over d, as text: its terms in variable order, "0" if none."""
     grid = [["0"] * L.cols for _ in range(L.rows)]
+    d = L.denominator
     for l, i, j, x in L.coefficients:
-        term = f"x{l}" if x == 1 else f"-x{l}" if x == -1 else f"{rat_str(x)}x{l}"
+        g = gcd(x, d)
+        term = f"x{l}" if x == d else f"-x{l}" if x == -d else f"{x // g}x{l}" if g == d else f"{x // g}/{d // g}x{l}"
         if grid[i][j] == "0":
             grid[i][j] = term
         else:

@@ -10,8 +10,8 @@ realization for symmetric matrices.
 
 Every elimination runs on the stored integer rows, with no conversion and no
 Fraction arithmetic; a Fraction appears only in a result, as an integer over
-a power of the denominator.  ``nonzeros`` reads a sparse matrix, such as
-the slice of a flat form a monad map is read from, skipping its zeros.
+a power of the denominator.  ``nonzeros`` reads the integer nonzeros and
+their denominator, as the second monad map is read off a flat form's rows.
 ``rank`` is memoised on the matrix, so the callers that all ask for the
 rank of one form share one elimination.  It runs one rule on either
 representation: a pivot row clears its pivot column from every row with a
@@ -165,10 +165,10 @@ class RatMatrix:
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def nonzeros(self) -> list[tuple[int, int, Fraction]]:
-        """(i, j, M[i, j]) for the nonzero entries only, row-major."""
-        d = self.den
-        return [(i, j, Fraction(x, d)) for i, r in enumerate(self.num) for j, x in enumerate(r) if x]
+    def nonzeros(self) -> tuple[int, list[tuple[int, int, int]]]:
+        """(den, [(i, j, den * M[i, j]), ...]): the integer view's nonzero
+        entries only, row-major, and the denominator they are over."""
+        return self.den, [(i, j, x) for i, r in enumerate(self.num) for j, x in enumerate(r) if x]
 
     def is_square(self) -> bool:
         return self.rows == self.cols

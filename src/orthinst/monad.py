@@ -11,9 +11,9 @@ space is realized on a rank-carrying principal index set S: beta keeps the
 columns indexed by S, alpha the rows indexed by S.
 
 A map beta = sum_l x_l B_l (the Kronecker module of the map) is stored as
-its nonzero coefficients alone, (l, i, j, x) for x = B_l[i, j], so the
-composition identity, the section maps of ``cohomology`` and the display of
-``jsonio`` all read the one stored view of a map.
+its nonzero coefficients alone, ints (l, i, j, x) for x = d * B_l[i, j] over
+one denominator d, so the composition identity, the section maps of
+``cohomology`` and the display of ``jsonio`` all read one view of a map.
 
 ``check_conditions`` evaluates the three defining conditions of a verified
 form (rank equals 2c+r, no decomposable kernel vector, symmetric invertible
@@ -33,7 +33,6 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadSubset, RankMismatch, ShapeMismatch
@@ -43,14 +42,15 @@ from .linalg import principal_rank_subset, rank
 
 @dataclass(frozen=True)
 class LinFormMatrix:
-    """A rows x cols matrix of linear forms in nvars variables, stored as
-    its nonzero coefficients: (l, i, j, x) for each nonzero coefficient x of
-    x_l in entry (i, j), ordered by variable and then row-major."""
+    """A rows x cols matrix of linear forms in nvars variables, stored as its
+    nonzero coefficients: ints (l, i, j, x) for each coefficient x / denominator
+    of x_l in entry (i, j), by variable, then row-major, in lowest terms."""
 
     rows: int
     cols: int
     nvars: int
-    coefficients: tuple[tuple[int, int, int, Fraction], ...]
+    coefficients: tuple[tuple[int, int, int, int], ...]
+    denominator: int
 
 
 def build_alpha(c: int, n: int, S: Optional[Sequence[int]] = None) -> LinFormMatrix:
@@ -69,23 +69,22 @@ def build_alpha(c: int, n: int, S: Optional[Sequence[int]] = None) -> LinFormMat
             raise BadSubset(f"subset entries must lie in [0, {size})")
     row_of = {s: t for t, s in enumerate(row_idx)}
     coefficients = tuple(
-        (l, row_of[s], i, Fraction(1))
+        (l, row_of[s], i, 1)
         for l in range(n + 1)
         for i, s in enumerate(point_indices(c, n, l))
         if s in row_of
     )
-    return LinFormMatrix(len(row_idx), c, n + 1, coefficients)
+    return LinFormMatrix(len(row_idx), c, n + 1, coefficients, 1)
 
 
 def _beta_rows(F: FlatForm, col_idx: Sequence[int]) -> LinFormMatrix:
-    # the coefficient of x_l in entry (k, t) is M[col_idx[t], (k, l)]; the
-    # submatrix lists them by t, so they are sorted to row-major per variable
-    coefficients = sorted(
-        (l, k, t, x)
-        for l in range(F.n + 1)
-        for t, k, x in F.M.submatrix(col_idx, point_indices(F.c, F.n, l)).nonzeros()
-    )
-    return LinFormMatrix(F.c, len(col_idx), F.n + 1, tuple(coefficients))
+    # the coefficient of x_l in entry (k, t) is M[col_idx[t], (k, l)]; the rows
+    # col_idx of M in lowest terms list them by t, sorted to row-major per variable
+    variable_row = {s: (l, k) for l in range(F.n + 1) for k, s in enumerate(point_indices(F.c, F.n, l))}
+    rows = F.M if len(col_idx) == F.size else F.M.submatrix(col_idx, range(F.size))
+    den, entries = rows.nonzeros()
+    coefficients = sorted((*variable_row[s], t, x) for t, s, x in entries)
+    return LinFormMatrix(F.c, len(col_idx), F.n + 1, tuple(coefficients), den)
 
 
 def build_beta(F: FlatForm, r: int) -> LinFormMatrix:
@@ -123,7 +122,7 @@ def verify_monad_identity(alpha: LinFormMatrix, beta: LinFormMatrix) -> bool:
 
     That coefficient is the sum of x * y over the nonzero coefficients
     (l, i, j, x) of beta and (m, j, k, y) of alpha, and over those with l
-    and m swapped, for every inner index j.
+    and m swapped, for every inner index j; on the ints, times both denominators.
     """
     if beta.cols != alpha.rows or beta.nvars != alpha.nvars:
         raise ShapeMismatch(

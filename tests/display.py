@@ -1,5 +1,6 @@
 """Frozen monad-map displays, a tiny linear-form string parser, and the
-conversions between a map's coefficients and its per-variable matrices.
+conversions between a map's integer coefficients, their Fraction values and
+its per-variable matrices.
 
 BETA_T_C6P3 is the expected 24x6 second-map display for the bundled
 charge-6 example.  Its signs are fully rigid: BETA_T_C6P3_SIGN_VARIANT
@@ -9,6 +10,7 @@ identity and the line-pencil values, which is checked in test_monad.
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from orthinst import LinFormMatrix, RatMatrix
 
@@ -37,34 +39,46 @@ def lf(text: str, nvars: int = 4) -> list[Fraction]:
     return coeffs
 
 
+def values(L: LinFormMatrix) -> tuple:
+    """The nonzero coefficients (l, i, j, x / denominator) of ``L`` as Fractions."""
+    return tuple((l, i, j, Fraction(x, L.denominator)) for l, i, j, x in L.coefficients)
+
+
+def from_values(rows: int, cols: int, nvars: int, vals) -> LinFormMatrix:
+    """The map with the nonzero Fraction coefficients ``vals``, (l, i, j, v)
+    in stored order, over their least common denominator, which shares no
+    factor with the integer coefficients."""
+    d = lcm(1, *(Fraction(v).denominator for *_, v in vals))
+    return LinFormMatrix(rows, cols, nvars, tuple((l, i, j, int(v * d)) for l, i, j, v in vals), d)
+
+
 def from_parts(parts) -> LinFormMatrix:
     """The map sum_l x_l * parts[l] of one-shape ``RatMatrix`` parts, as its
     nonzero coefficients."""
     P0 = parts[0]
-    coeffs = tuple((l, i, j, x) for l, P in enumerate(parts) for i, j, x in P.nonzeros())
-    return LinFormMatrix(P0.rows, P0.cols, len(parts), coeffs)
+    vals = [(l, i, j, P[i, j]) for l, P in enumerate(parts) for i in range(P.rows) for j in range(P.cols) if P[i, j]]
+    return from_values(P0.rows, P0.cols, len(parts), vals)
 
 
 def to_parts(L: LinFormMatrix) -> list[RatMatrix]:
     """The coefficient matrix of each variable of ``L``, zeros included."""
     grids = [[[0] * L.cols for _ in range(L.rows)] for _ in range(L.nvars)]
-    for l, i, j, x in L.coefficients:
+    for l, i, j, x in values(L):
         grids[l][i][j] = x
     return [RatMatrix(g, cols=L.cols) for g in grids]
 
 
 def transposed(L: LinFormMatrix) -> LinFormMatrix:
     """``L`` with i and j swapped in every coefficient, back in row-major order."""
-    return LinFormMatrix(L.cols, L.rows, L.nvars, tuple(sorted((l, j, i, x) for l, i, j, x in L.coefficients)))
+    swapped = tuple(sorted((l, j, i, x) for l, i, j, x in L.coefficients))
+    return LinFormMatrix(L.cols, L.rows, L.nvars, swapped, L.denominator)
 
 
 def grid_to_linform_matrix(grid, nvars: int = 4) -> LinFormMatrix:
     """The displayed grid as a map, read cell by cell through ``lf``."""
     cells = [[lf(cell, nvars) for cell in row] for row in grid]
-    coeffs = tuple(
-        (l, i, j, e[l]) for l in range(nvars) for i, row in enumerate(cells) for j, e in enumerate(row) if e[l]
-    )
-    return LinFormMatrix(len(grid), len(grid[0]), nvars, coeffs)
+    vals = [(l, i, j, e[l]) for l in range(nvars) for i, row in enumerate(cells) for j, e in enumerate(row) if e[l]]
+    return from_values(len(grid), len(grid[0]), nvars, vals)
 
 
 BETA_T_C6P3 = [

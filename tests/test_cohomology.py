@@ -68,9 +68,11 @@ class TestMonomials:
 
 def dense_section_map(F, r, k):
     """The degree-k section map as a dense RatMatrix, read from its sparse
-    build: the reference the tests check the engine against."""
-    den, S = cohomology._section_rows(cohomology.build_beta(F, r), k)
-    return RatMatrix.from_ints([[row.get(j, 0) for j in range(S.cols)] for row in S.entries], den, cols=S.cols)
+    build over beta's denominator: the reference the tests check the engine
+    against."""
+    beta = cohomology.build_beta(F, r)
+    S = cohomology._section_rows(beta, k)
+    return RatMatrix.from_ints([[row.get(j, 0) for j in range(S.cols)] for row in S.entries], beta.denominator, cols=S.cols)
 
 
 class TestSectionMap:
@@ -93,7 +95,7 @@ class TestSectionMap:
         assert sigma.cols == 24 * 4  # degree-1 monomials
 
     def test_rational_form_scales_the_map(self, F5):
-        # the integer grid is taken over the common denominator of beta
+        # the integer grid is taken over the denominator of beta
         q = Fraction(-2, 15)
         scaled = FlatForm(F5.c, F5.n, F5.M.scale(q))
         for k in (0, 1):

@@ -39,7 +39,8 @@ from conftest import random_spec
 
 
 def composed_at(beta, alpha, Q, P):
-    """beta(Q) . alpha(P), summed over the two maps' nonzero coefficients."""
+    """beta(Q) . alpha(P), summed over the two maps' nonzero coefficients
+    and divided by their denominators."""
     alpha_rows = {}
     for m, t, i, y in alpha.coefficients:
         alpha_rows.setdefault(t, []).append((i, y * P[m]))
@@ -47,7 +48,8 @@ def composed_at(beta, alpha, Q, P):
     for l, k, t, x in beta.coefficients:
         for i, y in alpha_rows.get(t, ()):
             out[k][i] += x * Q[l] * y
-    return RatMatrix(out, cols=alpha.cols)
+    d = beta.denominator * alpha.denominator
+    return RatMatrix([[v / d for v in row] for row in out], cols=alpha.cols)
 
 
 def lam_values(P, Q):

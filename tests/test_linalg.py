@@ -680,16 +680,19 @@ class TestStorage:
             assert M == RatMatrix([[Fraction(x, den) for x in row] for row in num], cols=c)
 
     def test_nonzeros_row_major_with_rational_values(self):
+        # integer entries over the one denominator, in lowest terms
         M = RatMatrix([[0, Fraction(1, 2), 0], [3, 0, Fraction(-2, 3)]])
-        assert M.nonzeros() == [(0, 1, Fraction(1, 2)), (1, 0, Fraction(3)), (1, 2, Fraction(-2, 3))]
-        assert RatMatrix.zeros(3, 2).nonzeros() == []
-        assert RatMatrix([], cols=4).nonzeros() == RatMatrix([[], []]).nonzeros() == []
+        assert M.nonzeros() == (6, [(0, 1, 3), (1, 0, 18), (1, 2, -4)])
+        assert RatMatrix.zeros(3, 2).nonzeros() == (1, [])
+        assert RatMatrix([], cols=4).nonzeros() == RatMatrix([[], []]).nonzeros() == (1, [])
         rng = random.Random(36)
         for _ in range(20):
             A = rand_rat_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), box=2)
-            assert A.nonzeros() == [
+            den, entries = A.nonzeros()
+            assert [(i, j, Fraction(x, den)) for i, j, x in entries] == [
                 (i, j, A[i, j]) for i in range(A.rows) for j in range(A.cols) if A[i, j] != 0
             ]
+            assert den > 0 and gcd(den, *(x for *_, x in entries)) == 1
 
     def test_float_entry_raises(self):
         with pytest.raises(TypeError):

@@ -1,11 +1,12 @@
 import inspect
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
-from orthinst import monad
+from orthinst import jsonio, monad
 from orthinst.forms import point_indices
 from orthinst.jsonio import linform_matrix_json
 from orthinst.moduli import random_unimodular
@@ -13,7 +14,6 @@ from orthinst.monad import MAX_SAMPLES, randints
 from orthinst import (
     BadSubset,
     FlatForm,
-    LinFormMatrix,
     RankMismatch,
     RatMatrix,
     ShapeMismatch,
@@ -41,6 +41,7 @@ from display import (
     lf,
     to_parts,
     transposed,
+    values,
 )
 
 
@@ -82,29 +83,43 @@ def one_cross_term_pair(rng, c, w, mid):
         left = kernel_basis(killer.transpose())
         mix = [[rng.randint(-2, 2) for _ in left] for _ in range(c)]
         B0 = RatMatrix([[sum(a * v[t] for a, v in zip(m, left)) for t in range(mid)] for m in mix], cols=mid)
-        if (B0 @ A[l0]).nonzeros():
+        if (B0 @ A[l0]).nonzeros()[1]:
             B = [B0 if l == j0 else RatMatrix.zeros(c, mid) for l in range(w)]
             return from_parts(A), from_parts(B)
 
 
+def fraction_nonzeros(P):
+    """(i, j, P[i, j]) for the nonzero entries of P, row-major, as Fractions."""
+    return [(i, j, x) for i, row in enumerate(P.to_rows()) for j, x in enumerate(row) if x]
+
+
 def parts_route_beta(F, col_idx):
-    """beta's coefficients as the per-variable route built them: part l is
-    M[col_idx, (., l)] transposed, read part by part, row-major."""
+    """beta's coefficient values as the per-variable route built them: part
+    l is M[col_idx, (., l)] transposed, read part by part, row-major."""
     return tuple(
         (l, k, t, x)
         for l in range(F.n + 1)
-        for k, t, x in F.M.submatrix(col_idx, point_indices(F.c, F.n, l)).transpose().nonzeros()
+        for k, t, x in fraction_nonzeros(F.M.submatrix(col_idx, point_indices(F.c, F.n, l)).transpose())
     )
 
 
 def parts_route_alpha(c, n, S):
-    """alpha's coefficients read off slices of the identity, at the rows S."""
+    """alpha's coefficient values read off slices of the identity, at the rows S."""
     size = c * (n + 1)
     rows = range(size) if S is None else sorted(set(S))
     eye = RatMatrix.identity(size)
     return tuple(
-        (l, s, i, x) for l in range(n + 1) for s, i, x in eye.submatrix(rows, point_indices(c, n, l)).nonzeros()
+        (l, s, i, x) for l in range(n + 1) for s, i, x in fraction_nonzeros(eye.submatrix(rows, point_indices(c, n, l)))
     )
+
+
+def assert_map(L, shape, vals):
+    """``L`` has the shape (rows, cols, nvars) and the coefficient values
+    ``vals``, stored as ints over a positive denominator in lowest terms."""
+    assert (L.rows, L.cols, L.nvars) == shape
+    assert values(L) == vals
+    assert all(type(x) is int for *_, x in L.coefficients) and type(L.denominator) is int
+    assert L.denominator > 0 and gcd(L.denominator, *(x for *_, x in L.coefficients)) == 1
 
 
 class TestBuildAlpha:
@@ -143,12 +158,11 @@ class TestBuildAlpha:
                 S = rng.sample(range(size), rng.randint(1, size))
                 cases += [(c, n, None), (c, n, []), (c, n, S), (c, n, S + S[:2])]
         expected = [
-            LinFormMatrix(c * (n + 1) if S is None else len(set(S)), c, n + 1, parts_route_alpha(c, n, S))
-            for c, n, S in cases
+            ((c * (n + 1) if S is None else len(set(S)), c, n + 1), parts_route_alpha(c, n, S)) for c, n, S in cases
         ]
         monkeypatch.setattr(RatMatrix, "identity", lambda size: pytest.fail("built an identity"))
-        for (c, n, S), alpha in zip(cases, expected):
-            assert build_alpha(c, n, S) == alpha
+        for (c, n, S), (shape, vals) in zip(cases, expected):
+            assert_map(build_alpha(c, n, S), shape, vals)
 
 
 class TestBuildBeta:
@@ -210,6 +224,12 @@ class TestDisplay:
                 for j in range(cols):
                     assert lf(grid[i][j], w) == [P[i, j] for P in parts], grid[i][j]
 
+    def test_rat_str_writes_the_fraction_text_without_a_fraction(self, monkeypatch):
+        numbers = [0, 7, -12, 10**30, Fraction(3), Fraction(-4, 6), Fraction(1, 2), Fraction(-10**20, 3)]
+        want = ["0", "7", "-12", str(10**30), "3", "-2/3", "1/2", f"-{10**20}/3"]
+        monkeypatch.setattr(jsonio, "Fraction", lambda *a: pytest.fail("built a Fraction"))
+        assert [jsonio.rat_str(x) for x in numbers] == want
+
     @pytest.mark.parametrize("text", ["x0x2", "x0 junk +x2", "x0+x0", "+", "x9"])
     def test_lf_refuses_text_that_is_no_form(self, text):
         # gaps, stray text, a repeated variable, a bare sign and a variable
@@ -218,8 +238,40 @@ class TestDisplay:
             lf(text, 4)
 
 
+# one rank-8 term in charge 4, n = 4: acted on by diag(1, 1, 1/2, 1/2), M is
+# over 4 from its (2, 3) block, but the principal rows (0, 1, 2, 3, 5, 6, 8,
+# 12) meet that block only through the even row C[2], so the restricted
+# beta's integer coefficients over 4 share the factor 2 and beta is over 2
+SHARED_FACTOR = TensorSpec(4, 4, ((
+    ((0, 3, 3, -3), (-3, 0, -2, 1), (-3, 2, 0, -1), (3, -1, 1, 0)),
+    ((0, -1, 2, -2, 0), (1, 0, -2, -2, -1), (-2, 2, 0, -2, 0), (2, 2, 2, 0, 1), (0, 1, 0, -1, 0)),
+),))
+
+
+@pytest.fixture(scope="module")
+def rational_forms(F6, F5, F_deficient):
+    """Forms acted on by rational diagonals h, each with M over a
+    denominator > 1: the worked examples, the fixture, SHARED_FACTOR and
+    eight drawn forms."""
+    forms = [
+        act(RatMatrix.diagonal(h), F)
+        for h, F in (
+            ([Fraction(1, 2), Fraction(-2, 3), 1, 1, 1, 1], F6),
+            ([Fraction(3, 5), 1, Fraction(1, 4), 1, 1], F5),
+            ([1, Fraction(1, 3), Fraction(-1, 2)], F_deficient),
+            ([1, 1, Fraction(1, 2), Fraction(1, 2)], flatten(SHARED_FACTOR)),
+        )
+    ]
+    rng = random.Random(2701)
+    for _ in range(8):
+        F = flatten(random_spec(rng))
+        h = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6)) for _ in range(F.c - 1)]
+        forms.append(act(RatMatrix.diagonal(h + [Fraction(1, 6)]), F))
+    return forms
+
+
 class TestBuildersAgainstPartsRoute:
-    def test_builders_equal_the_parts_route(self, F6, F5, F_deficient):
+    def test_builders_equal_the_parts_route(self, F6, F5, F_deficient, rational_forms):
         rng = random.Random(107)
         forms = [F6, F5, F_deficient] + [flatten(random_spec(rng)) for _ in range(50)]
         for _ in range(6):
@@ -227,17 +279,103 @@ class TestBuildersAgainstPartsRoute:
             h = RatMatrix.diagonal([Fraction(1, 2), Fraction(-2, 3)] + [1] * (F.c - 2)) @ random_unimodular(F.c, rng)
             forms.append(act(h, F))
         assert sum(F.M.den > 1 for F in forms) == 6
-        restricted = 0
-        for F in forms:
+        restricted = shared = 0
+        for F in forms + rational_forms:
             c, n, w = F.c, F.n, F.n + 1
             S = principal_rank_subset(F.M)
-            assert build_alpha(c, n) == LinFormMatrix(F.size, c, w, parts_route_alpha(c, n, None))
-            assert build_alpha(c, n, S) == LinFormMatrix(len(S), c, w, parts_route_alpha(c, n, S))
-            assert build_beta_full(F) == LinFormMatrix(c, F.size, w, parts_route_beta(F, range(F.size)))
+            assert_map(build_alpha(c, n), (F.size, c, w), parts_route_alpha(c, n, None))
+            assert_map(build_alpha(c, n, S), (len(S), c, w), parts_route_alpha(c, n, S))
+            assert_map(build_beta_full(F), (c, F.size, w), parts_route_beta(F, range(F.size)))
             if len(S) >= 2 * c:
-                assert build_beta(F, len(S) - 2 * c) == LinFormMatrix(c, len(S), w, parts_route_beta(F, S))
+                beta = build_beta(F, len(S) - 2 * c)
+                assert_map(beta, (c, len(S), w), parts_route_beta(F, S))
                 restricted += len(S) < F.size
-        assert restricted >= 2
+                # lowest terms matter: the rows S drop a factor of M's denominator
+                shared += beta.denominator < F.M.den
+        assert restricted >= 2 and shared >= 1
+
+
+def fraction_route_display(L):
+    """A copy of the display as it was written from Fraction coefficients,
+    one Fraction per coefficient through the Fraction text of ``rat_str``."""
+
+    def rat_str(x):
+        x = Fraction(x)
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+
+    grid = [["0"] * L.cols for _ in range(L.rows)]
+    for l, i, j, x in values(L):
+        term = f"x{l}" if x == 1 else f"-x{l}" if x == -1 else f"{rat_str(x)}x{l}"
+        if grid[i][j] == "0":
+            grid[i][j] = term
+        else:
+            grid[i][j] += term if term[0] == "-" else "+" + term
+    return grid
+
+
+def display_maps(rational_forms):
+    """The maps of every builder on the rational forms, their transposes, and
+    drawn maps with rational coefficients such as 2/6 and -4/2."""
+    maps = []
+    for F in rational_forms:
+        S = principal_rank_subset(F.M)
+        maps += [build_alpha(F.c, F.n), build_alpha(F.c, F.n, S), build_beta_full(F), build_beta(F, len(S) - 2 * F.c)]
+    maps += [transposed(L) for L in maps]
+    rng = random.Random(2702)
+    entries = [0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 6), Fraction(-4, 2), Fraction(9, 6), Fraction(7, 4)]
+    for _ in range(60):
+        rows, cols, w = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+        maps.append(from_parts([RatMatrix([[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]) for _ in range(w)]))
+    return maps
+
+
+class TestIntegerMaps:
+    # the maps are integer coefficients over one denominator; the Fraction
+    # identity loop and the Fraction display are the references, as the parts
+    # route is in TestBuildersAgainstPartsRoute
+
+    def test_forms_are_rational(self, rational_forms):
+        assert all(F.M.den > 1 for F in rational_forms)
+        F = rational_forms[3]
+        beta = build_beta(F, len(principal_rank_subset(F.M)) - 2 * F.c)
+        assert principal_rank_subset(F.M) == (0, 1, 2, 3, 5, 6, 8, 12)
+        assert (F.M.den, beta.denominator) == (4, 2)
+
+    def test_identity_agrees_across_denominators(self, rational_forms):
+        # alpha over 1 or, scaled by 2/7, over 7; beta over a denominator of M
+        seventh = lambda L: from_parts([P.scale(Fraction(2, 7)) for P in to_parts(L)])
+        outcomes = set()
+        for F in rational_forms:
+            S = principal_rank_subset(F.M)
+            alpha, beta = build_alpha(F.c, F.n), build_beta_full(F)
+            alpha_S, beta_S = build_alpha(F.c, F.n, S), build_beta(F, len(S) - 2 * F.c)
+            for A, B in ((alpha, beta), (seventh(alpha), beta), (alpha_S, beta_S), (seventh(alpha_S), beta_S)):
+                assert A.denominator != B.denominator
+                ok = verify_monad_identity(A, B)
+                assert ok == reference_identity(A, B)
+                outcomes.add(ok)
+        assert outcomes == {True, False}
+
+    def test_display_matches_the_fraction_renderer(self, rational_forms):
+        maps = display_maps(rational_forms)
+        assert any(L.denominator > 1 for L in maps)
+        for L in maps:
+            assert repr(linform_matrix_json(L)) == repr(fraction_route_display(L))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("d = L.denominator", "d = 1"), ("g = gcd(x, d)", "g = 1")],
+        ids=["no denominator", "no lowest terms"],
+    )
+    def test_display_rejects_a_mutant(self, rational_forms, old, new):
+        source = inspect.getsource(jsonio.linform_matrix_json)
+        assert source.count(old) == 1
+        scope = dict(vars(jsonio))
+        exec(source.replace(old, new), scope)
+        mutant = scope["linform_matrix_json"]
+        assert any(mutant(L) != fraction_route_display(L) for L in display_maps(rational_forms))
 
 
 class TestMonadIdentity:
@@ -353,7 +491,7 @@ class TestIdentityAgainstFractionLoop:
         [
             ("integer", lambda A, B: not reference_identity(A, B)),
             ("rational", lambda A, B: not reference_identity(A, B) and any(P.den > 1 for P in to_parts(A) + to_parts(B))),
-            ("rational", lambda A, B: not reference_identity(A, B) and any(not P.nonzeros() for P in to_parts(A))),
+            ("rational", lambda A, B: not reference_identity(A, B) and any(not P.nonzeros()[1] for P in to_parts(A))),
             ("integer", lambda A, B: reference_identity(A, B) and A.coefficients and B.coefficients),
             ("rational", lambda A, B: not reference_identity(A, B) and A.nvars == 1),
             ("across j", meets),
@@ -410,7 +548,7 @@ class TestIdentityAgainstFractionLoop:
             assert not verify_monad_identity(alpha, beta)
             # at the coordinate point e_j the product is B_j A_j
             for B, A in zip(to_parts(beta), to_parts(alpha)):
-                assert not (B @ A).nonzeros()
+                assert not (B @ A).nonzeros()[1]
 
     def test_display_sign_variant(self):
         alpha = build_alpha(6, 3)

@@ -108,6 +108,13 @@ def test_maps_built_only_by_their_builders():
     assert _callers("LinFormMatrix") == {"monad.py:build_alpha", "monad.py:_beta_rows"}
 
 
+def test_map_layer_builds_no_fraction():
+    # a monad map is integer coefficients over one denominator, so its
+    # builders, its composition identity and its section maps run on ints
+    found = {where for where in _callers("Fraction") if where.split(":")[0] in ("monad.py", "cohomology.py")}
+    assert found == set()
+
+
 def test_no_per_variable_parts():
     # a map is stored once, as its coefficients, with no coefficient
     # matrix per variable beside them
