@@ -5,6 +5,8 @@ moduli-dim, generate.  Exit codes: 0 when the requested check passes, 2 when
 the mathematics says no (a condition is violated, generation is exhausted),
 1 on usage or schema errors.  ``--json`` switches to machine output whose
 bytes are deterministic for a fixed input and seed, except the timing field.
+A report's text is rendered only when it is printed, so ``--json`` never
+builds it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import jsonio
 from .cohomology import h_table
@@ -45,13 +48,22 @@ MATH_EXIT = 2
 
 @dataclass
 class Report:
+    """One invocation's outcome.  ``render`` builds the text report from
+    values the command already holds; ``human`` calls it on first read and
+    keeps the string, so a ``--json`` run never renders text.  The renderer
+    is no part of the value: equality and repr ignore it."""
+
     command: tuple[str, ...]
     input_hash: str | None
     results: dict
     warnings: tuple[str, ...]
     timing_ms: float
     exit_code: int
-    human: str = field(default="", repr=False)
+    render: Callable[[], str] = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def human(self) -> str:
+        return self.render()
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,14 +182,16 @@ def run_command(argv: list[str]) -> Report:
         code = USAGE_EXIT
         if isinstance(e, (GenerationExhausted, RankMismatch)):
             code = MATH_EXIT
+        # bound here: the name e is unbound when the except block ends
+        message = str(e)
         report = Report(
             command=tuple(argv),
             input_hash=None,
-            results={"error": type(e).__name__, "message": str(e)},
+            results={"error": type(e).__name__, "message": message},
             warnings=(),
             timing_ms=0.0,
             exit_code=code,
-            human=f"error: {e}",
+            render=lambda: f"error: {message}",
         )
     report.timing_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     return report
@@ -189,11 +203,14 @@ def _dispatch(args, argv) -> Report:
     if cmd == "moduli-dim":
         info = moduli_dim(args.c, args.n)
         results = {"moduli": jsonio.moduli_json(info)}
-        human = (
-            f"moduli dimension for c={info.c}, n={info.n}: {info.dim}\n"
-            f"  ambient {info.ambient_dim} - group {info.group_dim}"
-            + ("\n  warning: negative dimension hints at emptiness" if info.possibly_empty else "")
-        )
+
+        def human() -> str:
+            return (
+                f"moduli dimension for c={info.c}, n={info.n}: {info.dim}\n"
+                f"  ambient {info.ambient_dim} - group {info.group_dim}"
+                + ("\n  warning: negative dimension hints at emptiness" if info.possibly_empty else "")
+            )
+
         if info.possibly_empty:
             warnings.append("negative dimension hints at emptiness")
         return Report(tuple(argv), None, results, tuple(warnings), 0.0, 0, human)
@@ -204,9 +221,12 @@ def _dispatch(args, argv) -> Report:
         digest = hashlib.sha256(text.encode()).hexdigest()
         if args.output:
             Path(args.output).write_text(text)
-            human = f"wrote verified spec to {args.output} (attempt {attempts})"
-        else:
-            human = text.rstrip("\n") + f"\n-- verified on attempt {attempts}"
+
+        def human() -> str:
+            if args.output:
+                return f"wrote verified spec to {args.output} (attempt {attempts})"
+            return text.rstrip("\n") + f"\n-- verified on attempt {attempts}"
+
         results = {"spec": sf.to_json_dict(), "attempts": attempts}
         return Report(tuple(argv), digest, results, (), 0.0, 0, human)
 
@@ -217,14 +237,18 @@ def _dispatch(args, argv) -> Report:
     if cmd == "verify":
         rep = check_conditions(F, r, budget=args.budget, seed=args.seed)
         results = {"conditions": jsonio.condition_report_json(rep)}
-        lines = [
-            f"rank A = {rep.rank_a} (expected 2c+r = {rep.a1_expected})",
-            f"A1 {'ok' if rep.a1_ok else 'FAIL'} | A2 {rep.a2.kind} | A3 {'ok' if rep.a3_ok else 'FAIL'}",
-            f"precheck: {rep.precheck}",
-        ]
-        lines += [f"note: {note}" for note in rep.notes]
-        lines.append("verdict: PASS" if rep.passed else "verdict: FAIL")
-        return Report(tuple(argv), digest, results, tuple(rep.notes), 0.0, 0 if rep.passed else MATH_EXIT, "\n".join(lines))
+
+        def human() -> str:
+            lines = [
+                f"rank A = {rep.rank_a} (expected 2c+r = {rep.a1_expected})",
+                f"A1 {'ok' if rep.a1_ok else 'FAIL'} | A2 {rep.a2.kind} | A3 {'ok' if rep.a3_ok else 'FAIL'}",
+                f"precheck: {rep.precheck}",
+            ]
+            lines += [f"note: {note}" for note in rep.notes]
+            lines.append("verdict: PASS" if rep.passed else "verdict: FAIL")
+            return "\n".join(lines)
+
+        return Report(tuple(argv), digest, results, tuple(rep.notes), 0.0, 0 if rep.passed else MATH_EXIT, human)
 
     if cmd == "monad":
         beta = build_beta(F, r)
@@ -242,63 +266,81 @@ def _dispatch(args, argv) -> Report:
             "beta_t": [list(col) for col in zip(*jsonio.linform_matrix_json(beta))],
             "identity_zero": identity_ok,
         }
-        human = (
-            "alpha =\n" + _grid(results["alpha"]) + "\n\n"
-            "beta^t =\n" + _grid(results["beta_t"]) + "\n\n"
-            + (f"composition {checked} = 0: ok" if identity_ok else f"composition {checked} != 0: FAIL")
-        )
+
+        def human() -> str:
+            return (
+                "alpha =\n" + _grid(results["alpha"]) + "\n\n"
+                "beta^t =\n" + _grid(results["beta_t"]) + "\n\n"
+                + (f"composition {checked} = 0: ok" if identity_ok else f"composition {checked} != 0: FAIL")
+            )
+
         return Report(tuple(argv), digest, results, (), 0.0, 0 if identity_ok else MATH_EXIT, human)
 
     if cmd == "splitting":
         G = gamma_eval(F, args.P, args.Q)
         v = pencil_verdict(G)
         results = {"gamma": jsonio.gamma_json(args.P, args.Q, G), "split": jsonio.verdict_json(v)}
-        human = (
-            f"gamma(P={args.P}, Q={args.Q}) =\n" + _grid(results["gamma"]["matrix"])
-            + f"\ndet = {jsonio.rat_str(v.determinant)}"
-            + (f", pfaffian = {jsonio.rat_str(v.pfaffian)}" if v.pfaffian is not None else "")
-            + f"\nverdict: {v.verdict}"
-        )
+
+        def human() -> str:
+            return (
+                f"gamma(P={args.P}, Q={args.Q}) =\n" + _grid(results["gamma"]["matrix"])
+                + f"\ndet = {jsonio.rat_str(v.determinant)}"
+                + (f", pfaffian = {jsonio.rat_str(v.pfaffian)}" if v.pfaffian is not None else "")
+                + f"\nverdict: {v.verdict}"
+            )
+
         return Report(tuple(argv), digest, results, (), 0.0, 0, human)
 
     if cmd == "scan-lines":
         rep = scan_lines(F, args.samples, seed=args.seed, box=args.box)
         results = {"scan": jsonio.scan_report_json(rep)}
-        human = (
-            f"{rep.samples} sampled lines: {rep.trivial} trivial, {rep.jumping} jumping, "
-            f"{rep.degenerate} degenerate (fraction trivial {jsonio.rat_str(rep.fraction_trivial)})"
-        )
-        if rep.witnesses:
-            human += "\njumping witnesses:"
-            for w in rep.witnesses:
-                human += f"\n  P={list(w.P)} Q={list(w.Q)} det={jsonio.rat_str(w.determinant)}"
+
+        def human() -> str:
+            text = (
+                f"{rep.samples} sampled lines: {rep.trivial} trivial, {rep.jumping} jumping, "
+                f"{rep.degenerate} degenerate (fraction trivial {jsonio.rat_str(rep.fraction_trivial)})"
+            )
+            if rep.witnesses:
+                text += "\njumping witnesses:"
+                for w in rep.witnesses:
+                    text += f"\n  P={list(w.P)} Q={list(w.Q)} det={jsonio.rat_str(w.determinant)}"
+            return text
+
         return Report(tuple(argv), digest, results, (), 0.0, 0, human)
 
     if cmd == "kronecker":
         rep = kronecker_conditions(F, r, budget=args.budget, seed=args.seed)
         results = {"kronecker": jsonio.kronecker_report_json(rep)}
-        human = (
-            f"K1: {rep.k1.kind} | K2 (dual): {rep.k2.kind}\n"
-            f"rank of the linearized map = {rep.rank_gamma_hat}; "
-            f"2c+r = {rep.expected_rank} ({'match' if rep.matches_expected else 'MISMATCH'}), "
-            f"2n+r = {rep.printed_alt_rank} ({'match' if rep.matches_printed_alt else 'mismatch'})\n"
-            + ("verdict: PASS" if rep.passed else "verdict: FAIL")
-        )
+
+        def human() -> str:
+            return (
+                f"K1: {rep.k1.kind} | K2 (dual): {rep.k2.kind}\n"
+                f"rank of the linearized map = {rep.rank_gamma_hat}; "
+                f"2c+r = {rep.expected_rank} ({'match' if rep.matches_expected else 'MISMATCH'}), "
+                f"2n+r = {rep.printed_alt_rank} ({'match' if rep.matches_printed_alt else 'mismatch'})\n"
+                + ("verdict: PASS" if rep.passed else "verdict: FAIL")
+            )
+
         return Report(tuple(argv), digest, results, (), 0.0, 0 if rep.passed else MATH_EXIT, human)
 
     if cmd == "cohomology":
         table = h_table(F, r, args.kmin, args.kmax)
         inst = table.instanton
         results = {"table": jsonio.cohom_table_json(table), "instanton": jsonio.instanton_report_json(inst)}
-        cells = [["h^i \\ k"] + [str(k) for k in range(table.kmin, table.kmax + 1)]]
-        for i in range(table.n, -1, -1):
-            cells.append([f"i={i}"] + [str(table.dim(i, k)) for k in range(table.kmin, table.kmax + 1)])
-        human = _grid(cells)
-        human += "\nconditions: " + ", ".join(f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in inst.conditions)
-        human += f"\ncharge recomputed = {inst.charge_computed} (expected {inst.charge_expected})"
-        human += f"\nrank of the bundle = {inst.rank_bundle}; chi bookkeeping {'ok' if inst.chi_consistent else 'FAIL'}"
-        for w in table.warnings:
-            human += f"\nwarning: {w}"
+
+        def human() -> str:
+            twists = range(table.kmin, table.kmax + 1)
+            cells = [["h^i \\ k"] + [str(k) for k in twists]]
+            for i in range(table.n, -1, -1):
+                cells.append([f"i={i}"] + [str(table.dim(i, k)) for k in twists])
+            text = _grid(cells)
+            text += "\nconditions: " + ", ".join(f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in inst.conditions)
+            text += f"\ncharge recomputed = {inst.charge_computed} (expected {inst.charge_expected})"
+            text += f"\nrank of the bundle = {inst.rank_bundle}; chi bookkeeping {'ok' if inst.chi_consistent else 'FAIL'}"
+            for w in table.warnings:
+                text += f"\nwarning: {w}"
+            return text
+
         ok = inst.passed and not table.warnings
         return Report(tuple(argv), digest, results, table.warnings, 0.0, 0 if ok else MATH_EXIT, human)
 

@@ -146,12 +146,15 @@ class FlatForm:
         S_jj included, is kept as it is.  For a wedge member every pair
         folds: symmetry gives S_lj = S_jl^T and first-factor antisymmetry
         S_jl^T = -S_jl, so S_lj = -S_jl (and S_jj = 0), and
-        ``wedge_membership`` reads that off the folds."""
-        c, w = self.c, self.n + 1
+        ``wedge_membership`` reads that off the folds.  Row i of S_jl is
+        the strided slice ``R[i*w + j][l::w]`` of the integer rows R, and
+        ``R[j::w]`` are those rows for i < c, so a slice is read by c
+        C-level slices, not c^2 indexed cells."""
+        w = self.n + 1
         R = self.M.num
 
         def entries(j: int, l: int) -> list[int]:
-            return [R[i * w + j][k * w + l] for i in range(c) for k in range(c)]
+            return [x for row in R[j::w] for x in row[l::w]]
 
         pairs, mats = [], []
 

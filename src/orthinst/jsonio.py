@@ -20,7 +20,15 @@ def rat_str(x: int | Fraction) -> str:
 
 
 def matrix_json(M: RatMatrix) -> list[list[str]]:
-    return [[rat_str(x) for x in M.row(i)] for i in range(M.rows)]
+    """Each entry as ``rat_str`` writes it, from ``M.nonzeros()``: each
+    nonzero integer over the matrix's denominator reduced by one gcd, and
+    "0" elsewhere, with no Fraction per cell."""
+    grid = [["0"] * M.cols for _ in range(M.rows)]
+    d, entries = M.nonzeros()
+    for i, j, x in entries:
+        g = gcd(x, d)
+        grid[i][j] = str(x // g) if g == d else f"{x // g}/{d // g}"
+    return grid
 
 
 def linform_matrix_json(L: LinFormMatrix) -> list[list[str]]:

@@ -174,8 +174,11 @@ class RatMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
+        """Square and equal to its transpose: the integer rows compared with
+        the columns that ``zip`` reads, a C-level scan with no per-cell
+        Python step (the denominator is shared, so it plays no part)."""
         A = self.num
-        return self.is_square() and all(A[i][j] == A[j][i] for i in range(self.rows) for j in range(i + 1, self.cols))
+        return self.is_square() and A == tuple(zip(*A))
 
     def is_skew(self) -> bool:
         A = self.num  # j = i asks for a zero diagonal

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -320,6 +321,87 @@ class TestUsage:
         for a, b in zip(shared, fresh):
             assert strip_timing(a.to_json_dict()) == strip_timing(b.to_json_dict())
             assert a.human == b.human
+
+
+# one run of each subcommand, with a usage and a mathematical failure
+LAZY_ARGVS = {
+    "verify": ["verify", C5],
+    "monad": ["monad", C6],
+    "splitting": ["splitting", C5, "--P", "1,2,3,4", "--Q", "2,-1,0,3"],
+    "scan-lines": ["scan-lines", C6, "--samples", "20"],
+    "kronecker": ["kronecker", C5, "--budget", "20"],
+    "cohomology": ["cohomology", C5],
+    "moduli-dim": ["moduli-dim", "--c", "6", "--n", "3"],
+    "generate": ["generate", "--c", "6", "--n", "3"],
+    "usage-error": ["splitting", C6, "--P", "1,0,0,0", "--Q", "2,0,0,0"],
+    "math-error": ["generate", "--c", "5", "--n", "3"],
+}
+
+
+def usage_error_text(run):
+    """The text of three usage errors, read after ``run`` has returned: one
+    from the parser, one from an option check and one from the span rule."""
+    argvs = [[*LAZY_ARGVS["verify"], "--r", "3"], ["cohomology", C5, "--kmin", "3", "--kmax", "1"], LAZY_ARGVS["usage-error"]]
+    return [run(argv).human for argv in argvs]
+
+
+USAGE_ERROR_TEXT = [
+    "error: unrecognized arguments: --r 3",
+    "error: kmin must be <= kmax",
+    "error: points are proportional and span no line",
+]
+
+
+class TestLazyText:
+    # a report's text is rendered only when it is read, which main does
+    # only without --json
+
+    @pytest.mark.parametrize("argv", LAZY_ARGVS.values(), ids=LAZY_ARGVS.keys())
+    def test_json_never_renders_text(self, argv, monkeypatch, capsys):
+        def printed(args):
+            code = cli.main(args)
+            return code, strip_timing(json.loads(capsys.readouterr().out))
+
+        want = printed(argv + ["--json"])
+        monkeypatch.setattr(cli, "_grid", lambda cells: pytest.fail("rendered a grid for --json"))
+        monkeypatch.setattr(cli.Report, "human", property(lambda rep: pytest.fail("read the text of a --json run")))
+        assert printed(argv + ["--json"]) == want
+        # the same run without --json prints the text, so the patches bite
+        with pytest.raises(pytest.fail.Exception):
+            cli.main(argv)
+
+    def test_usage_error_text_read_after_the_call(self):
+        assert usage_error_text(run_command) == USAGE_ERROR_TEXT
+
+    def test_usage_error_text_rejects_a_renderer_over_the_exception_name(self):
+        # Python unbinds the name of a caught exception when its except
+        # block ends, so a renderer closing over it fails on first read
+        old, new = 'render=lambda: f"error: {message}"', 'render=lambda: f"error: {e}"'
+        source = inspect.getsource(cli.run_command)
+        assert source.count(old) == 1
+        scope = dict(vars(cli))
+        exec(source.replace(old, new), scope)
+        with pytest.raises(NameError):
+            usage_error_text(scope["run_command"])
+
+    def test_text_rendered_once_on_first_read(self, monkeypatch):
+        calls = []
+        grid = cli._grid
+        monkeypatch.setattr(cli, "_grid", lambda cells: calls.append(cells) or grid(cells))
+        rep = run_command(["monad", C5])
+        assert calls == []
+        text = rep.human
+        assert len(calls) == 2 and text.startswith("alpha =\n")
+        assert rep.human is text and len(calls) == 2
+
+    def test_reports_of_one_command_compare_equal(self):
+        argv = LAZY_ARGVS["cohomology"]
+        a, b = run_command(argv), run_command(argv)
+        a.timing_ms = b.timing_ms = 0.0
+        assert a.render is not b.render
+        assert a == b
+        assert a.human == b.human and a == b
+        assert "render" not in repr(a) and "human" not in repr(a)
 
 
 class TestReadme:

@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from collections import Counter
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from orthinst import (
     rank,
     wedge_membership,
 )
+from orthinst import forms as forms_module, linalg
 from orthinst.forms import point_indices
 from orthinst.moduli import random_unimodular
 
@@ -55,6 +58,92 @@ def random_symmetric(size, rng):
             if rng.random() < density:
                 rows[i][j] = rows[j][i] = rng.randint(-3, 3)
     return rows
+
+
+def wedge_test_forms(F6, F5):
+    """(members, forms): bundled, acted and random wedge members, then those
+    and random symmetric forms, most of them no wedge member, and
+    perturbations of the members: one entry, a symmetric pair, and a skew
+    pair (i,j),(i,l) inside one charge block, which keeps every slice folded
+    but breaks symmetry.  The members come first in ``forms``."""
+    rng = random.Random(107)
+    members = [F6, F5, flatten(TensorSpec(3, 3, DEFICIENT_TERMS))]
+    members += [flatten(random_spec(rng, cs=(2, 3, 4), ns=(1, 2, 3))) for _ in range(12)]
+    members += [act(random_unimodular(F.c, rng), F) for F in members[:8]]
+    forms = list(members)
+    for _ in range(60):
+        c, n = rng.randint(1, 4), rng.randint(1, 3)
+        forms.append(FlatForm(c, n, RatMatrix.from_ints(random_symmetric(c * (n + 1), rng), cols=c * (n + 1))))
+    for F in members:
+        for _ in range(12):
+            rows = [list(r) for r in F.M.num]
+            a, b = rng.randrange(F.size), rng.randrange(F.size)
+            x, kind = rng.choice([-1, 1, 2]), rng.choice(["one", "symmetric", "skew"])
+            if kind == "skew":
+                b = a - a % (F.n + 1) + (a + rng.randrange(1, F.n + 1)) % (F.n + 1)
+            rows[a][b] += x
+            if kind != "one" and a != b:
+                rows[b][a] += x if kind == "symmetric" else -x
+            forms.append(FlatForm(F.c, F.n, RatMatrix.from_ints(rows, F.M.den, cols=F.size)))
+    return members, forms
+
+
+def reference_is_symmetric(M):
+    """The cell loop ``RatMatrix.is_symmetric`` ran before its zip scan."""
+    A = M.num
+    return M.is_square() and all(A[i][j] == A[j][i] for i in range(M.rows) for j in range(i + 1, M.cols))
+
+
+def reference_slices(F):
+    """The c^2 indexed cells per slice that ``FlatForm._slices`` read before
+    its strided rows, with the same fold rule."""
+    c, w = F.c, F.n + 1
+    R = F.M.num
+
+    def entries(j, l):
+        return [R[i * w + j][k * w + l] for i in range(c) for k in range(c)]
+
+    pairs, mats = [], []
+
+    def keep(j, l, folded, s):
+        if any(s):
+            pairs.append((j, l, folded))
+            mats.append(s)
+
+    for j in range(w):
+        keep(j, j, False, entries(j, j))
+        for l in range(j + 1, w):
+            s, t = entries(j, l), entries(l, j)
+            if t == [-x for x in s]:
+                keep(j, l, True, s)
+            else:
+                keep(j, l, False, s)
+                keep(l, j, False, t)
+    return pairs, mats
+
+
+def strided_scan_matrices(forms):
+    """The flat matrices of the forms, their scalings over 6, and square,
+    non-square and empty matrices beside them."""
+    rng = random.Random(2801)
+    mats = [F.M for F in forms] + [F.M.scale(Fraction(5, 6)) for F in forms[:20]]
+    mats += [RatMatrix.zeros(0, 0), RatMatrix.zeros(0, 3), RatMatrix.zeros(3, 0), RatMatrix.zeros(2, 3)]
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mats.append(RatMatrix([[rng.choice([0, 1, -2, Fraction(1, 3)]) for _ in range(cols)] for _ in range(rows)]))
+    return mats
+
+
+def mutant(function, old, new, module):
+    """``function`` (a method's or a cached property's function included) with
+    the one occurrence of ``old`` in its source replaced by ``new``, compiled
+    in a copy of ``module``'s namespace."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    scope = dict(vars(module))
+    exec(source.replace(old, new), scope)
+    found = scope[function.__name__]
+    return getattr(found, "func", found)
 
 
 def reference_act(h, F):
@@ -374,33 +463,51 @@ class TestWedgeMembership:
         assert wedge_membership(F5)
 
     def test_equals_the_entry_loop(self, F6, F5):
-        # the fold test against the entry-by-entry loop it replaced, on
-        # bundled, acted and random symmetric forms and on perturbations of
-        # wedge members: one entry, a symmetric pair, and a skew pair
-        # (i,j),(i,l) inside one charge block, which keeps every slice
-        # folded but breaks symmetry
-        rng = random.Random(107)
-        members = [F6, F5, flatten(TensorSpec(3, 3, DEFICIENT_TERMS))]
-        members += [flatten(random_spec(rng, cs=(2, 3, 4), ns=(1, 2, 3))) for _ in range(12)]
-        members += [act(random_unimodular(F.c, rng), F) for F in members[:8]]
-        forms = list(members)
-        for _ in range(60):
-            c, n = rng.randint(1, 4), rng.randint(1, 3)
-            forms.append(FlatForm(c, n, RatMatrix.from_ints(random_symmetric(c * (n + 1), rng), cols=c * (n + 1))))
-        for F in members:
-            for _ in range(12):
-                rows = [list(r) for r in F.M.num]
-                a, b = rng.randrange(F.size), rng.randrange(F.size)
-                x, kind = rng.choice([-1, 1, 2]), rng.choice(["one", "symmetric", "skew"])
-                if kind == "skew":
-                    b = a - a % (F.n + 1) + (a + rng.randrange(1, F.n + 1)) % (F.n + 1)
-                rows[a][b] += x
-                if kind != "one" and a != b:
-                    rows[b][a] += x if kind == "symmetric" else -x
-                forms.append(FlatForm(F.c, F.n, RatMatrix.from_ints(rows, F.M.den, cols=F.size)))
+        # the fold test against the entry-by-entry loop it replaced
+        members, forms = wedge_test_forms(F6, F5)
         verdicts = Counter(reference_wedge(F) for F in forms)
         assert verdicts[True] >= len(members) and verdicts[False] >= 300
         assert [wedge_membership(F) for F in forms] == [reference_wedge(F) for F in forms]
+
+
+class TestStridedScans:
+    # the symmetry test and the slice reader scan whole rows by C-level
+    # slices and zip; each must give what its per-cell loop gave
+
+    def test_is_symmetric_equals_the_cell_loop(self, F6, F5):
+        _, forms = wedge_test_forms(F6, F5)
+        mats = strided_scan_matrices(forms)
+        verdicts = Counter(reference_is_symmetric(M) for M in mats)
+        assert verdicts[True] >= 100 and verdicts[False] >= 100
+        assert [M.is_symmetric() for M in mats] == [reference_is_symmetric(M) for M in mats]
+        assert RatMatrix.zeros(0, 0).is_symmetric() and not RatMatrix.zeros(0, 3).is_symmetric()
+
+    def test_slices_equal_the_cell_loop(self, F6, F5):
+        _, forms = wedge_test_forms(F6, F5)
+        folds = Counter(folded for F in forms for _, _, folded in reference_slices(F)[0])
+        assert folds[True] >= 100 and folds[False] >= 100
+        for F in forms:
+            assert F._slices == reference_slices(F)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("A == tuple(zip(*A))", "A[::2] == tuple(zip(*A))[::2]"), ("A == tuple(zip(*A))", "A == tuple(zip(*A[1:]))")],
+        ids=["every other row", "one row short"],
+    )
+    def test_is_symmetric_rejects_a_mutant(self, F6, F5, old, new):
+        _, forms = wedge_test_forms(F6, F5)
+        broken = mutant(RatMatrix.is_symmetric, old, new, linalg)
+        assert any(broken(M) != reference_is_symmetric(M) for M in strided_scan_matrices(forms))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("row[l::w]", "row[l::w - 1]"), ("row in R[j::w]", "row in R[j + 1::w]"), ("row[l::w]", "row[l + 1::w]")],
+        ids=["column stride", "row start", "column start"],
+    )
+    def test_slices_reject_a_mutant(self, F6, F5, old, new):
+        _, forms = wedge_test_forms(F6, F5)
+        broken = mutant(FlatForm._slices.func, old, new, forms_module)
+        assert any(broken(F) != reference_slices(F) for F in forms)
 
 
 class TestAct:

@@ -10,6 +10,7 @@ from orthinst import jsonio, monad
 from orthinst.forms import point_indices
 from orthinst.jsonio import linform_matrix_json
 from orthinst.moduli import random_unimodular
+from orthinst.specfile import load_bundled
 from orthinst.monad import MAX_SAMPLES, randints
 from orthinst import (
     BadSubset,
@@ -209,6 +210,31 @@ class TestBuildBeta:
         assert beta.rows == 3 and beta.cols == 8
 
 
+def fraction_route_matrix_json(M):
+    """The pencil display as it was written: ``rat_str`` of every Fraction
+    entry ``M.row(i)`` reads back."""
+    return [[jsonio.rat_str(x) for x in M.row(i)] for i in range(M.rows)]
+
+
+def drawn_rat_matrices():
+    """Drawn matrices over denominators up to 12, negative entries and zero
+    rows among them, with 0 x k, k x 0 and the pencils of c6p3 and c5p3."""
+    rng = random.Random(2802)
+    entries = [0, 0, 0, 1, -1, 4, -6, Fraction(1, 2), Fraction(-2, 6), Fraction(-4, 3), Fraction(9, 4), Fraction(5, 12)]
+    mats = [RatMatrix.zeros(0, 3), RatMatrix.zeros(3, 0), RatMatrix.zeros(2, 2)]
+    for _ in range(80):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        grid = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+        grid[rng.randrange(rows)] = [0] * cols
+        mats.append(RatMatrix(grid, cols=cols))
+        mats.append(RatMatrix(grid, cols=cols).scale(Fraction(-7, 3)))
+    for spec in ("c6p3", "c5p3"):
+        F = load_bundled(spec).flatten()
+        mats += [F.pencil([1, 2, 3, 4], [2, -1, 0, 3]), F.pencil([Fraction(1, 2), 0, 1, 0], [0, Fraction(-3, 4), 0, 1])]
+    assert sum(M.den > 1 for M in mats) >= 80
+    return mats
+
+
 class TestDisplay:
     def test_entries_read_back_to_their_coefficients(self):
         # the display is written from the nonzero coefficients alone; an
@@ -229,6 +255,26 @@ class TestDisplay:
         want = ["0", "7", "-12", str(10**30), "3", "-2/3", "1/2", f"-{10**20}/3"]
         monkeypatch.setattr(jsonio, "Fraction", lambda *a: pytest.fail("built a Fraction"))
         assert [jsonio.rat_str(x) for x in numbers] == want
+
+    def test_matrix_json_matches_the_fraction_renderer(self):
+        mats = drawn_rat_matrices()
+        cells = [x for M in mats for i in range(M.rows) for x in M.row(i)]
+        assert min(cells) < 0 and any(x.denominator > 1 for x in cells)
+        for M in mats:
+            assert repr(jsonio.matrix_json(M)) == repr(fraction_route_matrix_json(M))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("g = gcd(x, d)", "g = 1"), ("g = gcd(x, d)", "g = abs(x) or 1")],
+        ids=["no gcd", "gcd of the numerator alone"],
+    )
+    def test_matrix_json_rejects_a_mutant(self, old, new):
+        source = inspect.getsource(jsonio.matrix_json)
+        assert source.count(old) == 1
+        scope = dict(vars(jsonio))
+        exec(source.replace(old, new), scope)
+        mutant = scope["matrix_json"]
+        assert any(mutant(M) != fraction_route_matrix_json(M) for M in drawn_rat_matrices())
 
     @pytest.mark.parametrize("text", ["x0x2", "x0 junk +x2", "x0+x0", "+", "x9"])
     def test_lf_refuses_text_that_is_no_form(self, text):
