@@ -14,8 +14,9 @@ pair that ``line_span_ok`` accepts.  The restriction of the associated
 bundle to the line is trivial exactly when G is invertible, and
 ``pencil_verdict`` decides that from G alone; odd charge forces every line
 to jump (odd skew matrices are singular), which it reads off G's skewness
-with no elimination.  ``scan_lines`` draws its points from a stream seeded
-per sample, through ``monad.randints``, randint's exact replica.  The
+with no elimination.  ``scan_lines`` draws its points through
+``monad.randints``, randint's exact replica, from one generator that it
+reseeds for each sample, so each line has its own stream.  The
 pencil-module condition K1 is A2 of the form, and ``kronecker_conditions``
 reads it off A2's decision, ``monad.nondegeneracy``.
 """
@@ -114,7 +115,9 @@ def scan_lines(F: FlatForm, samples: int, seed: int = 0, box: int = 10) -> ScanR
     """Sample integer point pairs in [-box, box]^(n+1) and tally verdicts.
 
     The RNG stream of sample s is derived from (seed, s), so the tally is
-    reproducible and independent of any chunking of the loop.  Degenerate
+    reproducible and independent of any chunking of the loop.  One local
+    generator is reseeded with ``f"{seed}:line:{s}"`` for each sample, which
+    gives the stream of a new ``random.Random`` on that string.  Degenerate
     pairs are counted, not resampled.  Box 0 draws only zeros and is refused.
     """
     check_sampling("samples", samples, least=1)
@@ -123,8 +126,9 @@ def scan_lines(F: FlatForm, samples: int, seed: int = 0, box: int = 10) -> ScanR
     w = F.n + 1
     trivial = jumping = degenerate = 0
     witnesses: list[LineWitness] = []
+    rng = random.Random()
     for s in range(samples):
-        rng = random.Random(f"{seed}:line:{s}")
+        rng.seed(f"{seed}:line:{s}")
         P = randints(rng, -box, box, w)
         Q = randints(rng, -box, box, w)
         try:

@@ -65,13 +65,19 @@ def check_cells(rows: int, cols: int, what: str) -> None:
         raise UsageError(f"{what} would have {rows} x {cols} = {rows * cols} cells, over the limit of {MAX_CELLS}")
 
 
+_INT_ONLY = frozenset({int})
+
+
 def exact_vector(vec: Sequence, length: int) -> tuple[int, tuple[int, ...]]:
     """A point, direction or contraction vector of ``length`` ints, Fractions
     or "p/q" strings as (d, d*v) over its least common denominator d: the one
-    reader of exact vectors.  A float or a bool raises ``TypeError``."""
+    reader of exact vectors.  A float or a bool raises ``TypeError``.  A
+    vector whose entries are all of type exactly ``int``, such as each drawn
+    line point, is taken as it is, by one C-level scan of their types; an
+    int subclass (a bool, an ``IntEnum``) goes through ``_as_exact``."""
     if len(vec) != length:
         raise ShapeMismatch(f"vector must have {length} entries, got {len(vec)}")
-    if all(type(x) is int for x in vec):
+    if _INT_ONLY.issuperset(map(type, vec)):
         return 1, tuple(vec)
     xs = [_as_exact(x) for x in vec]
     d = lcm(*[x.denominator for x in xs])
@@ -181,8 +187,18 @@ class RatMatrix:
         return self.is_square() and A == tuple(zip(*A))
 
     def is_skew(self) -> bool:
-        A = self.num  # j = i asks for a zero diagonal
-        return self.is_square() and all(A[i][j] == -A[j][i] for i in range(self.rows) for j in range(i, self.cols))
+        """Square and equal to minus its transpose, upper triangle against
+        lower, the diagonal included (j = i asks for a zero); a plain double
+        loop that stops at the first mismatch."""
+        if not self.is_square():
+            return False
+        A = self.num
+        n = len(A)
+        for i, Ai in enumerate(A):
+            for j in range(i, n):
+                if Ai[j] != -A[j][i]:
+                    return False
+        return True
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
         A = self.num
@@ -255,14 +271,18 @@ class SparseIntMatrix:
     __slots__ = ("entries", "rows", "cols", "_rank")
 
     def __init__(self, entries: Iterable[dict[int, int]], cols: int):
-        data = tuple({j: x for j, x in row.items() if x} for row in entries)
-        for row in data:
-            for j, x in row.items():
-                if type(x) is not int:
-                    raise TypeError(f"sparse entries must be ints, got {type(x).__name__}")
-                if not 0 <= j < cols:
-                    raise ShapeMismatch(f"column {j} outside 0..{cols - 1}")
-        object.__setattr__(self, "entries", data)
+        data = []
+        for given in entries:
+            row = {}
+            for j, x in given.items():
+                if x:  # a zero of any type, at any column, is dropped unchecked
+                    if type(x) is not int:
+                        raise TypeError(f"sparse entries must be ints, got {type(x).__name__}")
+                    if not 0 <= j < cols:
+                        raise ShapeMismatch(f"column {j} outside 0..{cols - 1}")
+                    row[j] = x
+            data.append(row)
+        object.__setattr__(self, "entries", tuple(data))
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_rank", None)
@@ -454,6 +474,8 @@ def det(M: RatMatrix) -> Fraction:
     r, _, sign, last = _bareiss([list(row) for row in M.num], n)
     if r < n:
         return Fraction(0)
+    if M.den == 1:  # an integer matrix: Fraction's int path, no gcd
+        return Fraction(sign * last)
     return Fraction(sign * last, M.den**n)
 
 
@@ -584,6 +606,8 @@ def pfaffian(M: RatMatrix) -> Fraction:
             for j in range(i + 1, n):
                 Ai[j] = (a * Ai[j] + Ak[j] * ui - vi * Ak1[j]) // prev
         prev = a
+    if M.den == 1:
+        return Fraction(sign * prev)
     return Fraction(sign * prev, M.den ** (n // 2))
 
 

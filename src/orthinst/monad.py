@@ -217,13 +217,16 @@ def randints(rng: random.Random, a: int, b: int, size: int) -> list[int]:
 def _directions(F: FlatForm, budget: int, seed: int) -> Iterator[tuple[str, list[int]]]:
     """Lazy search directions: the h basis, the v basis, then for each
     sample s one h in [-10, 10]^c and one v in [-10, 10]^(n+1), drawn in
-    that order from the stream ``f"{seed}:wit:{s}"``."""
+    that order from the stream ``f"{seed}:wit:{s}"``: one local generator,
+    reseeded with that string for each sample, which gives the stream of a
+    new ``random.Random`` on it."""
     sides = (("h", F.c), ("v", F.n + 1))
     for side, size in sides:
         for i in range(size):
             yield side, [int(k == i) for k in range(size)]
+    rng = random.Random()
     for s in range(budget):
-        rng = random.Random(f"{seed}:wit:{s}")
+        rng.seed(f"{seed}:wit:{s}")
         for side, size in sides:
             yield side, randints(rng, -WITNESS_BOX, WITNESS_BOX, size)
 

@@ -3,6 +3,7 @@ decision; these tests pin K1 to A2, and A2's search over a lazy direction
 stream to the sampler it replaced, which is kept below as a reference, and
 check the one sampling bound of verify, kronecker and scan-lines."""
 
+import inspect
 import random
 
 import pytest
@@ -32,6 +33,32 @@ def reference_directions(F, budget, seed):
         rng = random.Random(f"{seed}:wit:{s}")
         yield "h", [rng.randint(-10, 10) for _ in range(c)]
         yield "v", [rng.randint(-10, 10) for _ in range(w)]
+
+
+def direction_forms():
+    return {"fixture": flatten(TensorSpec(3, 3, DEFICIENT_TERMS)), "c6p3": load_bundled("c6p3").flatten()}
+
+
+@pytest.mark.parametrize("name", ["fixture", "c6p3"])
+@pytest.mark.parametrize("seed", [0, 4, 91])
+def test_reseeded_direction_stream_matches_a_fresh_generator_per_sample(name, seed):
+    # one generator reseeded per sample draws what a new one per sample draws
+    F = direction_forms()[name]
+    assert list(monad._directions(F, 60, seed)) == list(reference_directions(F, 60, seed))
+
+
+def test_direction_stream_rejects_a_mutant(monkeypatch):
+    # seeding once, outside the sample loop, runs one stream on from sample 0
+    source = inspect.getsource(monad._directions)
+    swaps = [("rng = random.Random()", 'rng = random.Random(f"{seed}:wit:0")'), ('rng.seed(f"{seed}:wit:{s}")', "pass")]
+    for old, new in swaps:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    scope = dict(vars(monad))
+    exec(source, scope)
+    monkeypatch.setattr(monad, "_directions", scope["_directions"])
+    for F in direction_forms().values():
+        assert list(monad._directions(F, 60, 0)) != list(reference_directions(F, 60, 0))
 
 
 def reference_hit(F, side, d):

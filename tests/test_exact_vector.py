@@ -6,6 +6,7 @@ alike and agrees on "p/q" strings, Fractions and scaled integers.
 """
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -139,12 +140,21 @@ class TestOneDoor:
         assert rescale(f([int(x * d) for x in v]), d) == want
 
 
+class Small(IntEnum):
+    ONE = 1
+    MINUS_FOUR = -4
+
+
+# only entries of type exactly int skip the entry check: an int subclass is
+# read through it, an IntEnum member as its value and a bool refused
 DIFFERENTIAL_VECTORS = [
     [],
     [0, 0, 0],
     [1, -2, 3],
     [-4, -6, -8],
     [True, False, True],
+    [1, True, 2],
+    [Small.ONE, 2, Small.MINUS_FOUR],
     [Fraction(1, 2), Fraction(-3, 4)],
     [Fraction(4, 2), 6, Fraction(0, 5)],
     ["1/2", "-3/4", "5", "0"],

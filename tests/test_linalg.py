@@ -1,5 +1,6 @@
 import inspect
 import random
+import textwrap
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -365,6 +366,9 @@ class TestSparseRank:
         assert S.entries == ({0: 3}, {1: -2**70}) and (S.rows, S.cols) == (2, 3)
         with pytest.raises(AttributeError):
             S.cols = 4
+        # a zero of any type, at any column, is dropped unchecked
+        Z = linalg.SparseIntMatrix([{0: 0.0, 7: 0}, {}, {2: Fraction(0), 1: 4}], 3)
+        assert Z.entries == ({}, {}, {1: 4}) and Z.rows == 3
 
     def test_rejects_bad_entries(self):
         with pytest.raises(ShapeMismatch, match="column 3 outside 0..2"):
@@ -373,6 +377,10 @@ class TestSparseRank:
             linalg.SparseIntMatrix([{-1: 1}], 3)
         with pytest.raises(TypeError):
             linalg.SparseIntMatrix([{0: Fraction(1, 2)}], 3)
+        # a nonzero's type is checked before its column
+        for x in (Fraction(3), Fraction(1, 2), 0.5, True):
+            with pytest.raises(TypeError, match=type(x).__name__):
+                linalg.SparseIntMatrix([{0: 1}, {7: x}], 3)
 
 
 @st.composite
@@ -764,6 +772,92 @@ class TestIntegerRoutines:
             basis = kernel_basis(M)
             assert basis == kernel_by_fractions(M.to_rows(), c)
             assert len(basis) > c - min(r, c)
+
+
+def is_skew_by_generator(M):
+    """The generator definition of ``RatMatrix.is_skew`` that the loop
+    replaced: every (i, j) with j >= i, the diagonal included."""
+    A = M.num
+    return M.is_square() and all(A[i][j] == -A[j][i] for i in range(M.rows) for j in range(i, M.cols))
+
+
+@st.composite
+def near_skew(draw):
+    """A skew pencil value, or one with a single entry on or above the
+    diagonal moved, so its skewness fails at that pair alone."""
+    M = draw(skew_pencils())
+    n = M.rows
+    if draw(st.booleans()):
+        return M
+    rows = [list(r) for r in M.num]
+    i = draw(st.integers(0, n - 1))
+    rows[i][draw(st.integers(i, n - 1))] += draw(st.sampled_from([1, -1, 2**65]))
+    return RatMatrix.from_ints(rows, M.den, cols=n)
+
+
+def skew_cases():
+    last_pair = [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]
+    last_pair[2][1] = 4  # only (1, 2) against (2, 1) fails
+    last_diagonal = [[0, 5], [-5, 1]]
+    return [
+        (RatMatrix([], cols=0), True),
+        (RatMatrix([[3]]), False),
+        (RatMatrix([[0]]), True),
+        (RatMatrix.zeros(2, 3), False),
+        (RatMatrix.zeros(3, 2), False),
+        (RatMatrix(last_pair), False),
+        (RatMatrix(last_diagonal), False),
+        (RatMatrix.from_ints([[0, 1, -3], [-1, 0, 5], [3, -5, 0]], 7), True),
+        (RatMatrix.from_ints([[0, 1, -3], [-1, 0, 5], [3, 5, 0]], 7), False),
+    ]
+
+
+class TestSkew:
+    """``RatMatrix.is_skew`` against the generator definition it replaced."""
+
+    @pytest.mark.parametrize("M, want", skew_cases())
+    def test_edge_cases(self, M, want):
+        assert M.is_skew() is want is is_skew_by_generator(M)
+
+    @given(st.one_of(near_skew(), rat_matrices()))
+    @settings(max_examples=300, derandomize=True)
+    def test_matches_the_generator(self, M):
+        assert M.is_skew() is is_skew_by_generator(M)
+
+    def test_rejects_a_mutant(self, monkeypatch):
+        # starting j at i + 1 skips the diagonal
+        source = textwrap.dedent(inspect.getsource(RatMatrix.is_skew))
+        old = "range(i, n)"
+        assert source.count(old) == 1
+        scope = dict(vars(linalg))
+        exec(source.replace(old, "range(i + 1, n)"), scope)
+        monkeypatch.setattr(RatMatrix, "is_skew", scope["is_skew"])
+        assert any(M.is_skew() is not want for M, want in skew_cases())
+
+
+class TestIntegerValues:
+    """``det`` and ``pfaffian`` of num / den are integers over a power of den;
+    at den 1 the Fraction is built from the integer alone."""
+
+    @given(skew_pencils(), st.integers(2, 30))
+    @settings(max_examples=80, derandomize=True)
+    def test_det_and_pfaffian_over_the_denominator(self, M, d):
+        for A in (RatMatrix.from_ints(M.num), RatMatrix.from_ints(M.num, d)):
+            n = A.rows
+            x = det_cofactor(A.num)
+            got = det(A)
+            assert type(got) is Fraction and got == Fraction(x.numerator, A.den**n)
+            if n % 2 == 0:
+                pf = pfaffian(A)
+                assert type(pf) is Fraction
+                assert pf == Fraction(pfaffian_enumeration(A.num).numerator, A.den ** (n // 2))
+
+    def test_strategy_draws_a_denominator(self):
+        find(
+            st.tuples(skew_pencils(), st.integers(2, 30)),
+            lambda Md: Md[0].rows % 2 == 0 and RatMatrix.from_ints(Md[0].num, Md[1]).den > 1 and det(Md[0]) != 0,
+            settings=settings(database=None, derandomize=True),
+        )
 
 
 class TestDet:
