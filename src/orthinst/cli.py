@@ -23,13 +23,7 @@ from typing import Callable
 
 from . import jsonio
 from .cohomology import h_table
-from .errors import (
-    GenerationExhausted,
-    OrthinstError,
-    RankMismatch,
-    SchemaError,
-    UsageError,
-)
+from .errors import GenerationExhausted, OrthinstError, RankMismatch, UsageError
 from .kronecker import gamma_eval, kronecker_conditions, pencil_verdict, scan_lines
 from .linalg import principal_rank_subset
 from .moduli import moduli_dim
@@ -178,7 +172,7 @@ def run_command(argv: list[str]) -> Report:
     try:
         args = _build_parser().parse_args(_joined_points(argv))
         report = _dispatch(args, argv)
-    except (UsageError, SchemaError, OSError, ValueError, OrthinstError) as e:
+    except (OSError, ValueError, OrthinstError) as e:
         code = USAGE_EXIT
         if isinstance(e, (GenerationExhausted, RankMismatch)):
             code = MATH_EXIT
@@ -252,15 +246,13 @@ def _dispatch(args, argv) -> Report:
 
     if cmd == "monad":
         beta = build_beta(F, r)
-        if 2 * sf.c + r == F.size:
-            alpha = build_alpha(sf.c, sf.n)
-            identity_ok = verify_monad_identity(alpha, beta)
-            checked = "beta.alpha"
-        else:
-            alpha = build_alpha(sf.c, sf.n, S=principal_rank_subset(F.M))
+        full = beta.cols == F.size
+        alpha = build_alpha(sf.c, sf.n)
+        identity_ok = verify_monad_identity(alpha, beta if full else build_beta_full(F))
+        checked = "beta.alpha" if full else "of the unrestricted maps beta.alpha"
+        if not full:
             # the displayed restricted maps are only a basis presentation
-            identity_ok = verify_monad_identity(build_alpha(sf.c, sf.n), build_beta_full(F))
-            checked = "of the unrestricted maps beta.alpha"
+            alpha = build_alpha(sf.c, sf.n, S=principal_rank_subset(F.M))
         results = {
             "alpha": jsonio.linform_matrix_json(alpha),
             "beta_t": [list(col) for col in zip(*jsonio.linform_matrix_json(beta))],

@@ -19,15 +19,16 @@ n+1 nonzeros in a column of each block, and its rank is exact sparse
 elimination through ``linalg.rank``.  Its nonzero count is known before
 the build, so that count, not rows x cols, is held to ``linalg.MAX_CELLS``.
 
-``h_table`` is the one cohomology computation: its table carries the
-instanton report, read off the same section ranks over the standard window
-k in [-n-1, 0].  ``verify_instanton`` is that report alone.
+``h_table`` is the one cohomology computation: one call ranks each sigma_k
+it reads once, in a memo local to the call, and its table carries the
+instanton report, read off its own entries over the standard window
+k in [-n-1, 0].  ``verify_instanton`` is that report for that window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial, prod
 
 from .errors import PreconditionN, UsageError
@@ -149,79 +150,77 @@ class CohomTable:
         return self.entries[(i, k)].cert
 
 
-class _DirectEngine:
-    """Caches the section-map rank per twist for one (F, r), reading c and n off F.
-
-    The second monad map is built on first use, so creating an engine does
-    no work and raises nothing.  One ``h_table`` call ranks each twist of its
-    window and of the standard window once.
-    """
-
-    def __init__(self, F: FlatForm, r: int):
-        self.F = F
-        self.r = r
-        self._cache: dict[int, tuple[int, int, int]] = {}
-
-    @cached_property
-    def beta(self) -> LinFormMatrix:
-        return build_beta(self.F, self.r)
-
-    def _sigma(self, k: int) -> tuple[int, int, int]:
-        if k not in self._cache:
-            m = _section_rows(self.beta, k)
-            self._cache[k] = (m.rows, m.cols, rank(m))
-        return self._cache[k]
-
-    def h0(self, k: int) -> int:
-        rows, cols, rk = self._sigma(k)
-        return (cols - rk) - self.F.c * bott_h(0, k - 1, self.F.n)
-
-    def h1(self, k: int) -> int:
-        rows, cols, rk = self._sigma(k)
-        return rows - rk
-
-    def entry(self, i: int, k: int) -> CohomEntry:
-        """h^i(E(k)) and its provenance, by the display and duality above."""
-        n = self.F.n
-        if i == 0:
-            return CohomEntry(self.h0(k), "Direct")
-        if i == 1:
-            return CohomEntry(self.h1(k), "Direct")
-        if 2 <= i <= n - 2:
-            return CohomEntry(0, "ForcedZero")
-        if i == n - 1:
-            return CohomEntry(self.h1(-k - n - 1), "SerreDual")
-        if i == n:
-            return CohomEntry(self.h0(-k - n - 1), "SerreDual")
-        raise ValueError(i)
-
-
 def h_table(F: FlatForm, r: int, kmin: int, kmax: int) -> CohomTable:
     """Dimension table h^i(E(k)) for i in [0, n], k in [kmin, kmax], with
-    the instanton report of ``verify_instanton`` as ``instanton``.
+    the instanton report as ``instanton``.
 
     Every entry carries its provenance: Direct (section-map computation),
     ForcedZero (middle row vanishing forced by the display), or SerreDual
-    (duality partner computed directly).  Entries inside the standard window
-    k in [-n-1, 0] are cross-checked against the expected instanton values
-    and discrepancies are reported as warnings.  The report reads that
-    window from the same section ranks, whatever window was asked for.
+    (duality partner computed directly).  Each sigma_k is ranked once, for
+    the entries of the window and of the standard window k in [-n-1, 0],
+    which the report reads whatever window was asked for; entries of the
+    window inside the standard one that differ from the instanton values
+    are reported as warnings.
+
+    The report checks the defining vanishings, recomputes the charge as the
+    negated alternating sum of the k = -1 column, and compares the Euler
+    characteristic of every standard column against the bundle-level
+    bookkeeping (middle space dimension 2c+r minus the two end terms),
+    which pins rank = dim W - 2c.
     """
     c, n = F.c, F.n
     if n < 3:
         raise PreconditionN(f"cohomology tables need n >= 3, got n={n}")
     if kmin > kmax:
         raise ValueError("kmin must be <= kmax")
-    eng = _DirectEngine(F, r)
+    beta = build_beta(F, r)
     # the largest twist the window or the report reaches, directly or by duality
-    _section_shape(eng.beta, max(kmax, -kmin - n - 1, 0))
-    entries: dict[tuple[int, int], CohomEntry] = {}
-    for k in range(kmin, kmax + 1):
-        for i in range(n + 1):
-            entries[(i, k)] = eng.entry(i, k)
+    _section_shape(beta, max(kmax, -kmin - n - 1, 0))
+    sigma: dict[int, tuple[int, int, int]] = {}
 
+    def direct(i: int, k: int) -> int:
+        """h^0 (i = 0) or h^1 (i = 1) of E(k) from the rank of sigma_k."""
+        if k not in sigma:
+            m = _section_rows(beta, k)
+            sigma[k] = (m.rows, m.cols, rank(m))
+        rows, cols, rk = sigma[k]
+        return rows - rk if i else (cols - rk) - c * bott_h(0, k - 1, n)
+
+    standard = range(-n - 1, 1)
+    entries: dict[tuple[int, int], CohomEntry] = {}
+    for k in sorted({*range(kmin, kmax + 1), *standard}):
+        for i in range(n + 1):
+            if i <= 1:
+                entries[(i, k)] = CohomEntry(direct(i, k), "Direct")
+            elif i <= n - 2:
+                entries[(i, k)] = CohomEntry(0, "ForcedZero")
+            else:
+                entries[(i, k)] = CohomEntry(direct(n - i, -k - n - 1), "SerreDual")
+
+    def h(i: int, k: int) -> int:
+        return entries[(i, k)].dim
+
+    wdim = 2 * c + r
+    report = InstantonReport(
+        conditions=(
+            ("h0(E(-1)) = 0", h(0, -1) == 0),
+            (f"h{n}(E({-n})) = 0", h(n, -n) == 0),
+            ("h1(E(-2)) = 0", h(1, -2) == 0),
+            (f"h{n - 1}(E({1 - n})) = 0", h(n - 1, 1 - n) == 0),
+        ),
+        charge_computed=-sum((-1) ** i * h(i, -1) for i in range(n + 1)),
+        charge_expected=c,
+        chi_consistent=all(
+            sum((-1) ** i * h(i, k) for i in range(n + 1))
+            == wdim * chi_line_bundle(k, n) - c * chi_line_bundle(k - 1, n) - c * chi_line_bundle(k + 1, n)
+            for k in standard
+        ),
+        rank_bundle=wdim - 2 * c,
+    )
+
+    window = {(i, k): e for (i, k), e in entries.items() if kmin <= k <= kmax}
     warnings = []
-    for (i, k), e in sorted(entries.items()):
+    for (i, k), e in sorted(window.items()):
         if -n - 1 <= k <= 0:
             if (i, k) in ((1, -1), (n - 1, -n)):
                 want = c
@@ -231,55 +230,10 @@ def h_table(F: FlatForm, r: int, kmin: int, kmax: int) -> CohomTable:
                 want = 0
             if e.dim != want:
                 warnings.append(f"h^{i}(E({k})) = {e.dim}, expected {want} for charge {c} rank {r}")
-    return CohomTable(
-        c=c, n=n, r=r, kmin=kmin, kmax=kmax, entries=entries, warnings=tuple(warnings), instanton=_instanton(eng)
-    )
+    return CohomTable(c=c, n=n, r=r, kmin=kmin, kmax=kmax, entries=window, warnings=tuple(warnings), instanton=report)
 
 
 def verify_instanton(F: FlatForm, r: int) -> InstantonReport:
     """Check the defining cohomological vanishings and recompute the charge:
-    the ``instanton`` report of ``h_table``, with no table around it."""
-    if F.n < 3:
-        raise PreconditionN(f"instanton verification needs n >= 3, got n={F.n}")
-    return _instanton(_DirectEngine(F, r))
-
-
-def _instanton(eng: _DirectEngine) -> InstantonReport:
-    """The instanton report from the section ranks of ``eng``.
-
-    The charge is the negated alternating sum of the k = -1 table column;
-    Euler characteristics of every column k in [-n-1, 0] are also compared
-    against the bundle-level bookkeeping (middle space dimension 2c+r minus
-    the two end terms), which pins rank = dim W - 2c.
-    """
-    c, n, r = eng.F.c, eng.F.n, eng.r
-
-    def h(i: int, k: int) -> int:
-        return eng.entry(i, k).dim
-
-    conditions = (
-        ("h0(E(-1)) = 0", h(0, -1) == 0),
-        (f"h{n}(E({-n})) = 0", h(n, -n) == 0),
-        ("h1(E(-2)) = 0", h(1, -2) == 0),
-        (f"h{n - 1}(E({1 - n})) = 0", h(n - 1, 1 - n) == 0),
-    )
-    charge = -sum((-1) ** i * h(i, -1) for i in range(n + 1))
-
-    wdim = 2 * c + r
-    chi_ok = True
-    for k in range(-n - 1, 1):
-        chi_table = sum((-1) ** i * h(i, k) for i in range(n + 1))
-        chi_monad = (
-            wdim * chi_line_bundle(k, n)
-            - c * chi_line_bundle(k - 1, n)
-            - c * chi_line_bundle(k + 1, n)
-        )
-        if chi_table != chi_monad:
-            chi_ok = False
-    return InstantonReport(
-        conditions=conditions,
-        charge_computed=charge,
-        charge_expected=c,
-        chi_consistent=chi_ok,
-        rank_bundle=wdim - 2 * c,
-    )
+    the ``instanton`` report of ``h_table`` over the standard window."""
+    return h_table(F, r, -F.n - 1, 0).instanton

@@ -68,8 +68,8 @@ class TestMonomials:
 
 def dense_section_map(F, r, k):
     """The degree-k section map as a dense RatMatrix, read from its sparse
-    build over beta's denominator: the reference the tests check the engine
-    against."""
+    build over beta's denominator: the reference the tests check the sparse
+    ranks against."""
     beta = cohomology.build_beta(F, r)
     S = cohomology._section_rows(beta, k)
     return RatMatrix.from_ints([[row.get(j, 0) for j in range(S.cols)] for row in S.entries], beta.denominator, cols=S.cols)
@@ -202,10 +202,11 @@ class TestVerifyInstanton:
         assert rep.exit_code == 0
         assert built == [10]
 
-    @pytest.mark.parametrize("kmin, kmax", [(-4, 0), (-6, 2), (1, 3)])
+    @pytest.mark.parametrize("kmin, kmax", [(-4, 0), (-6, 2), (1, 3), (5, 6)])
     def test_cli_ranks_each_twist_once(self, monkeypatch, kmin, kmax):
         # the table's window and the report's standard window [-4, 0] share
-        # one rank per twist, the Serre duals -k - 4 included
+        # one rank per twist, the Serre duals -k - 4 included; (5, 6) lies
+        # apart from [-4, 0], and no twist between them is ranked
         twists = []
         section_rows = cohomology._section_rows
         monkeypatch.setattr(cohomology, "_section_rows", lambda beta, k: twists.append(k) or section_rows(beta, k))
@@ -214,12 +215,31 @@ class TestVerifyInstanton:
         window = set(range(kmin, kmax + 1))
         assert sorted(twists) == sorted(window | {-k - 4 for k in window} | set(range(-4, 1)))
 
-    def test_shared_engine_gives_the_same_results(self, F5):
-        # the table's report and its entries are those of fresh engines
-        table = h_table(F5, 10, -4, 0)
-        assert table.instanton == verify_instanton(F5, 10)
-        eng = cohomology._DirectEngine(F5, 10)
-        assert table.entries == {(i, k): eng.entry(i, k) for k in range(-4, 1) for i in range(4)}
+    def test_shared_engine_gives_the_same_results(self, F6, F5, F_deficient):
+        # every entry and its provenance are the display formulas over a
+        # fresh rank of each section map: h^0 = dim ker sigma_k - c h^0(O(k-1))
+        # and h^1 = dim coker sigma_k, zero in the middle rows, and the top
+        # two rows the Serre duals of h^1 and h^0 at -k - n - 1
+        gen = generate(8, 5, "pure", seed=1)[0]
+        for F, r in [(F6, 12), (F5, 10), (F_deficient, 2), (gen.flatten(), gen.r)]:
+            c, n = F.c, F.n
+            beta = cohomology.build_beta(F, r)
+
+            def direct(i, k):
+                sigma = cohomology._section_rows(beta, k)
+                rk = rank(sigma)
+                return sigma.rows - rk if i == 1 else sigma.cols - rk - c * bott_h(0, k - 1, n)
+
+            def want(i, k):
+                if i <= 1:
+                    return cohomology.CohomEntry(direct(i, k), "Direct")
+                if i <= n - 2:
+                    return cohomology.CohomEntry(0, "ForcedZero")
+                return cohomology.CohomEntry(direct(n - i, -k - n - 1), "SerreDual")
+
+            for kmin, kmax in [(-n, -1), (-2, 3), (1, 2)]:
+                table = h_table(F, r, kmin, kmax)
+                assert table.entries == {(i, k): want(i, k) for k in range(kmin, kmax + 1) for i in range(n + 1)}
 
     @pytest.mark.parametrize("where", ["inside", "overlapping", "disjoint"])
     def test_table_carries_the_report(self, F6, F5, F_deficient, where):
@@ -269,8 +289,8 @@ class TestVerifyInstanton:
 
 
 class TestSparseSectionRanks:
-    """The engine ranks the sparse build of each section map; Bareiss on its
-    dense view is the reference."""
+    """``h_table`` ranks the sparse build of each section map; Bareiss on
+    its dense view is the reference."""
 
     @pytest.mark.parametrize(
         "name, r, k",
@@ -280,10 +300,10 @@ class TestSparseSectionRanks:
     )
     def test_engine_rank_equals_bareiss(self, name, r, k, request):
         F = request.getfixturevalue(name)
-        rows, cols, rk = cohomology._DirectEngine(F, r)._sigma(k)
+        sparse = cohomology._section_rows(cohomology.build_beta(F, r), k)
         sigma = dense_section_map(F, r, k)
-        assert (rows, cols) == (sigma.rows, sigma.cols)
-        assert rk == linalg._bareiss([list(row) for row in sigma.num], cols)[0]
+        assert (sparse.rows, sparse.cols) == (sigma.rows, sigma.cols)
+        assert rank(sparse) == linalg._bareiss([list(row) for row in sigma.num], sigma.cols)[0]
 
     def test_tables_run_no_dense_elimination(self, monkeypatch, F6):
         rank(F6.M)  # the one dense rank, memoised on the flat matrix
