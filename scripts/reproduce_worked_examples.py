@@ -57,11 +57,7 @@ def walkthrough(name: str, samples: int, seed: int, box: int) -> None:
     )
 
     kron = kronecker_conditions(F, r)
-    print(
-        f"pencil module: K1 {kron.k1.kind}, rank {kron.rank_gamma_hat} "
-        f"(2c+r={kron.expected_rank} match={kron.matches_expected}, "
-        f"2n+r={kron.printed_alt_rank} match={kron.matches_printed_alt})"
-    )
+    print(f"pencil module: K1 {kron.a2.kind}, rank {kron.rank_a} (2c+r={kron.a1_expected} match={kron.a1_ok})")
 
     table = h_table(F, r, -4, 0)
     print("cohomology dimensions h^i(E(k)), k = -4..0:")

@@ -36,12 +36,9 @@ from .errors import (
 )
 from .forms import FlatForm, TensorSpec, act, flatten, wedge_membership
 from .kronecker import (
-    KroneckerReport,
     LineWitness,
     ScanReport,
     SplitVerdict,
-    evaluate_bilinear,
-    gamma_coefficients,
     gamma_eval,
     kronecker_conditions,
     line_span_ok,

@@ -302,18 +302,18 @@ def _dispatch(args, argv) -> Report:
 
     if cmd == "kronecker":
         rep = kronecker_conditions(F, r, budget=args.budget, seed=args.seed)
-        results = {"kronecker": jsonio.kronecker_report_json(rep)}
+        k = jsonio.kronecker_report_json(rep)
+        results = {"kronecker": k}
 
         def human() -> str:
             return (
-                f"K1: {rep.k1.kind} | K2 (dual): {rep.k2.kind}\n"
-                f"rank of the linearized map = {rep.rank_gamma_hat}; "
-                f"2c+r = {rep.expected_rank} ({'match' if rep.matches_expected else 'MISMATCH'}), "
-                f"2n+r = {rep.printed_alt_rank} ({'match' if rep.matches_printed_alt else 'mismatch'})\n"
-                + ("verdict: PASS" if rep.passed else "verdict: FAIL")
+                f"K1: {k['k1']['kind']} | K2 (dual): {k['k2']['kind']}\n"
+                f"rank of the linearized map = {k['rank_gamma_hat']}; "
+                f"2c+r = {k['expected_rank_2c_plus_r']} ({'match' if k['matches_expected'] else 'MISMATCH'})\n"
+                + ("verdict: PASS" if k["passed"] else "verdict: FAIL")
             )
 
-        return Report(tuple(argv), digest, results, (), 0.0, 0 if rep.passed else MATH_EXIT, human)
+        return Report(tuple(argv), digest, results, (), 0.0, 0 if k["passed"] else MATH_EXIT, human)
 
     if cmd == "cohomology":
         table = h_table(F, r, args.kmin, args.kmax)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cohomology import CohomTable, InstantonReport
-from .kronecker import KroneckerReport, ScanReport, SplitVerdict
+from .kronecker import ScanReport, SplitVerdict
 from .linalg import RatMatrix
 from .moduli import ModuliInfo, OrbitProbeReport
 from .monad import A2Status, ConditionReport, LinFormMatrix
@@ -100,16 +100,16 @@ def scan_report_json(rep: ScanReport) -> dict:
     }
 
 
-def kronecker_report_json(rep: KroneckerReport) -> dict:
+def kronecker_report_json(rep: ConditionReport) -> dict:
+    """The pencil-module reading of the form conditions: K1 and K2 are A2,
+    and the linearized map's rank is A1's rank(M) against 2c+r."""
     return {
-        "k1": a2_json(rep.k1),
-        "k2": a2_json(rep.k2),
-        "rank_gamma_hat": rep.rank_gamma_hat,
-        "expected_rank_2c_plus_r": rep.expected_rank,
-        "printed_alt_rank_2n_plus_r": rep.printed_alt_rank,
-        "matches_expected": rep.matches_expected,
-        "matches_printed_alt": rep.matches_printed_alt,
-        "passed": rep.passed,
+        "k1": a2_json(rep.a2),
+        "k2": a2_json(rep.a2),
+        "rank_gamma_hat": rep.rank_a,
+        "expected_rank_2c_plus_r": rep.a1_expected,
+        "matches_expected": rep.a1_ok,
+        "passed": rep.a1_ok and rep.a2.is_pass(),
     }
 
 

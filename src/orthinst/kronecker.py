@@ -17,8 +17,9 @@ to jump (odd skew matrices are singular), which it reads off G's skewness
 with no elimination.  ``scan_lines`` draws its points through
 ``monad.randints``, randint's exact replica, from one generator that it
 reseeds for each sample, so each line has its own stream.  The
-pencil-module condition K1 is A2 of the form, and ``kronecker_conditions``
-reads it off A2's decision, ``monad.nondegeneracy``.
+pencil-module conditions are the form conditions: the linearized map is the
+flat form, K1 is A2 and K2 its transpose dual, so ``kronecker_conditions``
+is ``monad.check_conditions``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional, Sequence
 from .errors import DegenerateLine, NotSkew, OrthinstError
 from .forms import FlatForm
 from .linalg import RatMatrix, det, exact_vector, pfaffian, rank
-from .monad import A2Status, check_sampling, nondegeneracy, randints
+from .monad import ConditionReport, check_conditions, check_sampling, randints
 
 
 def line_span_ok(P: Sequence, Q: Sequence) -> bool:
@@ -154,66 +155,13 @@ def scan_lines(F: FlatForm, samples: int, seed: int = 0, box: int = 10) -> ScanR
     )
 
 
-def gamma_coefficients(F: FlatForm) -> tuple[tuple[RatMatrix, ...], ...]:
-    """Symbolic pencil entries as bilinear coefficient matrices.
+def kronecker_conditions(F: FlatForm, r: int, budget: int = 200, seed: int = 0) -> ConditionReport:
+    """The pencil-module conditions, which are the form conditions.
 
-    Entry (i,k) of the pencil is the bilinear form sum_{j,l} G[j][l] Q_j P_l
-    whose coefficient matrix is the (n+1)x(n+1) block M(i,k) of the flat
-    form: G[j][l] = M[(i,j),(k,l)].
+    The linearized map of the pencil is the flat form itself, so its rank
+    is A1's rank(M) against 2c+r; injectivity of every fixed-direction
+    slice is A2, so K1 is A2, and the surjectivity condition K2 is the
+    transpose dual of K1 and has its status.  The report is
+    ``check_conditions(F, r, budget, seed)``, at this budget.
     """
-    return tuple(tuple(F.block(i, k) for k in range(F.c)) for i in range(F.c))
-
-
-def evaluate_bilinear(G: RatMatrix, P: Sequence, Q: Sequence) -> Fraction:
-    """Value sum_{j,l} G[j][l] Q_j P_l of one symbolic pencil entry."""
-    dq, q = exact_vector(Q, G.rows)
-    return Fraction(sum(x * y for x, y in zip(q, G.mul_vector(P))), dq)
-
-
-# ----------------------------------------------------------------------
-# pencil-module conditions
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KroneckerReport:
-    k1: A2Status  # the A2 statement read on the pencil module
-    rank_gamma_hat: int
-    expected_rank: int  # 2c + r, the operative reading
-    printed_alt_rank: int  # 2n + r, reported for comparison only
-    matches_expected: bool
-    matches_printed_alt: bool
-
-    @property
-    def k2(self) -> A2Status:
-        """The surjectivity condition, the transpose dual of K1: injectivity
-        of the slices dualizes to surjectivity, so it is K1's status."""
-        return self.k1
-
-    @property
-    def passed(self) -> bool:
-        return self.k1.is_pass() and self.matches_expected
-
-
-def kronecker_conditions(F: FlatForm, r: int, budget: int = 200, seed: int = 0) -> KroneckerReport:
-    """Check the pencil-module conditions on the linearized map.
-
-    The linearized map of the pencil is the flat form itself, and
-    injectivity of every fixed-direction slice is A2, so K1 is
-    ``nondegeneracy(F, budget, seed)``: the decision ``check_conditions``
-    reports, at this budget.  The surjectivity condition is the transpose
-    dual of the injectivity condition and inherits its status.  The rank is
-    compared against both candidate values 2c+r and 2n+r; the first is
-    operative.
-    """
-    status = nondegeneracy(F, budget, seed)
-    rank_g = rank(F.M)
-    expected, printed = 2 * F.c + r, 2 * F.n + r
-    return KroneckerReport(
-        k1=status,
-        rank_gamma_hat=rank_g,
-        expected_rank=expected,
-        printed_alt_rank=printed,
-        matches_expected=rank_g == expected,
-        matches_printed_alt=rank_g == printed,
-    )
+    return check_conditions(F, r, budget, seed)

@@ -18,14 +18,15 @@ one denominator d, so the composition identity, the section maps of
 ``check_conditions`` evaluates the three defining conditions of a verified
 form (rank equals 2c+r, no decomposable kernel vector, symmetric invertible
 principal block of order 2c+r) together with the charge and rank-bound
-prechecks.  The second, A2, is decided once, by ``nondegeneracy``, which
-``kronecker`` also reads for K1 and K2 (the same statement): full rank
-certifies it, and below full rank one search for h (x) v in ker M runs along
-a seeded stream of directions in [-10, 10], drawn by ``randints``: a hit is
-exact, a clean run is no proof.  Each direction's contraction A is asked for
-its kernel once (``FlatForm.kernel_along_point`` and
-``kernel_along_charge``), which is read off the integer upper triangle of
-its small Gram matrix A^T A; A itself is never built.
+prechecks; ``kronecker`` reads the same report as the pencil-module
+conditions, where K1 and K2 are A2.  A2 is decided once, by
+``nondegeneracy``: full rank certifies it, and below full rank one search
+for h (x) v in ker M runs along a seeded stream of directions in [-10, 10],
+drawn by ``randints``: a hit is exact, a clean run is no proof.  Each
+direction's contraction A is asked for its kernel once
+(``FlatForm.kernel_along_point`` and ``kernel_along_charge``), which is read
+off the integer upper triangle of its small Gram matrix A^T A; A itself is
+never built.
 """
 
 from __future__ import annotations
@@ -259,9 +260,10 @@ def nondegeneracy_witness_search(
 
 
 def nondegeneracy(F: FlatForm, budget: int = 1000, seed: int = 0) -> A2Status:
-    """The one decision of A2, and of K1 and K2, the same statement: after
-    ``check_sampling``, full rank is certified outright (an injective map
-    kills no decomposable tensor), a zero budget is Unknown, and otherwise
+    """The one decision of A2, which ``check_conditions`` reports and
+    ``kronecker`` reads through it as K1 and K2: after ``check_sampling``,
+    full rank is certified outright (an injective map kills no decomposable
+    tensor), a zero budget is Unknown, and otherwise
     ``nondegeneracy_witness_search`` finds a counterexample or reports the
     clean sample count."""
     check_sampling("budget", budget)

@@ -53,6 +53,13 @@ def reference_along_charge(F, h):
     return RatMatrix.from_ints(rows, F.M.den * e, cols=w)
 
 
+def bilinear(B, P, Q):
+    """sum_{j,l} B[j,l] Q_j P_l: the value at (P, Q) of the bilinear form
+    whose coefficient matrix is B, such as a pencil entry's block M(i,k)."""
+    P, Q = [Fraction(x) for x in P], [Fraction(x) for x in Q]
+    return sum((B[j, l] * Q[j] * P[l] for j in range(B.rows) for l in range(B.cols)), Fraction(0))
+
+
 @pytest.fixture(scope="session")
 def c6p3():
     return load_bundled("c6p3")

@@ -18,9 +18,7 @@ from orthinst import (
     build_beta_full,
     check_conditions,
     det,
-    evaluate_bilinear,
     flatten,
-    gamma_coefficients,
     gamma_eval,
     h_table,
     moduli_dim,
@@ -37,7 +35,7 @@ from orthinst.jsonio import linform_matrix_json
 from orthinst.moduli import random_unimodular
 from orthinst.specfile import generate
 
-from conftest import random_skew, random_spec
+from conftest import bilinear, random_skew, random_spec
 from display import BETA_T_C6P3, transposed
 
 
@@ -61,8 +59,7 @@ def test_criterion_1_charge6_end_to_end(c6p3, F6):
 
     # symbolic pencil entry (0,1): coefficients of 2be - 2af - 6dg + 6ch,
     # i.e. 2 on Q0P1, -2 on Q1P0, -6 on Q2P3, 6 on Q3P2
-    G = gamma_coefficients(F6)
-    assert G[0][1] == RatMatrix([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, -6], [0, 0, 6, 0]])
+    assert F6.block(0, 1) == RatMatrix([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, -6], [0, 0, 6, 0]])
 
     special = gamma_eval(F6, [1, 0, 0, 0], [0, 0, 0, 1])
     assert all(x == 0 for row in special.to_rows() for x in row)
@@ -70,10 +67,10 @@ def test_criterion_1_charge6_end_to_end(c6p3, F6):
 
     scan = scan_lines(F6, 1000, seed=0, box=1000)
     assert scan.trivial >= 999
-    lam_entries = (G[0][1], G[2][3], G[4][5])
+    lam_entries = (F6.block(0, 1), F6.block(2, 3), F6.block(4, 5))
     for w in scan.witnesses:
         for lam in lam_entries:
-            assert evaluate_bilinear(lam, w.P, w.Q) == 0
+            assert bilinear(lam, w.P, w.Q) == 0
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -9,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from orthinst import FlatForm, TensorSpec, build_beta, cli, jsonio
+from orthinst import FlatForm, TensorSpec, build_beta, cli, flatten, jsonio, rank
 from orthinst.cli import run_command
-from orthinst.specfile import SpecFile, bundled_spec_path, parse_spec, serialize_spec
+from orthinst.specfile import SpecFile, bundled_spec_path, generate, parse_spec, serialize_spec
 
-from conftest import DEFICIENT_TERMS
+from conftest import DEFICIENT_TERMS, random_spec
 from display import transposed
 
 C6 = str(bundled_spec_path("c6p3"))
@@ -176,7 +177,62 @@ class TestKronecker:
         k = rep.results["kronecker"]
         assert k["rank_gamma_hat"] == 24
         assert k["matches_expected"] is True
-        assert k["matches_printed_alt"] is False
+        assert "printed_alt_rank_2n_plus_r" not in k and "matches_printed_alt" not in k
+        assert "2n+r" not in rep.human
+
+
+@pytest.fixture(scope="module")
+def view_specs(tmp_path_factory, fixture_path):
+    """c6p3, c5p3, the deficient fixture, generate(8,5,pure,1) and 12 drawn
+    forms below full rank, as spec files; every other drawn form gets an r
+    one below its rank's, so A1 fails on it."""
+    out = tmp_path_factory.mktemp("view")
+    paths = [C6, C5, fixture_path]
+    path = out / "g85.json"
+    path.write_text(serialize_spec(generate(8, 5, mode="pure", seed=1)[0]))
+    paths.append(str(path))
+    rng = random.Random(2031)
+    while len(paths) < 16:
+        spec = random_spec(rng, cs=(3, 4, 5), ns=(3,))
+        d = rank(flatten(spec).M)
+        r = d - 2 * spec.c - len(paths) % 2
+        if d < spec.c * (spec.n + 1) and r >= 0:
+            path = out / f"drawn{len(paths)}.json"
+            path.write_text(serialize_spec(SpecFile(spec, r)))
+            paths.append(str(path))
+    return paths
+
+
+KRONECKER_KEYS = {"k1", "k2", "rank_gamma_hat", "expected_rank_2c_plus_r", "matches_expected", "passed"}
+
+
+class TestKroneckerIsAView:
+    # the kronecker report restates verify's at the same budget and seed:
+    # K1 = K2 = A2, the rank and its match are A1's, and it passes when A1
+    # and A2 do, whatever the precheck
+
+    @pytest.mark.parametrize("args", [[], ["--budget", "30", "--seed", "2"], ["--budget", "0"]], ids=["default", "b30s2", "b0"])
+    def test_report_is_the_projection_of_verify(self, args, view_specs):
+        budget_seed = {"--budget": "200", "--seed": "0"} | dict(zip(args[::2], args[1::2]))
+        verify_args = [x for kv in budget_seed.items() for x in kv]
+        kinds = set()
+        for spec in view_specs:
+            rep = run_command(["kronecker", spec, "--json", *args])
+            v = run_command(["verify", spec, "--json", *verify_args]).results["conditions"]
+            passed = v["a1_ok"] and v["a2"]["kind"] in ("CertifiedFullRank", "SampledNoCounterexample")
+            assert rep.results["kronecker"] == {
+                "k1": v["a2"],
+                "k2": v["a2"],
+                "rank_gamma_hat": v["rank_A"],
+                "expected_rank_2c_plus_r": v["a1_expected"],
+                "matches_expected": v["a1_ok"],
+                "passed": passed,
+            }, spec
+            assert set(rep.results["kronecker"]) == KRONECKER_KEYS
+            assert rep.exit_code == (0 if passed else 2)
+            kinds.add((v["a2"]["kind"], v["a1_ok"]))
+        assert any(not ok for _, ok in kinds) and any(kind == "CertifiedFullRank" for kind, _ in kinds)
+        assert {kind for kind, _ in kinds} - {"CertifiedFullRank"}
 
 
 class TestCohomology:

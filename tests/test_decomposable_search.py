@@ -107,7 +107,7 @@ def test_a2_and_k1_statuses_match_the_replaced_samplers(budget, seed, deficient_
     for F in deficient_forms + bundled_forms:
         r = rank(F.M) - 2 * F.c
         a2 = check_conditions(F, r, budget=budget, seed=seed).a2
-        assert kronecker_conditions(F, r, budget=budget, seed=seed).k1 == a2
+        assert kronecker_conditions(F, r, budget=budget, seed=seed).a2 == a2
         if rank(F.M) < F.size:
             assert a2 == reference_a2(F, budget, seed)
         else:
@@ -200,8 +200,8 @@ def test_k1_draws_no_direction_past_the_first_hit(monkeypatch):
 
     monkeypatch.setattr(random, "Random", no_rng)
     rep = kronecker_conditions(F, rank(F.M) - 6, budget=MAX_SAMPLES)
-    assert rep.k1.kind == "CounterexampleFound"
-    assert rep.k1.witness_v == (1, 0, 0, 0)
+    assert rep.a2.kind == "CounterexampleFound"
+    assert rep.a2.witness_v == (1, 0, 0, 0)
 
 
 @pytest.mark.parametrize("box", [0, -1])

@@ -17,9 +17,7 @@ from orthinst import (
     RatMatrix,
     ShapeMismatch,
     TensorSpec,
-    evaluate_bilinear,
     flatten,
-    gamma_coefficients,
     gamma_eval,
     kernel_basis,
     line_span_ok,
@@ -55,7 +53,6 @@ def _cases(F):
     of its shape."""
     c, w = F.c, F.n + 1
     P0, Q0 = (1, 2, 3, 4), (5, -6, 7, 8)
-    G = gamma_coefficients(F)[0][1]
     # F has full rank, so every kernel along it is empty; along a direction
     # off ker B and ker C, B (x) C has the kernels ker B (h) and ker C (v)
     S = flatten(TensorSpec(c, F.n, ((_pairing(c, (0, 2)), _pairing(w, (0,))),)))
@@ -70,8 +67,6 @@ def _cases(F):
         "pencil:P": (w, lambda v: F.pencil(v, Q0), _linear, ShapeMismatch),
         "pencil:Q": (w, lambda v: F.pencil(P0, v), _linear, ShapeMismatch),
         "mul_vector": (F.size, F.M.mul_vector, lambda r, d: tuple(x / d for x in r), ShapeMismatch),
-        "evaluate_bilinear:P": (w, lambda v: evaluate_bilinear(G, v, Q0), lambda r, d: r / d, ShapeMismatch),
-        "evaluate_bilinear:Q": (w, lambda v: evaluate_bilinear(G, P0, v), lambda r, d: r / d, ShapeMismatch),
         "line_span_ok:P": (w, lambda v: line_span_ok(v, Q0), lambda r, d: r, ShapeMismatch),
         "line_span_ok:Q": (w, lambda v: line_span_ok(P0, v), lambda r, d: r, ShapeMismatch),
         "gamma_eval:P": (w, lambda v: gamma_eval(F, v, Q0), _linear, DegenerateLine),
@@ -88,8 +83,6 @@ NAMES = (
     "pencil:P",
     "pencil:Q",
     "mul_vector",
-    "evaluate_bilinear:P",
-    "evaluate_bilinear:Q",
     "line_span_ok:P",
     "line_span_ok:Q",
     "gamma_eval:P",
@@ -210,17 +203,6 @@ def test_short_point_message(F6):
         gamma_eval(F6, [1, 2, 3], [5, 6, 7, 8])
     with pytest.raises(DegenerateLine, match="point must have 4 coordinates, got 5"):
         splitting_type(F6, [1, 2, 3, 4], [5, 6, 7, 8, 9])
-
-
-def test_evaluate_bilinear_rejects_floats_and_bad_lengths(F6):
-    G = gamma_coefficients(F6)[0][1]
-    Q = [0, 1, 0, 0]
-    with pytest.raises(TypeError):
-        evaluate_bilinear(G, [0.1, 0, 0, 1], Q)
-    with pytest.raises(ShapeMismatch):
-        evaluate_bilinear(G, [1, 0, 0, 1, 5], Q)
-    with pytest.raises(ShapeMismatch):
-        evaluate_bilinear(G, [1, 0, 0], Q)
 
 
 def test_kernel_basis_returns_int_tuples():

@@ -14,10 +14,9 @@ from orthinst import (
     SplitVerdict,
     build_alpha,
     build_beta,
+    check_conditions,
     det,
-    evaluate_bilinear,
     flatten,
-    gamma_coefficients,
     gamma_eval,
     kronecker_conditions,
     line_span_ok,
@@ -35,7 +34,7 @@ from orthinst.forms import act
 from orthinst.linalg import exact_vector
 from orthinst.specfile import generate
 
-from conftest import random_spec
+from conftest import bilinear, random_spec
 
 
 def composed_at(beta, alpha, Q, P):
@@ -73,8 +72,7 @@ def term_pencil(c, terms, P, Q):
 
 def block_pencil(F, P, Q):
     """Each pencil entry as the bilinear form of its block M(i,k)."""
-    G = gamma_coefficients(F)
-    return RatMatrix([[evaluate_bilinear(G[i][k], P, Q) for k in range(F.c)] for i in range(F.c)])
+    return RatMatrix([[bilinear(F.block(i, k), P, Q) for k in range(F.c)] for i in range(F.c)])
 
 
 def random_symmetric(size, rng, box=3):
@@ -583,54 +581,43 @@ class TestScanLines:
 
 
 class TestGammaCoefficients:
-    def test_c6p3_entry_01(self, F6, c6p3):
-        G = gamma_coefficients(F6)
-        B, C = c6p3.spec.terms[0]
-        assert G[0][1] == RatMatrix(C).scale(B[0][1])
+    # the pencil entry (i,k) is the bilinear form whose coefficient matrix
+    # is the block M(i,k): TestPencilReferences checks the values
 
-    def test_interpolation_reproduces_evaluation(self, F5):
-        G = gamma_coefficients(F5)
-        rng = random.Random(309)
-        for _ in range(10):
-            P = [rng.randint(-5, 5) for _ in range(4)]
-            Q = [rng.randint(-5, 5) for _ in range(4)]
-            try:
-                g = gamma_eval(F5, P, Q)
-            except DegenerateLine:
-                continue
-            for i in range(5):
-                for k in range(5):
-                    assert evaluate_bilinear(G[i][k], P, Q) == g[i, k]
+    def test_c6p3_entry_01(self, F6, c6p3):
+        B, C = c6p3.spec.terms[0]
+        assert F6.block(0, 1) == RatMatrix(C).scale(B[0][1])
 
     def test_c5p3_entry_2_4_carries_the_third_block_pattern(self, F5, c5p3):
         # slot (2,4) is fed only by the third block pair, so its bilinear
         # form must be that pair's pattern and not the second pair's
-        G = gamma_coefficients(F5)
         B3, C3 = c5p3.spec.terms[2]
         assert B3[2][4] == 1
-        assert G[2][4] == RatMatrix(C3)
-        assert G[2][4] != RatMatrix(c5p3.spec.terms[1][1])
+        assert F5.block(2, 4) == RatMatrix(C3)
+        assert F5.block(2, 4) != RatMatrix(c5p3.spec.terms[1][1])
 
 
 class TestKroneckerConditions:
+    # the pencil-module report is the form-condition report: K1 = K2 = A2,
+    # and the linearized map's rank is A1's rank(M)
+
     def test_c6p3(self, F6):
         rep = kronecker_conditions(F6, 12)
-        assert rep.k1.kind == "CertifiedFullRank"
-        assert rep.k2.kind == "CertifiedFullRank"
-        assert rep.rank_gamma_hat == 24
-        assert rep.expected_rank == 24 and rep.matches_expected
-        assert rep.printed_alt_rank == 18 and not rep.matches_printed_alt
+        assert rep == check_conditions(F6, 12, budget=200, seed=0)
+        assert rep.a2.kind == "CertifiedFullRank"
+        assert rep.rank_a == 24
+        assert rep.a1_expected == 24 and rep.a1_ok
         assert rep.passed
 
     def test_c5p3(self, F5):
         rep = kronecker_conditions(F5, 10)
-        assert rep.k1.is_pass() and rep.k2.is_pass()
-        assert rep.rank_gamma_hat == 20 == rep.expected_rank
+        assert rep.a2.is_pass()
+        assert rep.rank_a == 20 == rep.a1_expected
         assert rep.passed
 
     def test_zero_form_fails_with_witness(self):
         F = FlatForm(3, 3, RatMatrix.zeros(12, 12))
         rep = kronecker_conditions(F, 2, budget=10)
-        assert rep.k1.kind == "CounterexampleFound"
-        assert rep.k1.witness_v is not None and rep.k1.witness_h is not None
-        assert not rep.passed
+        assert rep.a2.kind == "CounterexampleFound"
+        assert rep.a2.witness_v is not None and rep.a2.witness_h is not None
+        assert not rep.a1_ok and not rep.passed

@@ -25,9 +25,10 @@ def run_script(name, *args):
     "argv, line",
     [
         (["reproduce_worked_examples.py"], "moduli dimension at (c=5, n=3): 35"),
+        (["reproduce_worked_examples.py"], "pencil module: K1 CertifiedFullRank, rank 24 (2c+r=24 match=True)"),
         (["generator_survey.py", "--seeds", "2"], "  (c=6, n=5): attempt 1, rank 36, verified=True, terms=1"),
     ],
-    ids=["worked examples", "generator survey"],
+    ids=["worked examples", "worked examples pencil module", "generator survey"],
 )
 def test_script_runs(argv, line):
     proc = run_script(*argv)

@@ -195,6 +195,13 @@ def test_a2_status_built_only_by_the_decision():
     assert _callers("A2Status") == {"monad.py:nondegeneracy"}
 
 
+def test_one_condition_report():
+    # the pencil-module conditions are the form conditions: A2 is decided
+    # only inside check_conditions, and the kronecker report is its view
+    assert _callers("nondegeneracy") == {"monad.py:check_conditions"}
+    assert _callers("check_conditions") == {"cli.py:_dispatch", "kronecker.py:kronecker_conditions"}
+
+
 def test_only_the_line_scan_takes_a_box():
     # the witness search draws from one fixed box; the line scan is the one
     # sampler whose box is a setting
