@@ -61,7 +61,6 @@ from .monad import (
     LinFormMatrix,
     build_alpha,
     build_beta,
-    build_beta_full,
     check_conditions,
     nondegeneracy_witness_search,
     verify_monad_identity,

@@ -8,7 +8,10 @@ For a flat form of full rank the two maps are
 and beta . alpha = 0 as a matrix of quadratic forms exactly when the form
 is a wedge member.  When the rank 2c+r is smaller than c(n+1) the middle
 space is realized on a rank-carrying principal index set S: beta keeps the
-columns indexed by S, alpha the rows indexed by S.
+columns indexed by S, alpha the rows indexed by S.  That restricted pair
+need not compose to zero, even for a wedge member: beta_S = alpha^T M[:,S]
+composes to zero with alpha' = M[S,S]^-1 M[S,:] alpha = alpha_S +
+M[S,S]^-1 M[S,T] alpha_T, T the indices outside S, not in general with alpha_S.
 
 A map beta = sum_l x_l B_l (the Kronecker module of the map) is stored as
 its nonzero coefficients alone, ints (l, i, j, x) for x = d * B_l[i, j] over
@@ -59,7 +62,9 @@ def build_alpha(c: int, n: int, S: Optional[Sequence[int]] = None) -> LinFormMat
     the coefficient of x_l in row s is 1 in column i' when s = i'(n+1) + l.
 
     With ``S`` the rows are restricted to that index set (a choice of basis
-    for the middle space in the non-maximal case).
+    for the middle space in the non-maximal case).  Below full rank this
+    alpha_S need not compose to zero with ``build_beta``'s beta_S, even on a
+    wedge member; the first map that does is alpha' = M[S,S]^-1 M[S,:] alpha.
     """
     size = c * (n + 1)
     if S is None:
@@ -108,13 +113,6 @@ def build_beta(F: FlatForm, r: int) -> LinFormMatrix:
     else:
         col_idx = principal_rank_subset(F.M)
     return _beta_rows(F, list(col_idx))
-
-
-def build_beta_full(F: FlatForm) -> LinFormMatrix:
-    """Unrestricted second map on the whole product space (audit use: its
-    composition with the unrestricted alpha vanishes for every wedge member,
-    whatever the rank)."""
-    return _beta_rows(F, list(range(F.size)))
 
 
 def verify_monad_identity(alpha: LinFormMatrix, beta: LinFormMatrix) -> bool:

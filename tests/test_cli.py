@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from orthinst import FlatForm, TensorSpec, build_beta, cli, flatten, jsonio, rank
+from orthinst import FlatForm, TensorSpec, build_beta, cli, flatten, jsonio, rank, verify_monad_identity
 from orthinst.cli import run_command
 from orthinst.specfile import SpecFile, bundled_spec_path, generate, parse_spec, serialize_spec
 
 from conftest import DEFICIENT_TERMS, random_spec
-from display import transposed
+from display import grid_to_linform_matrix, transposed
 
 C6 = str(bundled_spec_path("c6p3"))
 C5 = str(bundled_spec_path("c5p3"))
@@ -65,6 +65,25 @@ class TestVerify:
         assert len(rep.input_hash) == 64
 
 
+@pytest.fixture(scope="module")
+def monad_specs(tmp_path_factory, fixture_path):
+    """c6p3, c5p3, generate(8,5,pure,1), the deficient fixture and 12 drawn
+    wedge forms below full rank at their own r, as spec files."""
+    out = tmp_path_factory.mktemp("monad")
+    path = out / "g85.json"
+    path.write_text(serialize_spec(generate(8, 5, mode="pure", seed=1)[0]))
+    paths = [C6, C5, str(path), fixture_path]
+    rng = random.Random(2032)
+    while len(paths) < 16:
+        spec = random_spec(rng, cs=(3, 4, 5), ns=(3, 4))
+        d = rank(flatten(spec).M)
+        if 2 * spec.c <= d < spec.c * (spec.n + 1):
+            path = out / f"drawn{len(paths)}.json"
+            path.write_text(serialize_spec(SpecFile(spec, d - 2 * spec.c)))
+            paths.append(str(path))
+    return paths
+
+
 class TestMonad:
     def test_c6p3(self):
         rep = run_command(["monad", C6])
@@ -77,7 +96,7 @@ class TestMonad:
         calls = []
         build_alpha = cli.build_alpha
         monkeypatch.setattr(cli, "build_alpha", lambda *a, **k: calls.append(a) or build_alpha(*a, **k))
-        monkeypatch.setattr(cli, "build_beta_full", lambda F: pytest.fail("unrestricted beta built at full rank"))
+        monkeypatch.setattr(cli, "principal_rank_subset", lambda M: pytest.fail("principal subset taken at full rank"))
         rep = run_command(["monad", C6])
         assert rep.exit_code == 0 and rep.results["identity_zero"] is True
         assert len(calls) == 1
@@ -94,12 +113,33 @@ class TestMonad:
         sf = parse_spec(path)
         expected = jsonio.linform_matrix_json(transposed(build_beta(sf.flatten(), sf.r)))
         rep = run_command(["monad", str(path), "--json"])
-        assert rep.exit_code == 0
         assert json.loads(json.dumps(rep.results))["beta_t"] == expected
-        # below full rank the identity is checked on the unrestricted pair,
-        # and the line says so: the displayed restricted pair is no monad
-        checked = "of the unrestricted maps beta.alpha" if which == "deficient" else "beta.alpha"
-        assert "\nbeta^t =\n" + cli._grid(expected) + f"\n\ncomposition {checked} = 0: ok" in rep.human
+        # the identity is checked on the displayed pair, which below full
+        # rank is no monad: the fixture's restricted pair composes nonzero
+        last = "composition beta.alpha != 0: FAIL" if which == "deficient" else "composition beta.alpha = 0: ok"
+        assert rep.exit_code == (2 if which == "deficient" else 0)
+        assert "\nbeta^t =\n" + cli._grid(expected) + "\n\n" + last in rep.human
+        assert rep.human.endswith(last)
+
+    def test_identity_is_read_off_the_printed_pair(self, monad_specs):
+        # parse alpha and beta^t back from the JSON grids: identity_zero,
+        # the exit code and the last line all state that pair's composition
+        outcomes = []
+        for spec in monad_specs:
+            rep = run_command(["monad", spec, "--json"])
+            res = json.loads(json.dumps(rep.results))
+            nvars = parse_spec(spec).n + 1
+            alpha = grid_to_linform_matrix(res["alpha"], nvars)
+            beta = transposed(grid_to_linform_matrix(res["beta_t"], nvars))
+            ok = verify_monad_identity(alpha, beta)
+            assert res["identity_zero"] is ok, spec
+            assert rep.exit_code == (0 if ok else 2)
+            assert rep.human.endswith("composition beta.alpha = 0: ok" if ok else "composition beta.alpha != 0: FAIL")
+            outcomes.append(ok)
+        # the three full-rank forms compose; the fixture and most drawn
+        # deficient forms do not
+        assert outcomes[:4] == [True, True, True, False]
+        assert outcomes[4:].count(False) > len(outcomes[4:]) // 2
 
 
 class TestSplitting:

@@ -15,14 +15,13 @@ from orthinst import (
     TensorSpec,
     act,
     build_beta,
-    build_beta_full,
     flatten,
     kernel_basis,
     principal_rank_subset,
     rank,
     wedge_membership,
 )
-from orthinst import forms as forms_module, linalg
+from orthinst import forms as forms_module, linalg, monad
 from orthinst.forms import point_indices
 from orthinst.moduli import random_unimodular
 
@@ -282,7 +281,7 @@ class TestContractions:
             assert [list(point_indices(F.c, F.n, l)) for l in range(w)] == [
                 [i * w + l for i in range(F.c)] for l in range(w)
             ]
-            maps = [(list(range(F.size)), build_beta_full(F))]
+            maps = [(list(range(F.size)), monad._beta_rows(F, list(range(F.size))))]
             r = rank(F.M) - 2 * F.c
             if r >= 0:
                 maps.append((list(principal_rank_subset(F.M)), build_beta(F, r)))

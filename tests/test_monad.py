@@ -22,7 +22,6 @@ from orthinst import (
     act,
     build_alpha,
     build_beta,
-    build_beta_full,
     check_conditions,
     flatten,
     kernel_basis,
@@ -331,7 +330,7 @@ class TestBuildersAgainstPartsRoute:
             S = principal_rank_subset(F.M)
             assert_map(build_alpha(c, n), (F.size, c, w), parts_route_alpha(c, n, None))
             assert_map(build_alpha(c, n, S), (len(S), c, w), parts_route_alpha(c, n, S))
-            assert_map(build_beta_full(F), (c, F.size, w), parts_route_beta(F, range(F.size)))
+            assert_map(monad._beta_rows(F, list(range(F.size))), (c, F.size, w), parts_route_beta(F, range(F.size)))
             if len(S) >= 2 * c:
                 beta = build_beta(F, len(S) - 2 * c)
                 assert_map(beta, (c, len(S), w), parts_route_beta(F, S))
@@ -367,7 +366,8 @@ def display_maps(rational_forms):
     maps = []
     for F in rational_forms:
         S = principal_rank_subset(F.M)
-        maps += [build_alpha(F.c, F.n), build_alpha(F.c, F.n, S), build_beta_full(F), build_beta(F, len(S) - 2 * F.c)]
+        maps += [build_alpha(F.c, F.n), build_alpha(F.c, F.n, S)]
+        maps += [monad._beta_rows(F, list(range(F.size))), build_beta(F, len(S) - 2 * F.c)]
     maps += [transposed(L) for L in maps]
     rng = random.Random(2702)
     entries = [0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 6), Fraction(-4, 2), Fraction(9, 6), Fraction(7, 4)]
@@ -395,7 +395,7 @@ class TestIntegerMaps:
         outcomes = set()
         for F in rational_forms:
             S = principal_rank_subset(F.M)
-            alpha, beta = build_alpha(F.c, F.n), build_beta_full(F)
+            alpha, beta = build_alpha(F.c, F.n), monad._beta_rows(F, list(range(F.size)))
             alpha_S, beta_S = build_alpha(F.c, F.n, S), build_beta(F, len(S) - 2 * F.c)
             for A, B in ((alpha, beta), (seventh(alpha), beta), (alpha_S, beta_S), (seventh(alpha_S), beta_S)):
                 assert A.denominator != B.denominator
@@ -442,24 +442,20 @@ class TestMonadIdentity:
                     for l in range(n + 1):
                         rows[i * (n + 1) + j][k * (n + 1) + l] = B[i][k] * C[j][l]
         F = FlatForm(c, n, RatMatrix(rows))
-        assert not verify_monad_identity(build_alpha(c, n), build_beta_full(F))
+        assert not verify_monad_identity(build_alpha(c, n), monad._beta_rows(F, list(range(F.size))))
 
     def test_full_maps_vanish_for_every_wedge_member(self):
         rng = random.Random(201)
         for _ in range(25):
             F = flatten(random_spec(rng))
-            assert verify_monad_identity(build_alpha(F.c, F.n), build_beta_full(F))
+            assert verify_monad_identity(build_alpha(F.c, F.n), monad._beta_rows(F, list(range(F.size))))
 
     def test_restricted_pair_is_not_a_monad_at_deficient_rank(self, F_deficient):
         # the row-restricted first map composes nonzero below full rank; only
         # the unrestricted pair carries the vanishing statement
-        from orthinst import principal_rank_subset
-
-        S = principal_rank_subset(F_deficient.M)
-        assert not verify_monad_identity(
-            build_alpha(3, 3, S=S), build_beta(F_deficient, 2)
-        )
-        assert verify_monad_identity(build_alpha(3, 3), build_beta_full(F_deficient))
+        F = F_deficient
+        assert not verify_monad_identity(build_alpha(3, 3, S=principal_rank_subset(F.M)), build_beta(F, 2))
+        assert verify_monad_identity(build_alpha(3, 3), monad._beta_rows(F, list(range(F.size))))
 
 
 def random_parts(rng, w, rows, cols, rational):
@@ -577,7 +573,7 @@ class TestIdentityAgainstFractionLoop:
         rng = random.Random(205)
         for _ in range(25):
             F = flatten(random_spec(rng))
-            alpha, beta = build_alpha(F.c, F.n), build_beta_full(F)
+            alpha, beta = build_alpha(F.c, F.n), monad._beta_rows(F, list(range(F.size)))
             assert verify_monad_identity(alpha, beta) == reference_identity(alpha, beta) is True
             S = principal_rank_subset(F.M)
             alpha_S, beta_S = build_alpha(F.c, F.n, S=S), restrict_columns(beta, S)
@@ -603,8 +599,9 @@ class TestIdentityAgainstFractionLoop:
             assert verify_monad_identity(alpha, beta) == reference_identity(alpha, beta) == (grid is BETA_T_C6P3)
 
     def test_mixed_shapes_rejected(self):
+        F = FlatForm(3, 2, RatMatrix.zeros(9, 9))
         with pytest.raises(ShapeMismatch):
-            verify_monad_identity(build_alpha(3, 3), build_beta_full(FlatForm(3, 2, RatMatrix.zeros(9, 9))))
+            verify_monad_identity(build_alpha(3, 3), monad._beta_rows(F, list(range(F.size))))
 
 
 class TestCheckConditions:
