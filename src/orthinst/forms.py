@@ -43,14 +43,20 @@ the line's Pluecker coordinate Q_j P_l - Q_l P_j.  On any other symmetric
 form the same code keeps a pair that does not fold, and a nonzero diagonal
 slice, as they are, each mixed by Q_j P_l.  ``act`` mixes the charge
 groups and then row groups by the rows of h.
+
+``pure_factors``, cached beside the slices and the Gram coefficients, is
+(B, C) with M = B (x) C when every block M(i,k) is a multiple B[i,k] C of
+one primitive integer matrix C, checked entry by entry on ``M.num``, and
+None otherwise.  The pencil of such a form is (Q^T C P) B on every line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import NotSkew, ShapeMismatch, Singular
 from .linalg import RatMatrix, check_cells, det, exact_vector, gram_kernel
@@ -111,9 +117,9 @@ class TensorSpec:
 @dataclass(frozen=True)
 class FlatForm:
     """The flattened symmetric bilinear form of a tensor spec.  M is the
-    integer view (``M.num`` over ``M.den``); its slices, charge groups and
-    Gram coefficients are computed on first use and are not part of the
-    value."""
+    integer view (``M.num`` over ``M.den``); its slices, charge groups,
+    Gram coefficients and pure factors are computed on first use and are
+    not part of the value."""
 
     c: int
     n: int
@@ -173,6 +179,35 @@ class FlatForm:
                     keep(j, l, False, s)
                     keep(l, j, False, t)
         return pairs, mats
+
+    @cached_property
+    def pure_factors(self) -> Optional[tuple[RatMatrix, RatMatrix]]:
+        """(B, C) with M = B (x) C, M(i,k) = B[i,k] C, or None.  C is the
+        first nonzero block of ``M.num`` divided by its content, signed so
+        that its first nonzero entry is positive: a primitive integer
+        matrix.  Each block of ``M.num`` is then checked, entry by entry,
+        to be an integer multiple b_ik C (an integer block that is a
+        rational multiple of a primitive C is an integer multiple), and B is
+        [b_ik] over M's denominator.  None when some block is not such a
+        multiple, and for the zero form, which has no first block."""
+        c, w = self.c, self.n + 1
+        R = self.M.num
+        blocks = [
+            [x for row in R[i * w : (i + 1) * w] for x in row[k * w : (k + 1) * w]] for i in range(c) for k in range(c)
+        ]
+        first = next((blk for blk in blocks if any(blk)), None)
+        if first is None:
+            return None
+        p = next(q for q, x in enumerate(first) if x)
+        g = gcd(*first) if first[p] > 0 else -gcd(*first)
+        C = [x // g for x in first]
+        b = []
+        for blk in blocks:
+            x, r = divmod(blk[p], C[p])
+            if r or blk != [x * y for y in C]:
+                return None
+            b.append(x)
+        return _from_flat(b, c, self.M.den), _from_flat(C, w, 1)
 
     @cached_property
     def _charge_groups(self) -> list[list[int]]:

@@ -3,6 +3,7 @@ import random
 import textwrap
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -24,6 +25,7 @@ from orthinst import (
 from orthinst import forms as forms_module, linalg, monad
 from orthinst.forms import point_indices
 from orthinst.moduli import random_unimodular
+from orthinst.specfile import generate
 
 from conftest import DEFICIENT_TERMS, random_skew, random_spec, reference_along_charge, reference_along_point
 from display import to_parts
@@ -554,3 +556,85 @@ class TestAct:
                 + RatMatrix.identity(F.c).scale(Fraction(1, 5)),
             ):
                 assert act(h, F).M == reference_act(h, F)
+
+
+def kron(B, C):
+    """B (x) C with entry ((i,j),(k,l)) = B[i,k] C[j,l], written out."""
+    return RatMatrix(
+        [[B[i, k] * C[j, l] for k in range(B.cols) for l in range(C.cols)] for i in range(B.rows) for j in range(C.rows)]
+    )
+
+
+def pure_test_forms(F6):
+    """Pure forms: the bundled c6p3, one-term random specs, and their images
+    under rational base changes (denominators 2, 3 and 6)."""
+    rng = random.Random(120)
+    forms = [F6]
+    for _ in range(12):
+        F = flatten(random_spec(rng, cs=(2, 3, 4, 5, 6), ns=(1, 2, 3, 4), max_terms=1))
+        if any(map(any, F.M.num)):
+            forms.append(F)
+    for F in forms[:6]:
+        forms.append(act(RatMatrix.diagonal([Fraction(1, 2), Fraction(-2, 3)] + [3] * (F.c - 2)), F))
+        forms.append(act(RatMatrix.diagonal([Fraction(t + 1, 6) for t in range(F.c)]) @ random_unimodular(F.c, rng), F))
+    return forms
+
+
+class TestPureFactors:
+    def test_factors_flatten_back_to_the_form(self, F6):
+        for F in pure_test_forms(F6):
+            B, C = F.pure_factors
+            assert (B.rows, C.rows) == (F.c, F.n + 1)
+            assert kron(B, C) == F.M
+
+    def test_factor_c_is_primitive_and_signed(self, F6):
+        for F in pure_test_forms(F6):
+            _, C = F.pure_factors
+            den, nonzeros = C.nonzeros()
+            assert den == 1 and nonzeros[0][2] > 0
+            assert gcd(*(x for _, _, x in nonzeros)) == 1
+
+    def test_c6p3_factors(self, F6, c6p3):
+        ((B0, C0),) = c6p3.spec.terms
+        assert F6.pure_factors == (RatMatrix(B0), RatMatrix(C0))
+        # the block term's factors absorb a content and a denominator into B
+        F = flatten(TensorSpec(6, 3, ((B0, tuple(tuple(-6 * x for x in r) for r in C0)),)))
+        assert F.pure_factors == (RatMatrix(B0).scale(-6), RatMatrix(C0))
+        F = FlatForm(6, 3, F6.M.scale(Fraction(5, 6)))
+        assert F.pure_factors == (RatMatrix(B0).scale(Fraction(5, 6)), RatMatrix(C0))
+
+    def test_rational_base_change_stays_pure(self, F6):
+        rng = random.Random(121)
+        dens = []
+        for F in pure_test_forms(F6):
+            h = RatMatrix.diagonal([Fraction(2 * t + 1, t + 2) for t in range(F.c)]) @ random_unimodular(F.c, rng)
+            G = act(h, F)
+            dens.append(G.M.den)
+            B, C = F.pure_factors
+            BG, CG = G.pure_factors
+            # (h (x) Id)(B (x) C)(h^T (x) Id) = (h B h^T) (x) C, and C is fixed
+            # by its normalisation
+            assert CG == C and BG == h @ B @ h.transpose()
+            assert kron(BG, CG) == G.M
+        assert max(dens) > 1
+
+    def test_none_off_pure_forms(self, F5, F_deficient):
+        rng = random.Random(122)
+        sym = FlatForm(4, 3, RatMatrix(random_symmetric(16, rng)))
+        while not any(map(any, sym.M.num)):
+            sym = FlatForm(4, 3, RatMatrix(random_symmetric(16, rng)))
+        zero = FlatForm(3, 3, RatMatrix.zeros(12, 12))
+        for F in (F5, F_deficient, generate(6, 3, "sum", seed=1)[0].flatten(), sym, zero):
+            assert F.pure_factors is None
+
+    def test_every_entry_is_compared(self, F6):
+        # one changed entry anywhere, inside a nonzero block or a zero one,
+        # breaks the factorisation
+        rng = random.Random(123)
+        for F in pure_test_forms(F6):
+            rows = [list(r) for r in F.M.num]
+            for _ in range(8):
+                p, q = rng.randrange(F.size), rng.randrange(F.size)
+                rows[p][q] += 1
+                assert FlatForm(F.c, F.n, RatMatrix.from_ints(rows, F.M.den)).pure_factors is None
+                rows[p][q] -= 1

@@ -1,6 +1,7 @@
 import inspect
 import random
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -28,7 +29,7 @@ from orthinst import (
     wedge_membership,
 )
 from orthinst import kronecker
-from orthinst.kronecker import LineWitness
+from orthinst.kronecker import LineWitness, scaled_verdict
 from orthinst.moduli import random_unimodular
 from orthinst.forms import act
 from orthinst.linalg import exact_vector
@@ -493,6 +494,17 @@ class TestSpanRule:
         assert min(seen.values()) >= 30 and verdicts == {"Trivial", "Jumping"}
 
 
+@pytest.fixture(scope="module")
+def F85():
+    return generate(8, 5, "pure", seed=1)[0].flatten()
+
+
+@pytest.fixture(scope="module")
+def F44():
+    # an even fallback sum of three terms: not pure
+    return generate(4, 4, "pure", seed=1)[0].flatten()
+
+
 class TestScanLines:
     def test_deterministic(self, F6):
         a = scan_lines(F6, 100, seed=5, box=10)
@@ -525,12 +537,15 @@ class TestScanLines:
         assert rep.trivial + rep.jumping + rep.degenerate == 200
 
     @pytest.mark.parametrize("box", [1, 10, 1000])
-    @pytest.mark.parametrize("which", ["c6p3", "c5p3", "fixture"])
-    def test_tallies_and_witnesses_match_the_randint_stream(self, which, box, F6, F5, F_deficient):
+    @pytest.mark.parametrize("which", ["c6p3", "c5p3", "fixture", "gen85", "gen44"])
+    def test_tallies_and_witnesses_match_the_randint_stream(self, which, box, F6, F5, F_deficient, F85, F44):
         # the scan against a loop that draws each line by randint from
         # f"{seed}:line:{s}", tells a line by an exact rank of the pair and
-        # decides it by det of the pencil
-        F, seed = {"c6p3": (F6, 11), "c5p3": (F5, 12), "fixture": (F_deficient, 13)}[which]
+        # decides it by det of the pencil; c6p3 and the (8, 5) spec are pure,
+        # the (4, 4) fallback sum is the even form that is not
+        F, seed = {
+            "c6p3": (F6, 11), "c5p3": (F5, 12), "fixture": (F_deficient, 13), "gen85": (F85, 14), "gen44": (F44, 15)
+        }[which]
         samples, w = 300, F.n + 1
         trivial = jumping = degenerate = 0
         witnesses = []
@@ -552,14 +567,21 @@ class TestScanLines:
         assert (rep.trivial, rep.jumping, rep.degenerate) == (trivial, jumping, degenerate)
         assert rep.witnesses == tuple(witnesses)
 
-    def test_each_line_tests_skewness_once(self, F6, monkeypatch):
-        # the pfaffian's own skewness test is the only one per pencil
+    def test_each_line_tests_skewness_once(self, F6, F44, monkeypatch):
+        # the pfaffian's own skewness test is the only one per eliminated
+        # pencil: a pure form's scan eliminates B once and no line (none of
+        # these 250 has Q^T C P = 0), a form that is not pure every line
         calls = []
         is_skew = RatMatrix.is_skew
         monkeypatch.setattr(RatMatrix, "is_skew", lambda M: calls.append(M.rows) or is_skew(M))
         rep = scan_lines(F6, 250, seed=3)
-        assert rep.degenerate == 0
-        assert calls == [6] * 250
+        assert rep.degenerate == 0 and rep.jumping == 0
+        assert calls == [6]
+        calls.clear()
+        assert F44.pure_factors is None
+        rep = scan_lines(F44, 250, seed=3)
+        assert rep.trivial + rep.jumping > 200
+        assert calls == [4] * (rep.trivial + rep.jumping)
 
     def test_non_skew_pencil_has_no_pfaffian(self):
         # a symmetric M outside the wedge: its even pencil is not skew
@@ -578,6 +600,108 @@ class TestScanLines:
     def test_forced_jumping_line_counts(self, F6):
         v = splitting_type(F6, [1, 0, 0, 0], [0, 0, 0, 1])
         assert v.verdict == "Jumping"
+
+
+def pure_route_forms():
+    """Pure forms for the scaled route: 44 one-term random specs (c from 2
+    to 6, n from 1 to 4), eight of them under a rational diagonal base
+    change (denominator 10), and four symmetric B (x) C outside the wedge,
+    whose pencils have no Pfaffian."""
+    rng = random.Random(330)
+    forms = [flatten(random_spec(rng, cs=(2, 3, 4, 5, 6), ns=(1, 2, 3, 4), max_terms=1)) for _ in range(44)]
+    for F in forms[:8]:
+        forms.append(act(RatMatrix.diagonal([Fraction(1, 2), Fraction(-3, 5)] + [2] * (F.c - 2)), F))
+    for c, n in ((2, 1), (3, 2), (4, 3), (6, 2)):
+        B = random_symmetric(c, rng)
+        B[0][0] = B[0][0] or 1
+        forms.append(flat_of_terms(c, n, [(B, random_symmetric(n + 1, rng))]))
+    return forms
+
+
+def scan_routes(F, samples, seed, box):
+    """(P, Q, G, route, verdict) for each spanning line of a scan: its
+    points, its pencil, the route the scan took for it ("scaled_verdict" or
+    "pencil_verdict") and that route's verdict, recorded by wrapping the
+    scan's three calls."""
+    events = []
+
+    def recording(name):
+        real = getattr(kronecker, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            events.append((name, args, out))
+            return out
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("gamma_eval", "pencil_verdict", "scaled_verdict"):
+            mp.setattr(kronecker, name, recording(name))
+        rep = scan_lines(F, samples, seed=seed, box=box)
+    lines = [
+        (*args[1:], G, route, verdict)
+        for (name, args, G), (route, _, verdict) in zip(events, events[1:])
+        if name == "gamma_eval"
+    ]
+    assert len(lines) == rep.trivial + rep.jumping
+    return lines
+
+
+class TestPureRoute:
+    @pytest.mark.parametrize("box", [1, 3, 10, 1000])
+    def test_scaled_verdicts_match_the_eliminated_pencil(self, box):
+        # the verdict the scan takes on each spanning line, as a whole
+        # SplitVerdict, against the elimination of that line's pencil; a
+        # pure form's line is eliminated exactly when its pencil is 0
+        routes = Counter()
+        forms = pure_route_forms()
+        for s, F in enumerate(forms):
+            # a one-term spec is pure unless a factor drawn is 0
+            pure = F.pure_factors is not None
+            assert pure or not any(map(any, F.M.num))
+            for _, _, G, route, verdict in scan_routes(F, 40, seed=s, box=box):
+                assert verdict == pencil_verdict(G)
+                zero = not any(map(any, G.to_rows()))
+                assert (route == "pencil_verdict") == (zero or not pure)
+                if pure:
+                    routes[route, zero, verdict.pfaffian is None] += 1
+        assert sum(F.pure_factors is not None for F in forms) >= 52
+        # scaled lines with and without a Pfaffian, and lines with t = 0
+        assert routes["scaled_verdict", False, False] > 500 and routes["scaled_verdict", False, True] > 500
+        if box <= 3:
+            assert routes["pencil_verdict", True, False] + routes["pencil_verdict", True, True] > 30
+
+    @pytest.mark.parametrize("box", [1, 10])
+    def test_a_pure_line_jumps_on_the_line_complex(self, box, F6, F85):
+        # G = (Q^T C P) B exactly, so a line jumps iff Q^T C P = 0 or B is
+        # singular
+        for s, F in enumerate([F6, F85] + pure_route_forms()[::4]):
+            if F.pure_factors is None:
+                continue
+            B, C = F.pure_factors
+            for P, Q, G, _, verdict in scan_routes(F, 40, seed=s, box=box):
+                t = bilinear(C, P, Q)
+                assert G == B.scale(t)
+                assert verdict.trivial == (t != 0 and det(B) != 0)
+
+    def test_rejects_a_pfaffian_scaled_by_t_to_the_c(self, F6, F85, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(scaled_verdict))
+        old = "t ** (c // 2)"
+        assert source.count(old) == 1
+        scope = dict(vars(kronecker))
+        exec(source.replace(old, "t**c"), scope)
+        monkeypatch.setattr(kronecker, "scaled_verdict", scope["scaled_verdict"])
+        lines = scan_routes(F6, 50, seed=1, box=10) + scan_routes(F85, 50, seed=1, box=10)
+        assert any(verdict != pencil_verdict(G) for _, _, G, _, verdict in lines)
+
+    def test_rejects_a_scan_that_scales_a_zero_pencil(self, F6):
+        source = textwrap.dedent(inspect.getsource(scan_lines))
+        old = "if t else pencil_verdict(G)"
+        assert source.count(old) == 1
+        scope = dict(vars(kronecker))
+        exec(source.replace(old, "if pure is not None else pencil_verdict(G)"), scope)
+        assert scope["scan_lines"](F6, 200, seed=0, box=1) != scan_lines(F6, 200, seed=0, box=1)
 
 
 class TestGammaCoefficients:
