@@ -187,7 +187,6 @@ def run_command(argv: list[str]) -> Report:
 
 def _dispatch(args, argv) -> Report:
     cmd = args.cmd
-    warnings: list[str] = []
     if cmd == "moduli-dim":
         info = moduli_dim(args.c, args.n)
         results = {"moduli": jsonio.moduli_json(info)}
@@ -196,12 +195,9 @@ def _dispatch(args, argv) -> Report:
             return (
                 f"moduli dimension for c={info.c}, n={info.n}: {info.dim}\n"
                 f"  ambient {info.ambient_dim} - group {info.group_dim}"
-                + ("\n  warning: negative dimension hints at emptiness" if info.possibly_empty else "")
             )
 
-        if info.possibly_empty:
-            warnings.append("negative dimension hints at emptiness")
-        return Report(tuple(argv), None, results, tuple(warnings), 0.0, 0, human)
+        return Report(tuple(argv), None, results, (), 0.0, 0, human)
 
     if cmd == "generate":
         sf, attempts = generate(args.c, args.n, mode=args.mode, seed=args.seed, num_terms=args.num_terms)

@@ -20,14 +20,14 @@ reseeds for each sample, so each line has its own stream.
 
 On a pure form, M = B (x) C (``FlatForm.pure_factors``), the pencil is
 G[i][k] = sum_{j,l} B[i,k] C[j,l] Q_j P_l = t B[i,k] with t = Q^T C P, so
-every line's pencil is the one matrix B scaled by t.  ``scan_lines`` then
-decides B once and scales that verdict by each line's t (``scaled_verdict``);
-a line of a pure form jumps iff Q^T C P = 0 or B is singular.  For a skew C,
-Q^T C P is linear in the line's Pluecker coordinates, so off a singular B
-the jumping lines are a linear line complex.  A line with t = 0, whose
-pencil is 0, and every line of a form that is not pure are decided by
-``pencil_verdict`` of their own pencil, so every pencil that is eliminated
-passes its Pf^2 = det check.  The
+every line's pencil is the one matrix B scaled by t.  For t != 0, t B is
+invertible iff B is, so ``scan_lines`` decides B once and a line with
+t != 0 takes B's verdict as it is: a line of a pure form jumps iff
+Q^T C P = 0 or B is singular.  For a skew C, Q^T C P is linear in the
+line's Pluecker coordinates, so off a singular B the jumping lines are a
+linear line complex.  A line with t = 0, whose pencil is 0, and every line
+of a form that is not pure are decided by ``pencil_verdict`` of their own
+pencil, so every pencil that is eliminated passes its Pf^2 = det check.  The
 pencil-module conditions are the form conditions: the linearized map is the
 flat form, K1 is A2 and K2 its transpose dual, so ``kronecker_conditions``
 is ``monad.check_conditions``.
@@ -85,20 +85,6 @@ def pencil_verdict(G: RatMatrix) -> SplitVerdict:
     return SplitVerdict("Trivial" if d != 0 else "Jumping", d, pf)
 
 
-def scaled_verdict(base: SplitVerdict, t: Fraction, c: int) -> SplitVerdict:
-    """The verdict of t B for t != 0, from ``base = pencil_verdict(B)`` of a
-    c x c matrix B.  A pure form M = B (x) C has the pencil t B on the line
-    through P and Q, by bilinearity: G[i][k] = sum_{j,l} B[i,k] C[j,l] Q_j P_l
-    = B[i,k] (Q^T C P).  The determinant is linear in each of the c rows,
-    so det(t B) = t^c det B, and every term of the Pfaffian is a product of
-    c/2 entries, so Pf(t B) = t^(c/2) Pf B.  As t != 0, t B is skew iff B
-    is, so both have a Pfaffian or neither has, and det(t B) = 0 iff
-    det B = 0: the verdict is B's.  Pf^2 = det, checked on B, holds for the
-    scaled pair identically: (t^(c/2) Pf B)^2 = t^c Pf(B)^2 = t^c det B."""
-    pf = None if base.pfaffian is None else base.pfaffian * t ** (c // 2)
-    return SplitVerdict(base.verdict, base.determinant * t**c, pf)
-
-
 def gamma_eval(F: FlatForm, P: Sequence, Q: Sequence) -> RatMatrix:
     """The pencil at a point pair spanning a line: entry (i,k) is the
     bilinear form of the block M(i,k) at (P, Q).  Scaling P or Q rescales
@@ -147,12 +133,14 @@ def scan_lines(F: FlatForm, samples: int, seed: int = 0, box: int = 10) -> ScanR
     pairs are counted, not resampled.  Box 0 draws only zeros and is refused.
 
     Every line's pencil is ``gamma_eval``'s, under the one span rule.  On a
-    pure form M = B (x) C the pencil is t B with t = Q^T C P, read off one
-    nonzero entry of B as t = G[i0, k0] / B[i0, k0]; B is decided once by
-    ``pencil_verdict`` and a line with t != 0 takes ``scaled_verdict`` of
-    that verdict, so such a line jumps iff B is singular.  A line with
-    t = 0 has the zero pencil and jumps; it and every line of a form that
-    is not pure are decided by ``pencil_verdict`` of their pencil.
+    pure form M = B (x) C the pencil is t B with t = Q^T C P, and t != 0
+    iff G[i0, k0] != 0 at one nonzero entry (i0, k0) of B.  B is decided
+    once by ``pencil_verdict`` and a line with t != 0 takes that verdict as
+    it is, so such a line jumps iff B is singular; its determinant is then
+    0, the one a witness records.  On a trivial line the verdict carries
+    det B and Pf B, not det(t B) and Pf(t B), which no report reads.  A
+    line with t = 0 has the zero pencil and jumps; it and every line of a
+    form that is not pure are decided by ``pencil_verdict`` of their pencil.
     """
     check_sampling("samples", samples, least=1)
     if box < 1:
@@ -162,10 +150,8 @@ def scan_lines(F: FlatForm, samples: int, seed: int = 0, box: int = 10) -> ScanR
     witnesses: list[LineWitness] = []
     pure = F.pure_factors
     if pure is not None:
-        B = pure[0]
-        base = pencil_verdict(B)
-        i0, k0, _ = B.nonzeros()[1][0]
-        b0 = B[i0, k0]
+        base = pencil_verdict(pure[0])
+        i0, k0, _ = pure[0].nonzeros()[1][0]
     rng = random.Random()
     for s in range(samples):
         rng.seed(f"{seed}:line:{s}")
@@ -176,8 +162,7 @@ def scan_lines(F: FlatForm, samples: int, seed: int = 0, box: int = 10) -> ScanR
         except DegenerateLine:
             degenerate += 1
             continue
-        t = G[i0, k0] / b0 if pure is not None else 0
-        verdict = scaled_verdict(base, t, F.c) if t else pencil_verdict(G)
+        verdict = base if pure is not None and G[i0, k0] else pencil_verdict(G)
         if verdict.trivial:
             trivial += 1
         else:

@@ -39,8 +39,8 @@ class ModuliInfo:
 def moduli_dim(c: int, n: int) -> ModuliInfo:
     """Exact dimension count C(c,2)*C(n+1,2) - c^2 for c, n >= 3.
 
-    A negative value is reported as-is with the emptiness hint set, never
-    clamped.
+    With C(n+1,2) >= 6 the count is at least 6 C(c,2) - c^2 = c(2c-3) > 0,
+    so ``possibly_empty`` (dim < 0) is always false.
     """
     if c < 3 or n < 3:
         raise HypothesisViolation(f"dimension formula needs c >= 3 and n >= 3, got c={c}, n={n}")

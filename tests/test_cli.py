@@ -569,7 +569,7 @@ class TestOptimizedInterpreter:
     @pytest.mark.parametrize("cmd", ["verify", "kronecker", "cohomology", "splitting", "monad", "scan-lines"])
     @pytest.mark.parametrize("which", ["c6p3", "c5p3", "fixture"])
     def test_reports_match_under_python_o(self, cmd, which, fixture_path):
-        # c6p3 is a pure form, so its scan takes the scaled route
+        # c6p3 is a pure form, so its scan takes B's verdict on each line
         spec = {"c6p3": C6, "c5p3": C5, "fixture": fixture_path}[which]
         reports = self.reports([cmd, spec, "--json", *self.EXTRA.get(cmd, [])])
         assert reports[0] == reports[1]

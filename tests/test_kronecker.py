@@ -12,6 +12,7 @@ from orthinst import (
     FlatForm,
     OrthinstError,
     RatMatrix,
+    ScanReport,
     SplitVerdict,
     build_alpha,
     build_beta,
@@ -29,7 +30,7 @@ from orthinst import (
     wedge_membership,
 )
 from orthinst import kronecker
-from orthinst.kronecker import LineWitness, scaled_verdict
+from orthinst.kronecker import LineWitness
 from orthinst.moduli import random_unimodular
 from orthinst.forms import act
 from orthinst.linalg import exact_vector
@@ -603,7 +604,7 @@ class TestScanLines:
 
 
 def pure_route_forms():
-    """Pure forms for the scaled route: 44 one-term random specs (c from 2
+    """Pure forms for the base route: 44 one-term random specs (c from 2
     to 6, n from 1 to 4), eight of them under a rational diagonal base
     change (denominator 10), and four symmetric B (x) C outside the wedge,
     whose pencils have no Pfaffian."""
@@ -620,9 +621,12 @@ def pure_route_forms():
 
 def scan_routes(F, samples, seed, box):
     """(P, Q, G, route, verdict) for each spanning line of a scan: its
-    points, its pencil, the route the scan took for it ("scaled_verdict" or
-    "pencil_verdict") and that route's verdict, recorded by wrapping the
-    scan's three calls."""
+    points, its pencil, the route the scan took for it and that route's
+    verdict, recorded by wrapping the scan's two calls.  A line whose
+    ``gamma_eval`` is followed by ``pencil_verdict`` of its pencil has the
+    route "pencil_verdict"; a line that calls only ``gamma_eval`` has the
+    route "base" and the verdict of the scan's first call,
+    ``pencil_verdict(B)`` of the pure factors."""
     events = []
 
     def recording(name):
@@ -636,24 +640,70 @@ def scan_routes(F, samples, seed, box):
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("gamma_eval", "pencil_verdict", "scaled_verdict"):
+        for name in ("gamma_eval", "pencil_verdict"):
             mp.setattr(kronecker, name, recording(name))
         rep = scan_lines(F, samples, seed=seed, box=box)
-    lines = [
-        (*args[1:], G, route, verdict)
-        for (name, args, G), (route, _, verdict) in zip(events, events[1:])
-        if name == "gamma_eval"
-    ]
+    base = None
+    if F.pure_factors is not None:
+        name, args, base = events.pop(0)
+        assert name == "pencil_verdict" and args == (F.pure_factors[0],)
+    lines = []
+    for (name, args, G), after in zip(events, events[1:] + [None]):
+        if name != "gamma_eval":
+            continue
+        if after is not None and after[0] == "pencil_verdict":
+            assert after[1] == (G,)
+            lines.append((*args[1:], G, "pencil_verdict", after[2]))
+        else:
+            lines.append((*args[1:], G, "base", base))
+    assert base is not None or all(route == "pencil_verdict" for *_, route, _ in lines)
     assert len(lines) == rep.trivial + rep.jumping
     return lines
 
 
+def eliminated_scan(F, samples, seed, box):
+    """The scan's report with every spanning line decided by
+    ``pencil_verdict(gamma_eval(F, P, Q))``, each line drawn by randint
+    from the stream f"{seed}:line:{s}"."""
+    w = F.n + 1
+    trivial = jumping = degenerate = 0
+    witnesses = []
+    for s in range(samples):
+        rng = random.Random(f"{seed}:line:{s}")
+        P = [rng.randint(-box, box) for _ in range(w)]
+        Q = [rng.randint(-box, box) for _ in range(w)]
+        try:
+            v = pencil_verdict(gamma_eval(F, P, Q))
+        except DegenerateLine:
+            degenerate += 1
+            continue
+        if v.trivial:
+            trivial += 1
+        else:
+            jumping += 1
+            if len(witnesses) < 10:
+                witnesses.append(LineWitness(tuple(P), tuple(Q), v.determinant))
+    return ScanReport(samples, trivial, jumping, degenerate, tuple(witnesses), Fraction(trivial, samples), seed, box)
+
+
 class TestPureRoute:
     @pytest.mark.parametrize("box", [1, 3, 10, 1000])
+    @pytest.mark.parametrize("which", ["pure_route_forms", "c6p3", "c5p3", "gen85", "gen44"])
+    def test_reports_match_a_scan_that_eliminates_every_line(self, which, box, F6, F5, F85, F44):
+        # the whole report, tallies and witnesses with their determinants,
+        # against a scan that eliminates every spanning line's pencil
+        if which == "pure_route_forms":
+            cases = [(F, 40, s) for s, F in enumerate(pure_route_forms())]
+        else:
+            cases = [({"c6p3": F6, "c5p3": F5, "gen85": F85, "gen44": F44}[which], 150, 21)]
+        for F, samples, seed in cases:
+            assert scan_lines(F, samples, seed=seed, box=box) == eliminated_scan(F, samples, seed, box)
+
+    @pytest.mark.parametrize("box", [1, 3, 10, 1000])
     def test_scaled_verdicts_match_the_eliminated_pencil(self, box):
-        # the verdict the scan takes on each spanning line, as a whole
-        # SplitVerdict, against the elimination of that line's pencil; a
-        # pure form's line is eliminated exactly when its pencil is 0
+        # a pure form's line, whose pencil is t B, takes B's verdict unless
+        # its pencil is 0 (t = 0), and that verdict is trivial iff the
+        # eliminated pencil is
         routes = Counter()
         forms = pure_route_forms()
         for s, F in enumerate(forms):
@@ -661,14 +711,14 @@ class TestPureRoute:
             pure = F.pure_factors is not None
             assert pure or not any(map(any, F.M.num))
             for _, _, G, route, verdict in scan_routes(F, 40, seed=s, box=box):
-                assert verdict == pencil_verdict(G)
+                assert verdict.trivial == pencil_verdict(G).trivial
                 zero = not any(map(any, G.to_rows()))
                 assert (route == "pencil_verdict") == (zero or not pure)
                 if pure:
                     routes[route, zero, verdict.pfaffian is None] += 1
         assert sum(F.pure_factors is not None for F in forms) >= 52
-        # scaled lines with and without a Pfaffian, and lines with t = 0
-        assert routes["scaled_verdict", False, False] > 500 and routes["scaled_verdict", False, True] > 500
+        # base lines with and without a Pfaffian, and lines with t = 0
+        assert routes["base", False, False] > 500 and routes["base", False, True] > 500
         if box <= 3:
             assert routes["pencil_verdict", True, False] + routes["pencil_verdict", True, True] > 30
 
@@ -685,23 +735,15 @@ class TestPureRoute:
                 assert G == B.scale(t)
                 assert verdict.trivial == (t != 0 and det(B) != 0)
 
-    def test_rejects_a_pfaffian_scaled_by_t_to_the_c(self, F6, F85, monkeypatch):
-        source = textwrap.dedent(inspect.getsource(scaled_verdict))
-        old = "t ** (c // 2)"
-        assert source.count(old) == 1
-        scope = dict(vars(kronecker))
-        exec(source.replace(old, "t**c"), scope)
-        monkeypatch.setattr(kronecker, "scaled_verdict", scope["scaled_verdict"])
-        lines = scan_routes(F6, 50, seed=1, box=10) + scan_routes(F85, 50, seed=1, box=10)
-        assert any(verdict != pencil_verdict(G) for _, _, G, _, verdict in lines)
-
     def test_rejects_a_scan_that_scales_a_zero_pencil(self, F6):
+        # the mutant gives a line with t = 0, whose pencil is 0 B, B's verdict
         source = textwrap.dedent(inspect.getsource(scan_lines))
-        old = "if t else pencil_verdict(G)"
+        old = "if pure is not None and G[i0, k0] else pencil_verdict(G)"
         assert source.count(old) == 1
         scope = dict(vars(kronecker))
         exec(source.replace(old, "if pure is not None else pencil_verdict(G)"), scope)
-        assert scope["scan_lines"](F6, 200, seed=0, box=1) != scan_lines(F6, 200, seed=0, box=1)
+        mutant = scope["scan_lines"](F6, 200, seed=0, box=1)
+        assert mutant != scan_lines(F6, 200, seed=0, box=1) == eliminated_scan(F6, 200, 0, 1)
 
 
 class TestGammaCoefficients:

@@ -45,6 +45,7 @@ class TestModuliDim:
 
         info = moduli_dim(c, n)
         assert info.dim + c * c == comb(c, 2) * comb(n + 1, 2)
+        assert info.dim >= c * (2 * c - 3)
         assert info.possibly_empty == (info.dim < 0)
 
 

@@ -179,6 +179,11 @@ def test_pfaffian_taken_only_by_the_verdict():
     assert _callers("pfaffian", skip=("linalg.py",)) == {"kronecker.py:pencil_verdict"}
 
 
+def test_one_verdict_constructor():
+    # every line verdict is built from its pencil by the one verdict function
+    assert _callers("SplitVerdict") == {"kronecker.py:pencil_verdict"}
+
+
 def test_det_taken_only_by_the_verdict_and_the_action():
     # besides the line verdict, a determinant only tests a base change for
     # invertibility
